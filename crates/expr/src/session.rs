@@ -183,11 +183,19 @@ impl EstimationContext {
     /// `cache.evictions` counters, `cache.bytes_resident` gauge,
     /// `session.*_ns` latency histograms). A disabled recorder restores the
     /// zero-overhead path.
+    ///
+    /// Several contexts may share one recorder: counters and histograms
+    /// accumulate across them, and `cache.bytes_resident` reads the sum of
+    /// the live contexts' resident bytes (each context adds its deltas and
+    /// takes its share back out when dropped).
     pub fn with_recorder(mut self, rec: Recorder) -> Self {
         self.m_hit = rec.counter("cache.hit");
         self.m_miss = rec.counter("cache.miss");
         self.m_evict = rec.counter("cache.evictions");
+        let resident = self.resident_share();
+        self.g_resident.add(-resident);
         self.g_resident = rec.gauge("cache.bytes_resident");
+        self.g_resident.add(resident);
         self.h_build = rec.histogram("session.build_ns");
         self.h_estimate = rec.histogram("session.estimate_ns");
         self.h_propagate = rec.histogram("session.propagate_ns");
@@ -201,23 +209,22 @@ impl EstimationContext {
     /// the `/metrics` aggregation (snapshotted periodically by the
     /// daemon's server ticker, freshly on every scrape).
     ///
-    /// A session without a recorder gets a **bounded** one (ring capacity
-    /// = the daemon's flight capacity) — the right default for the
-    /// long-running services obsd exists for, where unbounded span storage
-    /// would grow without limit. Call
-    /// [`with_recorder`](Self::with_recorder) first to choose a different
-    /// recorder (e.g. an unbounded one for a batch run that also wants
-    /// live scrapes).
-    pub fn with_obsd(mut self, daemon: &mnc_obsd::ObsDaemon) -> Self {
-        if !self.rec.is_enabled() {
-            let bounded = Recorder::enabled_with_capacity(daemon.flight().capacity());
-            self = self.with_recorder(bounded);
+    /// A session without a recorder attaches the daemon's one shared
+    /// [`session_recorder`](mnc_obsd::ObsDaemon::session_recorder), which
+    /// is bounded (ring capacity = the daemon's flight capacity) and
+    /// already installed — so wiring a session allocates no rings and
+    /// adds no source, however many sessions a long-running service
+    /// creates and drops. Call [`with_recorder`](Self::with_recorder) first
+    /// to choose a different recorder (e.g. an unbounded one for a batch
+    /// run that also wants live scrapes); that recorder is installed as a
+    /// source of its own.
+    pub fn with_obsd(self, daemon: &mnc_obsd::ObsDaemon) -> Self {
+        if self.rec.is_enabled() {
+            daemon.install(&self.rec);
+            self
+        } else {
+            self.with_recorder(daemon.session_recorder().clone())
         }
-        daemon.install(&self.rec);
-        // Seed the daemon's cached snapshot so a scrape racing session
-        // startup already sees this source.
-        daemon.refresh();
-        self
     }
 
     /// Toggles the propagation scratch arena (on by default). Arena-backed
@@ -272,8 +279,13 @@ impl EstimationContext {
     /// Drops every cached synopsis (counters are kept).
     pub fn clear_cache(&mut self) {
         self.cache.clear();
+        self.g_resident.add(-self.resident_share());
         self.stats.bytes_resident = 0;
-        self.g_resident.set(0);
+    }
+
+    /// This context's contribution to the `cache.bytes_resident` gauge.
+    fn resident_share(&self) -> i64 {
+        i64::try_from(self.stats.bytes_resident).unwrap_or(i64::MAX)
     }
 
     /// Number of synopses currently cached.
@@ -711,8 +723,17 @@ impl EstimationContext {
             self.m_evict.add(evicted);
         }
         self.stats.evictions = self.cache.evictions();
+        let before = self.resident_share();
         self.stats.bytes_resident = self.cache.bytes_resident() as u64;
-        self.g_resident.set(self.stats.bytes_resident as i64);
+        self.g_resident.add(self.resident_share() - before);
+    }
+}
+
+impl Drop for EstimationContext {
+    /// Takes this context's resident bytes back out of a gauge that other
+    /// contexts may share.
+    fn drop(&mut self) {
+        self.g_resident.add(-self.resident_share());
     }
 }
 
@@ -964,10 +985,10 @@ mod tests {
             flight_capacity: 32,
             ..ObsdConfig::default()
         });
-        // No recorder yet: with_obsd installs a bounded one sized like the
-        // flight ring.
+        // No recorder yet: with_obsd attaches the daemon's shared session
+        // recorder, bounded like the flight ring.
         let mut ctx = EstimationContext::new().with_obsd(&daemon);
-        assert!(ctx.recorder().is_enabled());
+        assert!(ctx.recorder().same_as(daemon.session_recorder()));
         assert_eq!(ctx.recorder().ring_capacity(), Some(32));
         assert!(ctx.recorder().has_sink());
 
@@ -990,6 +1011,48 @@ mod tests {
             .with_obsd(&daemon);
         assert!(ctx2.recorder().same_as(&rec));
         assert_eq!(ctx2.recorder().ring_capacity(), None);
+        assert_eq!(daemon.source_count(), 2);
+    }
+
+    #[test]
+    fn session_churn_adds_no_daemon_sources() {
+        use mnc_obsd::{ObsDaemon, ObsdConfig};
+
+        let daemon = ObsDaemon::new(ObsdConfig::default());
+        for _ in 0..100 {
+            let ctx = EstimationContext::new().with_obsd(&daemon);
+            assert!(ctx.recorder().same_as(daemon.session_recorder()));
+        }
+        assert_eq!(daemon.source_count(), 1);
+    }
+
+    #[test]
+    fn resident_gauge_sums_the_live_contexts_on_a_shared_recorder() {
+        let (dag, root) = chain_dag(10);
+        let rec = Recorder::enabled();
+        let gauge = || rec.registry().unwrap().snapshot().gauges["cache.bytes_resident"];
+
+        let mut a = EstimationContext::new().with_recorder(rec.clone());
+        a.estimate_root(&MncEstimator::new(), &dag, root).unwrap();
+        let (other, other_root) = chain_dag(14);
+        let mut b = EstimationContext::new().with_recorder(rec.clone());
+        b.estimate_root(&MncEstimator::new(), &other, other_root)
+            .unwrap();
+        let share_a = a.stats().bytes_resident as i64;
+        let share_b = b.stats().bytes_resident as i64;
+        assert!(share_a > 0 && share_b > 0);
+        assert_eq!(gauge(), share_a + share_b);
+
+        // Clearing or dropping a context takes out only its own share.
+        b.clear_cache();
+        assert_eq!(gauge(), share_a);
+        b.estimate_root(&MncEstimator::new(), &other, other_root)
+            .unwrap();
+        assert_eq!(gauge(), share_a + share_b);
+        drop(a);
+        assert_eq!(gauge(), share_b);
+        drop(b);
+        assert_eq!(gauge(), 0);
     }
 
     #[test]

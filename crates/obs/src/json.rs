@@ -57,11 +57,18 @@ impl JsonValue {
     }
 }
 
-/// Parses a complete JSON document (trailing whitespace allowed).
+/// Deepest array/object nesting [`parse`] accepts. Far above any document
+/// the workspace emits or accepts (a `/v1` body nests four levels), and low
+/// enough that the recursive descent stays well inside a 2 MiB thread
+/// stack: deeper input is an `Err`, never a stack overflow.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses a complete JSON document (trailing whitespace allowed). Arrays
+/// and objects nested deeper than [`MAX_DEPTH`] are rejected.
 pub fn parse(text: &str) -> Result<JsonValue, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos)?;
+    let v = parse_value(bytes, &mut pos, MAX_DEPTH)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing garbage at byte {pos}"));
@@ -84,12 +91,17 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// `depth` is how many more levels of nesting may still be opened.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
+        Some(b'{' | b'[') if depth == 0 => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        )),
+        Some(b'{') => parse_object(b, pos, depth - 1),
+        Some(b'[') => parse_array(b, pos, depth - 1),
         Some(b'"') => Ok(JsonValue::String(parse_string(b, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", JsonValue::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", JsonValue::Bool(false)),
@@ -125,13 +137,21 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     expect(b, pos, b'"')?;
     let mut out = String::new();
     loop {
+        // Copy the run up to the next quote or backslash in one piece. Both
+        // are ASCII, so the run ends on a char boundary of the (valid UTF-8)
+        // input and each byte is validated once: linear in the string.
+        let start = *pos;
+        while *pos < b.len() && !matches!(b[*pos], b'"' | b'\\') {
+            *pos += 1;
+        }
+        out.push_str(std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?);
         match b.get(*pos) {
             None => return Err("unterminated string".into()),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            _ => {
                 *pos += 1;
                 match b.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -158,18 +178,11 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
                 *pos += 1;
             }
-            Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte safe).
-                let s = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let c = s.chars().next().ok_or("empty char")?;
-                out.push(c);
-                *pos += c.len_utf8();
-            }
         }
     }
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     expect(b, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -178,7 +191,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         return Ok(JsonValue::Array(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -191,7 +204,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     expect(b, pos, b'{')?;
     let mut map = BTreeMap::new();
     skip_ws(b, pos);
@@ -204,7 +217,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         let key = parse_string(b, pos)?;
         skip_ws(b, pos);
         expect(b, pos, b':')?;
-        map.insert(key, parse_value(b, pos)?);
+        map.insert(key, parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -254,6 +267,70 @@ mod tests {
         for bad in ["{", "[1,", "{\"a\" 1}", "tru", "1 2", "\"open", "{\"a\":}"] {
             assert!(parse(bad).is_err(), "{bad} should fail");
         }
+    }
+
+    #[test]
+    fn strings_mix_runs_escapes_and_multibyte_chars() {
+        let v = parse(r#"["", "plain", "é€😀", "aéb\n\"c\\", "\/\b\f\r\t", "\ud800"]"#).unwrap();
+        let expected = [
+            "",
+            "plain",
+            "é€😀",
+            "aéb\n\"c\\",
+            "/\u{8}\u{c}\r\t",
+            "\u{FFFD}",
+        ];
+        let JsonValue::Array(items) = v else {
+            panic!("expected array")
+        };
+        let got: Vec<_> = items.iter().map(|s| s.as_str().unwrap()).collect();
+        assert_eq!(got, expected);
+        for bad in [r#""\x""#, r#""\u12""#, r#""ab\"#, r#""ab"#] {
+            assert!(parse(bad).is_err(), "{bad} should fail");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_without_exhausting_the_stack() {
+        let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let objects = |depth: usize| format!("{}1{}", "{\"a\":".repeat(depth), "}".repeat(depth));
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse(&arrays(MAX_DEPTH + 1)).is_err());
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH + 1)).is_err());
+        // A hostile 1 MiB body of `[` on a connection-sized (2 MiB) thread
+        // stack is an error, not an abort.
+        let hostile = "[".repeat(1 << 20);
+        let res = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || parse(&hostile).is_err())
+            .unwrap()
+            .join();
+        assert_eq!(res.ok(), Some(true));
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // Best of several runs, so a preempted run does not skew the ratio.
+        let best_secs = |len: usize| {
+            let doc = format!("\"{}\"", "aé\\n€".repeat(len / 8));
+            (0..7)
+                .map(|_| {
+                    let t = std::time::Instant::now();
+                    let v = parse(&doc).unwrap();
+                    let secs = t.elapsed().as_secs_f64();
+                    assert_eq!(v.as_str().map(str::len), Some(len / 8 * 7));
+                    secs
+                })
+                .fold(f64::INFINITY, f64::min)
+        };
+        let small = best_secs(64 << 10);
+        let large = best_secs(1 << 20);
+        assert!(
+            large <= 32.0 * small,
+            "16x the input took {:.1}x the time ({small:.6}s -> {large:.6}s)",
+            large / small
+        );
     }
 
     #[test]

@@ -71,23 +71,32 @@ impl Default for ObsdConfig {
     }
 }
 
-/// Shared daemon state; also the [`RecordSink`] installed on source
-/// recorders (both callbacks run on the estimation hot path and do one
-/// ring push / one short-mutex fold each).
-struct DaemonShared {
+/// The [`RecordSink`] installed on source recorders (both callbacks run on
+/// the estimation hot path and do one ring push / one short-mutex fold
+/// each). Kept apart from [`DaemonShared`] so a source's sink never points
+/// back at the `sources` list holding that source: no reference cycle.
+struct Tap {
     flight: FlightRecorder,
     drift: DriftMonitor,
+}
+
+/// Shared daemon state.
+struct DaemonShared {
+    tap: Arc<Tap>,
     timeline: Timeline,
     /// Source recorders whose registries `/metrics` aggregates. Holding
     /// clones keeps the registries alive for scrapes that outlive the
     /// session.
     sources: Mutex<Vec<Recorder>>,
+    /// The one bounded recorder every telemetry-wired session shares
+    /// (see [`ObsDaemon::session_recorder`]); installed at construction.
+    session: Recorder,
     /// The latest merged snapshot (refreshed periodically by the HTTP
     /// ticker and on every scrape) — also what a panic dump would see.
     cached: Mutex<MetricSnapshot>,
 }
 
-impl RecordSink for DaemonShared {
+impl RecordSink for Tap {
     fn on_span(&self, span: &SpanRecord) {
         self.flight.record_span(span);
     }
@@ -107,18 +116,24 @@ pub struct ObsDaemon {
 }
 
 impl ObsDaemon {
-    /// A daemon with the given configuration. Nothing is observed until a
-    /// recorder is [`install`](ObsDaemon::install)ed.
+    /// A daemon with the given configuration. Its only source is the
+    /// shared [`session_recorder`](ObsDaemon::session_recorder); other
+    /// recorders are observed once [`install`](ObsDaemon::install)ed.
     pub fn new(config: ObsdConfig) -> Self {
-        ObsDaemon {
+        let daemon = ObsDaemon {
             shared: Arc::new(DaemonShared {
-                flight: FlightRecorder::new(config.flight_capacity),
-                drift: DriftMonitor::new(config.drift),
+                tap: Arc::new(Tap {
+                    flight: FlightRecorder::new(config.flight_capacity),
+                    drift: DriftMonitor::new(config.drift),
+                }),
                 timeline: Timeline::new(config.timeline),
                 sources: Mutex::new(Vec::new()),
+                session: Recorder::enabled_with_capacity(config.flight_capacity),
                 cached: Mutex::new(MetricSnapshot::default()),
             }),
-        }
+        };
+        daemon.install(daemon.session_recorder());
+        daemon
     }
 
     /// Wires a recorder into the daemon: its metrics registry joins the
@@ -127,6 +142,11 @@ impl ObsDaemon {
     /// [`RecordSink`] tap. Installing the same recorder twice is a no-op
     /// (sources are deduplicated by identity), so `--serve-obs` wiring and
     /// `EstimationContext::with_obsd` compose without double counting.
+    ///
+    /// Every source is kept for the daemon's lifetime, so install
+    /// long-lived recorders only. Sessions that come and go share the one
+    /// [`session_recorder`](ObsDaemon::session_recorder) instead of
+    /// installing their own.
     ///
     /// Returns whether the live tap was installed — `false` for a disabled
     /// recorder or one that already has a different sink (its registry is
@@ -138,17 +158,25 @@ impl ObsDaemon {
                 sources.push(rec.clone());
             }
         }
-        rec.set_sink(Arc::clone(&self.shared) as Arc<dyn RecordSink>)
+        rec.set_sink(Arc::clone(&self.shared.tap) as Arc<dyn RecordSink>)
+    }
+
+    /// The bounded recorder (ring capacity = the flight capacity) created
+    /// and installed with the daemon, which every session wired through
+    /// `EstimationContext::with_obsd` shares. Attaching it costs no
+    /// allocation and adds no source, however many sessions come and go.
+    pub fn session_recorder(&self) -> &Recorder {
+        &self.shared.session
     }
 
     /// The flight recorder.
     pub fn flight(&self) -> &FlightRecorder {
-        &self.shared.flight
+        &self.shared.tap.flight
     }
 
     /// The drift monitor.
     pub fn drift(&self) -> &DriftMonitor {
-        &self.shared.drift
+        &self.shared.tap.drift
     }
 
     /// The timeline plane (history rings + SLO engine).
@@ -159,7 +187,7 @@ impl ObsDaemon {
     /// The health verdict (`/healthz`): drift-monitor reasons merged with
     /// any firing SLO burn-rate alerts.
     pub fn health(&self) -> Health {
-        let mut reasons = match self.shared.drift.status() {
+        let mut reasons = match self.shared.tap.drift.status() {
             Health::Ok => Vec::new(),
             Health::Degraded(r) => r,
         };
@@ -182,35 +210,37 @@ impl ObsDaemon {
     fn service_snapshot(&self) -> MetricSnapshot {
         let mut snap = MetricSnapshot::default();
         snap.counters
-            .insert("obsd.drift_alerts".into(), self.shared.drift.alerts());
+            .insert("obsd.drift_alerts".into(), self.shared.tap.drift.alerts());
         snap.counters.insert(
             "obsd.flight.spans_pushed".into(),
-            self.shared.flight.spans_pushed(),
+            self.shared.tap.flight.spans_pushed(),
         );
         snap.counters.insert(
             "obsd.flight.accuracy_pushed".into(),
-            self.shared.flight.accuracy_pushed(),
+            self.shared.tap.flight.accuracy_pushed(),
         );
-        snap.counters
-            .insert("obsd.flight.dropped".into(), self.shared.flight.dropped());
+        snap.counters.insert(
+            "obsd.flight.dropped".into(),
+            self.shared.tap.flight.dropped(),
+        );
         snap.gauges.insert(
             "obsd.flight.spans_retained".into(),
-            self.shared.flight.span_len() as i64,
+            self.shared.tap.flight.span_len() as i64,
         );
         snap.gauges.insert(
             "obsd.flight.accuracy_retained".into(),
-            self.shared.flight.accuracy_len() as i64,
+            self.shared.tap.flight.accuracy_len() as i64,
         );
         snap.gauges.insert(
             "obsd.degraded".into(),
-            i64::from(self.shared.drift.is_degraded()),
+            i64::from(self.shared.tap.drift.is_degraded()),
         );
         snap.gauges
             .insert("obsd.sources".into(), self.source_count() as i64);
         // The drift monitor's live per-(estimator, op) statistics, exported
         // as labeled gauges (milli-scaled: a geo-EWMA of 1.234 reads 1234).
         // Cardinality is bounded by the estimator × op vocabulary.
-        for s in self.shared.drift.stats() {
+        for s in self.shared.tap.drift.stats() {
             let milli = |v: f64| (v * 1000.0).min(i64::MAX as f64) as i64;
             let labels = format!("{{estimator={},op={}}}", s.estimator, s.op);
             snap.gauges.insert(
@@ -255,12 +285,12 @@ impl ObsDaemon {
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_secs())
             .unwrap_or(0);
-        let edges = self
-            .shared
-            .timeline
-            .sample_at(now_s, &merged, self.shared.drift.is_degraded());
+        let edges =
+            self.shared
+                .timeline
+                .sample_at(now_s, &merged, self.shared.tap.drift.is_degraded());
         for edge in edges.into_iter().flatten() {
-            self.shared.flight.record_span(&SpanRecord {
+            self.shared.tap.flight.record_span(&SpanRecord {
                 id: 0,
                 parent: 0,
                 name: "slo_alert",
@@ -298,13 +328,13 @@ impl ObsDaemon {
 
     /// The `/flight` body: the flight recorder's JSONL dump.
     pub fn flight_jsonl(&self) -> String {
-        self.shared.flight.dump_jsonl()
+        self.shared.tap.flight.dump_jsonl()
     }
 
     /// The `/attribution` body: per-phase self-time attribution over the
     /// retained flight spans.
     pub fn attribution_text(&self) -> String {
-        render_attribution(&self.shared.flight.spans())
+        render_attribution(&self.shared.tap.flight.spans())
     }
 
     /// Writes the flight dump to `path` (postmortems; see
@@ -341,8 +371,8 @@ impl std::fmt::Debug for ObsDaemon {
         write!(
             f,
             "ObsDaemon(flight {:?}, alerts {}, sources {})",
-            self.shared.flight,
-            self.shared.drift.alerts(),
+            self.shared.tap.flight,
+            self.shared.tap.drift.alerts(),
             self.source_count()
         )
     }
@@ -384,20 +414,37 @@ mod tests {
     }
 
     #[test]
+    fn session_recorder_is_the_one_source_of_a_new_daemon() {
+        let daemon = ObsDaemon::new(small());
+        let session = daemon.session_recorder();
+        assert_eq!(daemon.source_count(), 1);
+        assert_eq!(session.ring_capacity(), Some(8));
+        assert!(session.has_sink());
+        // Re-installing it (as a pre-wired batch context would) is a no-op.
+        assert!(!daemon.install(session));
+        assert_eq!(daemon.source_count(), 1);
+        {
+            let _g = span!(session, "estimate");
+        }
+        assert_eq!(daemon.flight().span_len(), 1);
+    }
+
+    #[test]
     fn install_is_idempotent_per_recorder() {
         let daemon = ObsDaemon::new(small());
         let rec = Recorder::enabled();
         assert!(daemon.install(&rec));
-        // Second install: already the sink, already a source.
+        // Second install: already the sink, already a source (beside the
+        // session recorder).
         assert!(!daemon.install(&rec.clone()));
-        assert_eq!(daemon.source_count(), 1);
+        assert_eq!(daemon.source_count(), 2);
         // A disabled recorder contributes nothing.
         assert!(!daemon.install(&Recorder::disabled()));
-        assert_eq!(daemon.source_count(), 1);
+        assert_eq!(daemon.source_count(), 2);
         // A second live recorder joins as its own source.
         let rec2 = Recorder::enabled();
         assert!(daemon.install(&rec2));
-        assert_eq!(daemon.source_count(), 2);
+        assert_eq!(daemon.source_count(), 3);
     }
 
     #[test]
@@ -412,7 +459,7 @@ mod tests {
         let text = daemon.metrics_text();
         assert!(text.contains("mnc_cache_hit_total 7"), "{text}");
         assert!(text.contains("mnc_obsd_drift_alerts_total 0"), "{text}");
-        assert!(text.contains("mnc_obsd_sources 2"), "{text}");
+        assert!(text.contains("mnc_obsd_sources 3"), "{text}");
     }
 
     #[test]

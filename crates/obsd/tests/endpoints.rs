@@ -74,7 +74,9 @@ fn metrics_body_is_golden() {
     let (status, body) = get(server.local_addr(), "/metrics");
     assert_eq!(status, 200);
     // The exact exposition body for this state: one session counter merged
-    // with the daemon's deterministic service metrics, sorted by name.
+    // with the daemon's deterministic service metrics, sorted by name. The
+    // two sources are `rec` and the daemon's own (still empty) session
+    // recorder.
     let expected = "\
 # TYPE mnc_cache_hit_total counter
 mnc_cache_hit_total 7
@@ -93,7 +95,7 @@ mnc_obsd_flight_accuracy_retained 0
 # TYPE mnc_obsd_flight_spans_retained gauge
 mnc_obsd_flight_spans_retained 0
 # TYPE mnc_obsd_sources gauge
-mnc_obsd_sources 1
+mnc_obsd_sources 2
 ";
     assert_eq!(body, expected);
 }
@@ -130,7 +132,7 @@ fn concurrent_scrapes_during_estimates_stay_consistent() {
                         .expect("counter always present once registered");
                     let v: u64 = hit_line.split(' ').nth(1).unwrap().parse().unwrap();
                     assert!(v <= 500);
-                    assert!(body.contains("mnc_obsd_sources 1"));
+                    assert!(body.contains("mnc_obsd_sources 2"));
                 }
             });
         }

@@ -863,3 +863,69 @@ fn oversized_bodies_are_rejected_before_compute() {
     assert_eq!(status, 413);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The value of an unlabeled series in a Prometheus exposition body.
+fn metric_value(body: &[u8], name: &str) -> Option<i64> {
+    let text = std::str::from_utf8(body).expect("utf8 metrics");
+    text.lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+}
+
+#[test]
+fn session_churn_leaks_no_telemetry_sources_or_resident_bytes() {
+    let dir = tmpdir("churn");
+    let (_svc, _handle, addr) = start(ServedConfig::new(&dir));
+    let mut r = rand::rngs::StdRng::seed_from_u64(0xC4A);
+    let x = gen::rand_uniform(&mut r, 30, 30, 0.1).to_indicator();
+    let put = csr_json(&x);
+    let est = br#"{"op":"matmul","inputs":["X","X"]}"#;
+
+    // Every PUT drops all sessions, so every estimate creates a new one.
+    let mut sources_after_first = None;
+    for _ in 0..50 {
+        assert_eq!(
+            http(&addr, "PUT", "/v1/matrices/X", None, put.as_bytes()).0,
+            201
+        );
+        let (status, _, body) = http(&addr, "POST", "/v1/estimate", None, est);
+        assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
+        let (_, _, metrics) = http(&addr, "GET", "/metrics", None, b"");
+        let sources = metric_value(&metrics, "mnc_obsd_sources").expect("sources gauge");
+        assert!(
+            metric_value(&metrics, "mnc_cache_bytes_resident").unwrap_or(0) > 0,
+            "the live session holds X's sketch"
+        );
+        assert_eq!(*sources_after_first.get_or_insert(sources), sources);
+    }
+
+    // With every session dropped, nothing is resident any more.
+    assert_eq!(
+        http(&addr, "PUT", "/v1/matrices/X", None, put.as_bytes()).0,
+        201
+    );
+    let (_, _, metrics) = http(&addr, "GET", "/metrics", None, b"");
+    assert_eq!(metric_value(&metrics, "mnc_cache_bytes_resident"), Some(0));
+    assert_eq!(
+        metric_value(&metrics, "mnc_obsd_sources"),
+        sources_after_first
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn hostile_json_nesting_is_a_400_and_the_daemon_keeps_serving() {
+    let dir = tmpdir("deepjson");
+    let (_svc, _handle, addr) = start(ServedConfig::new(&dir));
+    let (a, b, c) = chain_matrices();
+    put_chain(&addr, &a, &b, &c);
+
+    // 2^20 `[`: fits the default 1 MiB body limit, and would overflow a
+    // connection thread's stack without the parser's depth cap.
+    let hostile = vec![b'['; 1 << 20];
+    let (status, _, body) = http(&addr, "POST", "/v1/estimate", None, &hostile);
+    assert_eq!(status, 400, "{}", String::from_utf8_lossy(&body));
+
+    let (status, _, body) = http(&addr, "POST", "/v1/estimate", None, CHAIN_DAG.as_bytes());
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
+    let _ = std::fs::remove_dir_all(&dir);
+}
