@@ -36,9 +36,9 @@
 //! client sees). The rate-1 ratio is reported for information.
 
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use mnc_bench::perf::{probe_dag, probe_matrices};
 use mnc_bench::{env_reps, env_scale, fmt_duration, EnvInfo, ObsArgs, OBS_USAGE};
 use mnc_estimators::MncEstimator;
 use mnc_expr::{estimate_root, EstimationContext, ExprDag, NodeId, Planner, Recorder};
@@ -46,44 +46,6 @@ use mnc_matrix::{gen, CsrMatrix};
 use mnc_obsd::{Handler, ObsDaemon, ObsdConfig, Request};
 use mnc_served::{EstimationService, ServedConfig};
 use rand::SeedableRng;
-
-/// The shared base matrices: a product-chain-friendly set with one skewed
-/// ultra-sparse member, as in the chain experiments.
-fn base_matrices(scale: f64) -> Vec<Arc<CsrMatrix>> {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0xCAC4E);
-    let d = (1200.0 * scale).max(40.0) as usize;
-    let sparsities = [0.01, 0.001, 0.02, 0.005];
-    sparsities
-        .iter()
-        .map(|&s| Arc::new(gen::rand_uniform(&mut rng, d, d, s)))
-        .collect()
-}
-
-/// One optimizer probe: a fresh DAG over the shared leaves — alternating
-/// left-deep and right-deep parenthesizations so intermediate synopses
-/// differ across probes while the leaves repeat.
-fn probe_dag(mats: &[Arc<CsrMatrix>], probe: usize) -> (ExprDag, NodeId) {
-    let mut dag = ExprDag::new();
-    let leaves: Vec<NodeId> = mats
-        .iter()
-        .enumerate()
-        .map(|(i, m)| dag.leaf(format!("M{i}"), Arc::clone(m)))
-        .collect();
-    let root = if probe.is_multiple_of(2) {
-        let mut acc = leaves[0];
-        for &l in &leaves[1..] {
-            acc = dag.matmul(acc, l).expect("chain shapes agree");
-        }
-        acc
-    } else {
-        let mut acc = *leaves.last().expect("non-empty");
-        for &l in leaves[..leaves.len() - 1].iter().rev() {
-            acc = dag.matmul(l, acc).expect("chain shapes agree");
-        }
-        acc
-    };
-    (dag, root)
-}
 
 /// Runs the cached estimation loop in a fresh session — plain when `rec` is
 /// `None`, attached to the given recorder otherwise — returning the wall
@@ -538,7 +500,7 @@ fn main() -> ExitCode {
     eprintln!("{reps} optimizer probes over 4 shared base matrices, scale {scale}.");
     eprintln!("================================================================");
 
-    let mats = base_matrices(scale);
+    let mats = probe_matrices((1200.0 * scale).max(40.0) as usize);
     // The probes re-use two DAG structures; estimating each probe with a
     // session costs at most two propagation walks plus cache lookups.
     let dags: Vec<(ExprDag, NodeId)> = (0..2).map(|p| probe_dag(&mats, p)).collect();

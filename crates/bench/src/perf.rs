@@ -387,9 +387,21 @@ fn kernel_workload(rec: &Recorder, scale: f64, metrics: &mut BTreeMap<String, f6
     record(metrics, "propagation_chain", scalar_ns, kernel_ns);
 }
 
-/// Builds one optimizer probe over the shared leaves: alternating left- and
-/// right-deep parenthesizations, as in `cache_bench`.
-fn probe_dag(mats: &[Arc<CsrMatrix>], probe: usize) -> (ExprDag, NodeId) {
+/// The optimizer probes' shared `d × d` base matrices: a
+/// product-chain-friendly set with one ultra-sparse member, as in the chain
+/// experiments.
+pub fn probe_matrices(d: usize) -> Vec<Arc<CsrMatrix>> {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xCAC4E);
+    [0.01, 0.001, 0.02, 0.005]
+        .iter()
+        .map(|&s| Arc::new(gen::rand_uniform(&mut rng, d, d, s)))
+        .collect()
+}
+
+/// One optimizer probe: a fresh DAG over the shared leaves — alternating
+/// left-deep and right-deep parenthesizations so intermediate synopses
+/// differ across probes while the leaves repeat.
+pub fn probe_dag(mats: &[Arc<CsrMatrix>], probe: usize) -> (ExprDag, NodeId) {
     let mut dag = ExprDag::new();
     let leaves: Vec<NodeId> = mats
         .iter()
@@ -416,11 +428,7 @@ fn probe_dag(mats: &[Arc<CsrMatrix>], probe: usize) -> (ExprDag, NodeId) {
 /// shared leaves with a session vs without one.
 fn cache_workload(rec: &Recorder, d: usize, reps: usize, metrics: &mut BTreeMap<String, f64>) {
     let _w = rec.span("workload").op("cache");
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0xCAC4E);
-    let mats: Vec<Arc<CsrMatrix>> = [0.01, 0.001, 0.02, 0.005]
-        .iter()
-        .map(|&s| Arc::new(gen::rand_uniform(&mut rng, d, d, s)))
-        .collect();
+    let mats = probe_matrices(d);
     let dags: Vec<(ExprDag, NodeId)> = (0..2).map(|p| probe_dag(&mats, p)).collect();
     let est = MncEstimator::new();
     let probes = reps.max(2) * 4;

@@ -9,9 +9,10 @@
 //!   operation nodes with shape validation at construction;
 //! * [`eval`] — exact bottom-up evaluation (the ground truth every
 //!   experiment compares against), with memoized intermediates;
-//! * [`estimate`] — generic, memoized synopsis propagation for *any*
-//!   [`SparsityEstimator`]: intermediate synopses are propagated, root
-//!   sparsity is estimated directly (the paper's implementation notes);
+//! * [`walk`] — the one memoized DAG walk for *any* [`SparsityEstimator`]:
+//!   intermediate synopses are propagated, root sparsity is estimated
+//!   directly (the paper's implementation notes); sessions and the
+//!   estimation service both drive it;
 //! * [`chain_opt`] — the textbook `O(n³)` matrix-chain dynamic program in
 //!   two flavours: dense FLOP costs, and sparsity-aware costs via MNC
 //!   sketch dot products `h^c · h^r` (Eq. 17), plus random-plan
@@ -22,24 +23,24 @@
 
 pub mod chain_opt;
 pub mod dag;
-pub mod estimate;
 pub mod eval;
 pub mod planner;
 pub mod rewrite;
 pub mod session;
 pub mod sessions;
+pub mod walk;
 
 pub use chain_opt::{
     chain_flops_exact, dense_chain_order, plan_cost_sketched, random_plan, sparse_chain_order,
     sparse_chain_order_cached, PlanTree,
 };
 pub use dag::{ExprDag, ExprNode, NodeId};
-pub use estimate::{estimate_all, estimate_root, NodeEstimate};
 pub use eval::Evaluator;
 pub use planner::{Format, NodePlan, PlanSummary, Planner};
 pub use rewrite::{rewrite_mm_chains, rewrite_mm_chains_with_context, RewriteResult};
 pub use session::{EstimationContext, SynopsisKey};
 pub use sessions::{SessionPool, SessionPoolConfig, SessionPoolStats};
+pub use walk::{estimate_all, estimate_root, NodeEstimate};
 
 // Re-exported so downstream crates write `mnc_expr::SparsityEstimator`
 // (and read `mnc_expr::EstimationStats` off a context).

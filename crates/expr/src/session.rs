@@ -14,25 +14,31 @@
 //! intermediates by `(dag id, node id)` — DAGs are append-only, so a node's
 //! content never changes under its id.
 //!
-//! On a cold cache the context performs *exactly* the same build/propagate
-//! sequence as the uncached [`estimate_root`](crate::estimate_root) walk
-//! (depth-first, inputs in order), so estimators with internal RNG streams
-//! (probabilistic rounding in MNC) produce identical results either way —
-//! asserted by the property tests.
+//! DAG estimation runs the one [`Walk`](crate::walk::Walk) with the context
+//! as its synopsis store: the cache answers the walk's probes, and every
+//! build, propagate, and estimate feeds the statistics, spans, and cache.
+//! `mnc-served` drives the same walk without a cache, so on a cold cache
+//! the context performs *exactly* the service's build/propagate sequence
+//! (depth-first, inputs in order), and estimators with internal RNG
+//! streams (probabilistic rounding in MNC) produce identical results
+//! either way — asserted by the property tests.
 //!
 //! [`cache_key`]: SparsityEstimator::cache_key
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use mnc_core::{EstimationStats, LruSynopsisCache, OpTimer, ScratchArena};
 use mnc_estimators::{Result, SparsityEstimator, Synopsis};
 use mnc_kernels::WorkerPool;
 use mnc_matrix::CsrMatrix;
-use mnc_obs::{Counter, Gauge, Histogram, Recorder};
+use mnc_obs::{Counter, Gauge, Histogram, Recorder, SpanGuard};
 
 use crate::dag::{ExprDag, ExprNode, NodeId};
-use crate::estimate::NodeEstimate;
+use crate::walk::{NodeEstimate, SynopsisStore, Walk};
+
+/// Cache key: the estimator's [`cache_key`](SparsityEstimator::cache_key)
+/// and what the synopsis describes.
+type CacheKey = (Arc<str>, SynopsisKey);
 
 /// Default cache budget: plenty for sketches (`O(m+n)` each), while bounding
 /// the damage when bitsets or retained samples get cached.
@@ -117,7 +123,7 @@ impl SynopsisKey {
 /// assert!(ctx.stats().cache_hits > 0); // leaves came from the cache
 /// ```
 pub struct EstimationContext {
-    cache: LruSynopsisCache<(Arc<str>, SynopsisKey), Arc<Synopsis>>,
+    cache: LruSynopsisCache<CacheKey, Arc<Synopsis>>,
     stats: EstimationStats,
     /// Pooled count-vector buffers handed to [`SparsityEstimator::propagate_scratch`]
     /// so repeated DAG propagation runs allocation-free in steady state.
@@ -125,8 +131,8 @@ pub struct EstimationContext {
     /// Routes propagation through the arena (on by default); results are
     /// bit-identical either way — see `tests/obs_invariance.rs`.
     use_arena: bool,
-    /// Reused per-walk memo map (cleared, not reallocated, between walks).
-    memo_scratch: HashMap<NodeId, Arc<Synopsis>>,
+    /// Reused per-walk memo buffer (cleared, not reallocated, between walks).
+    memo: Vec<Option<Arc<Synopsis>>>,
     /// Worker pool for DAG-wavefront materialization (1 thread = the plain
     /// sequential walk). Parallel walks are additionally gated on the
     /// estimator being order-invariant and `Sync`, so results stay
@@ -164,7 +170,7 @@ impl EstimationContext {
             stats: EstimationStats::new(),
             arena: ScratchArena::new(),
             use_arena: true,
-            memo_scratch: HashMap::new(),
+            memo: Vec::new(),
             pool: WorkerPool::default(),
             rec: Recorder::disabled(),
             m_hit: Counter::noop(),
@@ -301,39 +307,14 @@ impl EstimationContext {
         est: &E,
         m: &Arc<CsrMatrix>,
     ) -> Result<Arc<Synopsis>> {
-        let ekey: Arc<str> = est.cache_key().into();
-        self.leaf_synopsis_keyed(est, m, &ekey)
-    }
-
-    /// [`leaf_synopsis`](Self::leaf_synopsis) with the estimator half of the
-    /// cache key pre-computed — walks format the key string once and clone
-    /// the `Arc` per node instead of re-formatting per lookup.
-    fn leaf_synopsis_keyed<E: SparsityEstimator + ?Sized>(
-        &mut self,
-        est: &E,
-        m: &Arc<CsrMatrix>,
-        ekey: &Arc<str>,
-    ) -> Result<Arc<Synopsis>> {
-        let key = (Arc::clone(ekey), SynopsisKey::leaf(m));
-        if let Some(syn) = self.cache.get(&key) {
-            self.stats.cache_hits += 1;
-            self.m_hit.incr();
-            return Ok(Arc::clone(syn));
+        let key = (est.cache_key().into(), SynopsisKey::leaf(m));
+        if let Some(syn) = self.lookup(&key) {
+            return Ok(syn);
         }
-        self.stats.cache_misses += 1;
-        self.m_miss.incr();
-        let mut span = self.rec.span("build").op(est.name()).nnz_in(m.nnz() as u64);
+        let span = self.rec.span("build").op(est.name()).nnz_in(m.nnz() as u64);
         let t = OpTimer::start();
         let syn = Arc::new(est.build(m)?);
-        let ns = t.elapsed_ns();
-        self.stats.record_build(ns);
-        self.h_build.record(ns);
-        if self.rec.is_enabled() {
-            span.set_nnz_out(syn.nnz());
-            span.set_bytes(syn.size_bytes());
-        }
-        drop(span);
-        self.admit(key, &syn);
+        self.built(key, span, t.elapsed_ns(), &syn);
         Ok(syn)
     }
 
@@ -351,27 +332,14 @@ impl EstimationContext {
         name: &str,
         load: impl FnOnce() -> Result<Synopsis>,
     ) -> Result<Arc<Synopsis>> {
-        let ekey: Arc<str> = est.cache_key().into();
-        let key = (ekey, SynopsisKey::named(name));
-        if let Some(syn) = self.cache.get(&key) {
-            self.stats.cache_hits += 1;
-            self.m_hit.incr();
-            return Ok(Arc::clone(syn));
+        let key = (est.cache_key().into(), SynopsisKey::named(name));
+        if let Some(syn) = self.lookup(&key) {
+            return Ok(syn);
         }
-        self.stats.cache_misses += 1;
-        self.m_miss.incr();
-        let mut span = self.rec.span("load").op(est.name());
+        let span = self.rec.span("load").op(est.name());
         let t = OpTimer::start();
         let syn = Arc::new(load()?);
-        let ns = t.elapsed_ns();
-        self.stats.record_build(ns);
-        self.h_build.record(ns);
-        if self.rec.is_enabled() {
-            span.set_nnz_out(syn.nnz());
-            span.set_bytes(syn.size_bytes());
-        }
-        drop(span);
-        self.admit(key, &syn);
+        self.built(key, span, t.elapsed_ns(), &syn);
         Ok(syn)
     }
 
@@ -384,56 +352,22 @@ impl EstimationContext {
         dag: &ExprDag,
         id: NodeId,
     ) -> Result<Arc<Synopsis>> {
-        let ekey: Arc<str> = est.cache_key().into();
-        let mut memo = self.take_memo();
-        let out = self
-            .prefill(est, dag, &[id], &ekey, &mut memo)
-            .and_then(|()| self.materialize(est, dag, id, &ekey, &mut memo));
-        self.restore_memo(memo);
-        out
+        self.walk(est, dag, |w| w.synopsis(id))
     }
 
-    /// Estimates the sparsity of `root`, mirroring the uncached
-    /// [`estimate_root`](crate::estimate_root) contract: leaf roots return
-    /// their exact sparsity, operation roots are *estimated* directly from
-    /// the input synopses (never propagated).
+    /// Estimates the sparsity of `root`: leaf roots return their exact
+    /// sparsity without building a synopsis, operation roots are
+    /// *estimated* directly from the input synopses (never propagated).
     pub fn estimate_root<E: SparsityEstimator + ?Sized>(
         &mut self,
         est: &E,
         dag: &ExprDag,
         root: NodeId,
     ) -> Result<f64> {
-        match dag.node(root) {
-            ExprNode::Leaf { matrix, .. } => Ok(matrix.sparsity()),
-            ExprNode::Op { op, inputs } => {
-                let ekey: Arc<str> = est.cache_key().into();
-                let mut memo = self.take_memo();
-                let mut walk = || -> Result<f64> {
-                    self.prefill(est, dag, inputs, &ekey, &mut memo)?;
-                    for &i in inputs {
-                        self.materialize(est, dag, i, &ekey, &mut memo)?;
-                    }
-                    let ins = GatheredIns::gather(inputs, &memo);
-                    let ins = ins.as_slice();
-                    let mut span = self.rec.span("estimate").op(op.name());
-                    if self.rec.is_enabled() {
-                        // Synopsis::nnz() is not free for every synopsis type
-                        // (bitsets count bits), so only pay for it when tracing.
-                        span = span.nnz_in(ins.iter().map(|s| s.nnz()).sum());
-                    }
-                    let t = OpTimer::start();
-                    let s = est.estimate(op, ins)?;
-                    let ns = t.elapsed_ns();
-                    drop(span);
-                    self.stats.record_estimate(op.name(), ns);
-                    self.h_estimate.record(ns);
-                    Ok(s)
-                };
-                let out = walk();
-                self.restore_memo(memo);
-                out
-            }
+        if let ExprNode::Leaf { matrix, .. } = dag.node(root) {
+            return Ok(matrix.sparsity());
         }
+        self.walk(est, dag, |w| w.estimate_root(root, false))
     }
 
     /// Estimates the sparsity of every operation node in the DAG, in
@@ -463,259 +397,62 @@ impl EstimationContext {
         est: &E,
         dag: &ExprDag,
     ) -> Result<Vec<Arc<Synopsis>>> {
-        let ekey: Arc<str> = est.cache_key().into();
-        let mut memo = self.take_memo();
-        let mut out = Vec::with_capacity(dag.len());
-        let mut walk = || -> Result<()> {
-            if self.pool.is_parallel() {
-                let ids: Vec<NodeId> = dag.iter().map(|(id, _)| id).collect();
-                self.prefill(est, dag, &ids, &ekey, &mut memo)?;
-            }
-            for (id, _) in dag.iter() {
-                out.push(self.materialize(est, dag, id, &ekey, &mut memo)?);
-            }
-            Ok(())
-        };
-        let res = walk();
-        self.restore_memo(memo);
-        res.map(|()| out)
+        self.walk(est, dag, |w| w.materialize_all())
     }
 
-    /// Takes the reusable per-walk memo out of the context (cleared).
-    fn take_memo(&mut self) -> HashMap<NodeId, Arc<Synopsis>> {
-        let mut memo = std::mem::take(&mut self.memo_scratch);
-        memo.clear();
-        memo
-    }
-
-    /// Returns the per-walk memo so the next walk reuses its table.
-    fn restore_memo(&mut self, memo: HashMap<NodeId, Arc<Synopsis>>) {
-        self.memo_scratch = memo;
-    }
-
-    /// Depth-first materialization with a per-walk memo (the memo keeps the
-    /// walk's synopses alive even if the LRU evicts them mid-walk, and keeps
-    /// the build/propagate order identical to the uncached walk).
-    fn materialize<E: SparsityEstimator + ?Sized>(
+    /// Runs `f` on a walk over `dag` with this context as its synopsis
+    /// store, reusing the context's memo buffer.
+    fn walk<E: SparsityEstimator + ?Sized, R>(
         &mut self,
         est: &E,
         dag: &ExprDag,
-        id: NodeId,
-        ekey: &Arc<str>,
-        memo: &mut HashMap<NodeId, Arc<Synopsis>>,
-    ) -> Result<Arc<Synopsis>> {
-        if let Some(syn) = memo.get(&id) {
-            return Ok(Arc::clone(syn));
-        }
-        let syn = match dag.node(id) {
-            ExprNode::Leaf { matrix, .. } => self.leaf_synopsis_keyed(est, matrix, ekey)?,
-            ExprNode::Op { op, inputs } => {
-                let key = (Arc::clone(ekey), SynopsisKey::node(dag, id));
-                if let Some(syn) = self.cache.get(&key) {
-                    self.stats.cache_hits += 1;
-                    self.m_hit.incr();
-                    Arc::clone(syn)
-                } else {
-                    self.stats.cache_misses += 1;
-                    self.m_miss.incr();
-                    for &i in inputs {
-                        self.materialize(est, dag, i, ekey, memo)?;
-                    }
-                    let ins = GatheredIns::gather(inputs, memo);
-                    let ins = ins.as_slice();
-                    let mut span = self.rec.span("propagate").op(op.name());
-                    if self.rec.is_enabled() {
-                        span = span.nnz_in(ins.iter().map(|s| s.nnz()).sum());
-                    }
-                    let t = OpTimer::start();
-                    let syn = Arc::new(if self.use_arena {
-                        est.propagate_scratch(op, ins, &mut self.arena)?
-                    } else {
-                        est.propagate(op, ins)?
-                    });
-                    let ns = t.elapsed_ns();
-                    self.stats.record_propagate(op.name(), ns);
-                    self.h_propagate.record(ns);
-                    if self.rec.is_enabled() {
-                        span.set_nnz_out(syn.nnz());
-                        span.set_bytes(syn.size_bytes());
-                    }
-                    drop(span);
-                    self.admit(key, &syn);
-                    syn
-                }
-            }
+        f: impl FnOnce(&mut Walk<'_, E, ExprDag, Cached<'_>>) -> Result<R>,
+    ) -> Result<R> {
+        let pool = self.pool.clone();
+        let memo = std::mem::take(&mut self.memo);
+        let store = Cached {
+            ekey: est.cache_key().into(),
+            est_name: est.name(),
+            span: None,
+            ctx: self,
         };
-        memo.insert(id, Arc::clone(&syn));
-        Ok(syn)
+        let mut walk = Walk::new(est, dag, &pool, store, memo);
+        let out = f(&mut walk);
+        self.memo = walk.into_memo();
+        out
     }
 
-    /// Gate for the parallel wavefront walk: engages only when the pool is
-    /// parallel **and** the estimator declares its build/propagate pure
-    /// ([`SparsityEstimator::order_invariant`]) **and** it exposes a
-    /// [`Sync`] view ([`SparsityEstimator::as_sync`]). Every other
-    /// combination is a no-op, leaving [`materialize`](Self::materialize)
-    /// to run the exact sequential schedule — which is what keeps
-    /// RNG-bearing estimators (probabilistic MNC) and instrumented
-    /// wrappers bit-identical under any `threads` setting.
-    fn prefill<E: SparsityEstimator + ?Sized>(
-        &mut self,
-        est: &E,
-        dag: &ExprDag,
-        roots: &[NodeId],
-        ekey: &Arc<str>,
-        memo: &mut HashMap<NodeId, Arc<Synopsis>>,
-    ) -> Result<()> {
-        if !self.pool.is_parallel() || !est.order_invariant() {
-            return Ok(());
+    /// Probes the cache, counting the hit or miss.
+    fn lookup(&mut self, key: &CacheKey) -> Option<Arc<Synopsis>> {
+        let hit = self.cache.get(key).map(Arc::clone);
+        if hit.is_some() {
+            self.stats.cache_hits += 1;
+            self.m_hit.incr();
+        } else {
+            self.stats.cache_misses += 1;
+            self.m_miss.incr();
         }
-        let Some(sync_est) = est.as_sync() else {
-            return Ok(());
-        };
-        self.prefill_wavefront(sync_est, dag, roots, ekey, memo)
+        hit
     }
 
-    /// Materializes every node reachable from `roots` (and absent from both
-    /// `memo` and the cache) in topological wavefronts: nodes of the same
-    /// depth run on pool workers concurrently, then merge **in ascending
-    /// node order** before the next level starts.
-    ///
-    /// Two properties keep this bit-identical to the sequential walk:
-    ///
-    /// 1. Workers compute pure `(synopsis, ns)` pairs; every observable
-    ///    side effect — stats, histograms, spans, cache admission, memo
-    ///    insertion — happens in the sequential merge, in fixed order.
-    /// 2. Discovery replicates the sequential walk's *pre-order* cache
-    ///    probes (an op is probed before its inputs, inputs left to
-    ///    right), so hit/miss counts match a `threads == 1` walk over the
-    ///    same cache state exactly.
-    fn prefill_wavefront(
-        &mut self,
-        est: &(dyn SparsityEstimator + Sync),
-        dag: &ExprDag,
-        roots: &[NodeId],
-        ekey: &Arc<str>,
-        memo: &mut HashMap<NodeId, Arc<Synopsis>>,
-    ) -> Result<()> {
-        let mut scheduled: Vec<NodeId> = Vec::new();
-        let mut seen: HashSet<NodeId> = HashSet::new();
-        let mut stack: Vec<NodeId> = roots.iter().rev().copied().collect();
-        while let Some(id) = stack.pop() {
-            if memo.contains_key(&id) || seen.contains(&id) {
-                continue;
-            }
-            let (key, inputs) = match dag.node(id) {
-                ExprNode::Leaf { matrix, .. } => {
-                    ((Arc::clone(ekey), SynopsisKey::leaf(matrix)), None)
-                }
-                ExprNode::Op { inputs, .. } => {
-                    ((Arc::clone(ekey), SynopsisKey::node(dag, id)), Some(inputs))
-                }
-            };
-            if let Some(syn) = self.cache.get(&key) {
-                self.stats.cache_hits += 1;
-                self.m_hit.incr();
-                memo.insert(id, Arc::clone(syn));
-            } else {
-                self.stats.cache_misses += 1;
-                self.m_miss.incr();
-                seen.insert(id);
-                scheduled.push(id);
-                if let Some(inputs) = inputs {
-                    stack.extend(inputs.iter().rev());
-                }
-            }
-        }
-        if scheduled.is_empty() {
-            return Ok(());
-        }
-        // DAGs are append-only, so ascending node id is a topological order.
-        scheduled.sort_unstable();
+    /// Accounts a leaf synopsis built (or loaded) in `ns` and admits it.
+    fn built(&mut self, key: CacheKey, span: SpanGuard, ns: u64, syn: &Arc<Synopsis>) {
+        self.stats.record_build(ns);
+        self.h_build.record(ns);
+        self.close(span, syn);
+        self.admit(key, syn);
+    }
 
-        // A node's wavefront level is one past its deepest *scheduled*
-        // input; inputs already in the memo are data, not work, and pin
-        // nothing.
-        let mut level: HashMap<NodeId, usize> = HashMap::with_capacity(scheduled.len());
-        let mut max_level = 0usize;
-        for &id in &scheduled {
-            let l = match dag.node(id) {
-                ExprNode::Leaf { .. } => 0,
-                ExprNode::Op { inputs, .. } => inputs
-                    .iter()
-                    .map(|i| level.get(i).map_or(0, |l| l + 1))
-                    .max()
-                    .unwrap_or(0),
-            };
-            max_level = max_level.max(l);
-            level.insert(id, l);
+    /// Closes the span that produced `syn`, stamping its size when tracing.
+    fn close(&self, mut span: SpanGuard, syn: &Synopsis) {
+        if self.rec.is_enabled() {
+            span.set_nnz_out(syn.nnz());
+            span.set_bytes(syn.size_bytes());
         }
-
-        for l in 0..=max_level {
-            let batch: Vec<NodeId> = scheduled
-                .iter()
-                .copied()
-                .filter(|id| level[id] == l)
-                .collect();
-            let memo_ref: &HashMap<NodeId, Arc<Synopsis>> = memo;
-            let results: Vec<Result<(Synopsis, u64)>> =
-                self.pool.run(batch.len(), |k| -> Result<(Synopsis, u64)> {
-                    let t = OpTimer::start();
-                    let syn = match dag.node(batch[k]) {
-                        ExprNode::Leaf { matrix, .. } => est.build(matrix)?,
-                        ExprNode::Op { op, inputs } => {
-                            let ins = GatheredIns::gather(inputs, memo_ref);
-                            // Allocating propagate: the scratch arena is
-                            // single-threaded session state, and arena vs
-                            // allocating paths are bit-identical anyway.
-                            est.propagate(op, ins.as_slice())?
-                        }
-                    };
-                    Ok((syn, t.elapsed_ns()))
-                });
-            for (k, res) in results.into_iter().enumerate() {
-                let (syn, ns) = res?;
-                let id = batch[k];
-                let syn = Arc::new(syn);
-                match dag.node(id) {
-                    ExprNode::Leaf { matrix, .. } => {
-                        let mut span = self
-                            .rec
-                            .span("build")
-                            .op(est.name())
-                            .nnz_in(matrix.nnz() as u64);
-                        self.stats.record_build(ns);
-                        self.h_build.record(ns);
-                        if self.rec.is_enabled() {
-                            span.set_nnz_out(syn.nnz());
-                            span.set_bytes(syn.size_bytes());
-                        }
-                        drop(span);
-                        self.admit((Arc::clone(ekey), SynopsisKey::leaf(matrix)), &syn);
-                    }
-                    ExprNode::Op { op, inputs } => {
-                        let mut span = self.rec.span("propagate").op(op.name());
-                        if self.rec.is_enabled() {
-                            let ins = GatheredIns::gather(inputs, memo);
-                            span = span.nnz_in(ins.as_slice().iter().map(|s| s.nnz()).sum());
-                        }
-                        self.stats.record_propagate(op.name(), ns);
-                        self.h_propagate.record(ns);
-                        if self.rec.is_enabled() {
-                            span.set_nnz_out(syn.nnz());
-                            span.set_bytes(syn.size_bytes());
-                        }
-                        drop(span);
-                        self.admit((Arc::clone(ekey), SynopsisKey::node(dag, id)), &syn);
-                    }
-                }
-                memo.insert(id, syn);
-            }
-        }
-        Ok(())
     }
 
     /// Inserts into the cache and refreshes the cache-derived counters.
-    fn admit(&mut self, key: (Arc<str>, SynopsisKey), syn: &Arc<Synopsis>) {
+    fn admit(&mut self, key: CacheKey, syn: &Arc<Synopsis>) {
         let bytes = usize::try_from(syn.size_bytes()).unwrap_or(usize::MAX);
         self.cache.insert(key, Arc::clone(syn), bytes);
         let evicted = self.cache.evictions() - self.stats.evictions;
@@ -737,29 +474,82 @@ impl Drop for EstimationContext {
     }
 }
 
-/// Input synopses of an op node, gathered without a heap allocation for the
-/// unary/binary cases (every op in [`mnc_core::OpKind`] today).
-enum GatheredIns<'a> {
-    Inline([&'a Synopsis; 2], usize),
-    Heap(Vec<&'a Synopsis>),
+/// The context as a walk's synopsis store: the cache answers probes and
+/// admits results; statistics, histograms, spans, and the scratch arena
+/// see every step.
+struct Cached<'c> {
+    ctx: &'c mut EstimationContext,
+    /// The estimator half of every cache key, formatted once per walk.
+    ekey: Arc<str>,
+    /// The estimator's name, for build spans.
+    est_name: &'static str,
+    /// The span `begin` opened and `done` closes.
+    span: Option<SpanGuard>,
 }
 
-impl<'a> GatheredIns<'a> {
-    fn gather(inputs: &[NodeId], memo: &'a HashMap<NodeId, Arc<Synopsis>>) -> GatheredIns<'a> {
-        match *inputs {
-            [a] => {
-                let s = memo[&a].as_ref();
-                GatheredIns::Inline([s, s], 1)
-            }
-            [a, b] => GatheredIns::Inline([memo[&a].as_ref(), memo[&b].as_ref()], 2),
-            _ => GatheredIns::Heap(inputs.iter().map(|i| memo[i].as_ref()).collect()),
-        }
+impl Cached<'_> {
+    fn key(&self, dag: &ExprDag, id: NodeId) -> CacheKey {
+        let what = match dag.node(id) {
+            ExprNode::Leaf { matrix, .. } => SynopsisKey::leaf(matrix),
+            ExprNode::Op { .. } => SynopsisKey::node(dag, id),
+        };
+        (Arc::clone(&self.ekey), what)
+    }
+}
+
+impl SynopsisStore<ExprDag> for Cached<'_> {
+    fn probe(&mut self, dag: &ExprDag, id: NodeId) -> Option<Arc<Synopsis>> {
+        let key = self.key(dag, id);
+        self.ctx.lookup(&key)
     }
 
-    fn as_slice(&self) -> &[&'a Synopsis] {
-        match self {
-            GatheredIns::Inline(arr, n) => &arr[..*n],
-            GatheredIns::Heap(v) => v,
+    fn arena(&mut self) -> Option<&mut ScratchArena> {
+        self.ctx.use_arena.then_some(&mut self.ctx.arena)
+    }
+
+    fn begin(&mut self, dag: &ExprDag, id: NodeId, ins: &[&Synopsis], estimate: bool) {
+        let rec = &self.ctx.rec;
+        let span = match dag.node(id) {
+            ExprNode::Leaf { matrix, .. } => rec
+                .span("build")
+                .op(self.est_name)
+                .nnz_in(matrix.nnz() as u64),
+            ExprNode::Op { op, .. } => {
+                let name = if estimate { "estimate" } else { "propagate" };
+                let span = rec.span(name).op(op.name());
+                // Synopsis::nnz() is not free for every synopsis type
+                // (bitsets count bits), so only pay for it when tracing.
+                if rec.is_enabled() {
+                    span.nnz_in(ins.iter().map(|s| s.nnz()).sum())
+                } else {
+                    span
+                }
+            }
+        };
+        self.span = Some(span);
+    }
+
+    fn done(&mut self, dag: &ExprDag, id: NodeId, ns: u64, syn: Option<&Arc<Synopsis>>) {
+        let span = self.span.take();
+        let ctx = &mut *self.ctx;
+        match (dag.node(id), syn) {
+            (ExprNode::Leaf { .. }, _) => {
+                ctx.stats.record_build(ns);
+                ctx.h_build.record(ns);
+            }
+            (ExprNode::Op { op, .. }, Some(_)) => {
+                ctx.stats.record_propagate(op.name(), ns);
+                ctx.h_propagate.record(ns);
+            }
+            (ExprNode::Op { op, .. }, None) => {
+                ctx.stats.record_estimate(op.name(), ns);
+                ctx.h_estimate.record(ns);
+            }
+        }
+        if let (Some(span), Some(syn)) = (span, syn) {
+            ctx.close(span, syn);
+            let key = self.key(dag, id);
+            self.ctx.admit(key, syn);
         }
     }
 }
@@ -790,7 +580,7 @@ mod tests {
     fn cold_context_matches_uncached_estimate() {
         let (dag, root) = chain_dag(1);
         for threads in [1, 4] {
-            let uncached = crate::estimate::estimate_root(
+            let uncached = crate::walk::estimate_root(
                 &MncEstimator::new().with_build_threads(threads),
                 &dag,
                 root,
@@ -883,7 +673,7 @@ mod tests {
     #[test]
     fn estimate_all_matches_uncached() {
         let (dag, _) = chain_dag(6);
-        let uncached = crate::estimate::estimate_all(&MncEstimator::new(), &dag).unwrap();
+        let uncached = crate::walk::estimate_all(&MncEstimator::new(), &dag).unwrap();
         let mut ctx = EstimationContext::new();
         let cached = ctx.estimate_all(&MncEstimator::new(), &dag).unwrap();
         assert_eq!(uncached.len(), cached.len());
@@ -896,7 +686,7 @@ mod tests {
     #[test]
     fn tiny_budget_still_estimates_correctly() {
         let (dag, root) = chain_dag(7);
-        let baseline = crate::estimate::estimate_root(&MncEstimator::new(), &dag, root).unwrap();
+        let baseline = crate::walk::estimate_root(&MncEstimator::new(), &dag, root).unwrap();
         // A budget too small to hold anything: every walk rebuilds, the
         // answer must not change.
         let mut ctx = EstimationContext::with_byte_budget(1);

@@ -232,60 +232,12 @@ impl AllocScope {
     }
 }
 
-#[cfg(test)]
+/// The tracked counters are tested in `tests/alloc_counters.rs`, alone in
+/// their own binary.
+#[cfg(all(test, not(feature = "alloc-track")))]
 mod tests {
     use super::*;
 
-    #[cfg(feature = "alloc-track")]
-    #[test]
-    fn counters_observe_allocations() {
-        let before = snapshot();
-        let v: Vec<u64> = Vec::with_capacity(1 << 12);
-        let after = snapshot();
-        assert!(tracking_active());
-        assert!(
-            after.total_bytes >= before.total_bytes + (1 << 12) * 8,
-            "gross bytes must cover the 32 KiB vector"
-        );
-        assert!(after.total_allocs > before.total_allocs);
-        assert!(after.current_bytes >= before.current_bytes + (1 << 12) * 8);
-        assert!(after.peak_bytes >= after.current_bytes);
-        drop(v);
-        assert!(current_bytes() < after.current_bytes, "dealloc subtracts");
-    }
-
-    #[cfg(feature = "alloc-track")]
-    #[test]
-    fn scope_measures_net_and_gross() {
-        let scope = AllocScope::start();
-        let kept: Vec<u64> = vec![0; 1000];
-        {
-            let dropped: Vec<u64> = vec![0; 500];
-            assert_eq!(dropped.len(), 500);
-        }
-        let d = scope.measure();
-        assert!(d.gross_bytes >= 1500 * 8, "gross {}", d.gross_bytes);
-        assert!(d.net_bytes >= 1000 * 8, "net {}", d.net_bytes);
-        assert!(
-            (d.net_bytes as u64) < d.gross_bytes,
-            "dropped vec is gross-only"
-        );
-        assert!(d.allocs >= 2);
-        drop(kept);
-    }
-
-    #[cfg(feature = "alloc-track")]
-    #[test]
-    fn peak_resets_to_current() {
-        let _big: Vec<u64> = vec![0; 4096];
-        drop(_big);
-        reset_peak();
-        assert_eq!(peak_bytes(), current_bytes());
-        let _bigger: Vec<u64> = vec![0; 8192];
-        assert!(peak_bytes() >= current_bytes());
-    }
-
-    #[cfg(not(feature = "alloc-track"))]
     #[test]
     fn untracked_builds_report_zero() {
         assert!(!tracking_active());

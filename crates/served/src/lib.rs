@@ -10,9 +10,8 @@
 //! * [`catalog`] — the **persistent synopsis catalog**: named sketches in
 //!   the MNCS wire format under a directory, written atomically, reloaded
 //!   on restart so a daemon bounce never rebuilds a sketch;
-//! * [`walk`] — the request-DAG estimation walk, mirroring
-//!   `EstimationContext::estimate_root` order exactly (the bit-identity
-//!   contract);
+//! * [`walk`] — request DAGs run through `mnc_expr::walk`, the same walk
+//!   `EstimationContext::estimate_root` runs (the bit-identity contract);
 //! * [`proto`] — `/v1` JSON parsing/rendering (full-precision floats via
 //!   shortest round-trip formatting);
 //! * [`gate`] — the bounded worker pool's admission control (`429` +

@@ -1,32 +1,23 @@
 //! The service-side estimation walk.
 //!
 //! `POST /v1/estimate` carries a small expression DAG over *named* catalog
-//! matrices. This module evaluates it exactly the way the in-process
-//! library does — [`mnc_expr::EstimationContext::estimate_root`] — so a
-//! client talking HTTP gets **bit-identical** numbers to one linking the
-//! crates directly:
-//!
-//! * leaves resolve to catalog synopses (built once by deterministic
-//!   [`MncSketch::build`](mnc_core::MncSketch::build), so loading equals
-//!   building);
-//! * intermediates are propagated depth-first, inputs in order, memoized
-//!   per walk — the exact order the context's `materialize` uses, which
-//!   matters because MNC propagation consumes the estimator's internal
-//!   RNG sequence;
-//! * the root is *estimated* directly from its input synopses, never
-//!   propagated — unless the caller also asked for the root sketch, in
-//!   which case the extra propagate happens strictly **after** the
-//!   estimate so the reported sparsity is unchanged.
-//!
-//! Each request runs against a fresh estimator, which pins the RNG
-//! sequence to the walk and makes responses independent of request
-//! ordering under concurrency.
+//! matrices. This module validates it and runs it through the one DAG walk
+//! ([`mnc_expr::walk`]) that [`mnc_expr::EstimationContext::estimate_root`]
+//! runs, so a client talking HTTP gets **bit-identical** numbers to one
+//! linking the crates directly. Leaves resolve to catalog synopses before
+//! the walk (built by deterministic
+//! [`MncSketch::build`](mnc_core::MncSketch::build), so loading equals
+//! building); the walk itself has no cache and holds no service lock. Each
+//! request runs against a fresh estimator, which pins the RNG sequence to
+//! the walk and makes responses independent of request ordering under
+//! concurrency.
 
 use std::sync::Arc;
 
 use mnc_core::serialize::to_bytes;
 use mnc_core::OpKind;
 use mnc_estimators::{SparsityEstimator, Synopsis};
+use mnc_expr::walk::{DagView, Node, Walk};
 use mnc_kernels::WorkerPool;
 
 use crate::error::ServiceError;
@@ -111,6 +102,30 @@ impl DagSpec {
     }
 }
 
+/// Request DAGs only reference earlier indices, so ascending index *is*
+/// topological order. Leaf synopses come from the catalog, never from a
+/// build.
+impl DagView for DagSpec {
+    fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    fn node(&self, id: usize) -> Node<'_> {
+        match &self.nodes[id] {
+            NodeSpec::Leaf(_) => Node::Leaf,
+            NodeSpec::Op { op, inputs } => Node::Op { op, inputs },
+        }
+    }
+
+    fn build<E: SparsityEstimator + ?Sized>(
+        &self,
+        _est: &E,
+        id: usize,
+    ) -> mnc_estimators::Result<Synopsis> {
+        unreachable!("leaf {id} is resolved before the walk")
+    }
+}
+
 /// Result of one estimation walk.
 #[derive(Debug, Clone)]
 pub struct EstimateOutcome {
@@ -136,15 +151,9 @@ pub fn estimate_dag<E: SparsityEstimator + ?Sized>(
     estimate_dag_pooled(est, dag, leaves, want_sketch, &WorkerPool::new(1))
 }
 
-/// [`estimate_dag`] with a worker-pool budget: when the pool is parallel
-/// *and* the estimator declares order-invariance with a [`Sync`] view
-/// ([`SparsityEstimator::order_invariant`] /
-/// [`SparsityEstimator::as_sync`]), reachable intermediates are propagated
-/// in topological wavefronts before the sequential tail runs. Every other
-/// estimator — including the service's default probabilistic MNC, whose
-/// RNG stream makes propagation order-sensitive — keeps the exact
-/// depth-first schedule, so responses are byte-identical under any
-/// `threads` setting.
+/// [`estimate_dag`] on a worker pool. The walk's wavefront engages only for
+/// order-invariant estimators — never the service's default probabilistic
+/// MNC — so responses are byte-identical under any `threads` setting.
 pub fn estimate_dag_pooled<E: SparsityEstimator + ?Sized>(
     est: &E,
     dag: &DagSpec,
@@ -153,42 +162,30 @@ pub fn estimate_dag_pooled<E: SparsityEstimator + ?Sized>(
     pool: &WorkerPool,
 ) -> Result<EstimateOutcome, ServiceError> {
     debug_assert_eq!(leaves.len(), dag.nodes.len());
-    let mut memo: Vec<Option<Arc<Synopsis>>> = vec![None; dag.nodes.len()];
-    if pool.is_parallel() && est.order_invariant() {
-        if let Some(sync_est) = est.as_sync() {
-            let mut roots: Vec<usize> = match &dag.nodes[dag.root] {
-                NodeSpec::Leaf(_) => vec![dag.root],
-                NodeSpec::Op { inputs, .. } => inputs.clone(),
-            };
-            if want_sketch {
-                // Pure estimators are indifferent to propagating the root
-                // before or after the estimate, so fold it into the
-                // wavefront instead of paying a sequential tail propagate.
-                roots.push(dag.root);
-            }
-            prefill_wavefront(sync_est, dag, leaves, &roots, &mut memo, pool)?;
-        }
-    }
-
-    let (sparsity, shape) = match &dag.nodes[dag.root] {
-        // A leaf root answers its own (exact) sparsity — the estimate_root
-        // contract.
-        NodeSpec::Leaf(_) => {
-            let syn = materialize(est, dag, leaves, dag.root, &mut memo)?;
-            (syn.sparsity(), syn.shape())
-        }
+    // The resolved leaves seed the walk's memo, so it never builds one.
+    let memo = dag
+        .nodes
+        .iter()
+        .zip(leaves)
+        .map(|(node, syn)| match node {
+            NodeSpec::Leaf(name) => syn
+                .clone()
+                .map(Some)
+                .ok_or_else(|| ServiceError::UnknownMatrix(name.clone())),
+            NodeSpec::Op { .. } => Ok(None),
+        })
+        .collect::<Result<_, _>>()?;
+    let mut walk = Walk::new(est, dag, pool, (), memo);
+    let sparsity = walk.estimate_root(dag.root, want_sketch)?;
+    let shape_of = |i: usize| {
+        walk.memoized(i)
+            .expect("materialized by the estimate")
+            .shape()
+    };
+    let shape = match &dag.nodes[dag.root] {
+        NodeSpec::Leaf(_) => shape_of(dag.root),
         NodeSpec::Op { op, inputs } => {
-            for &i in inputs {
-                materialize(est, dag, leaves, i, &mut memo)?;
-            }
-            let ins: Vec<&Synopsis> = inputs
-                .iter()
-                .map(|&i| &**memo[i].as_ref().expect("just materialized"))
-                .collect();
-            let shapes: Vec<(usize, usize)> = ins.iter().map(|s| s.shape()).collect();
-            let shape = op.output_shape(&shapes)?;
-            let sparsity = est.estimate(op, &ins)?;
-            (sparsity, shape)
+            op.output_shape(&inputs.iter().map(|&i| shape_of(i)).collect::<Vec<_>>())?
         }
     };
     let nnz = (sparsity * shape.0 as f64 * shape.1 as f64).round() as u64;
@@ -196,8 +193,7 @@ pub fn estimate_dag_pooled<E: SparsityEstimator + ?Sized>(
     // The optional root sketch is propagated only after the estimate so the
     // extra RNG consumption cannot perturb the reported sparsity.
     let sketch_bytes = if want_sketch {
-        let syn = materialize(est, dag, leaves, dag.root, &mut memo)?;
-        match &*syn {
+        match &*walk.synopsis(dag.root)? {
             Synopsis::Mnc(s) => Some(to_bytes(&s.sketch)),
             _ => {
                 return Err(ServiceError::BadRequest(
@@ -215,121 +211,6 @@ pub fn estimate_dag_pooled<E: SparsityEstimator + ?Sized>(
         shape,
         sketch_bytes,
     })
-}
-
-/// Wavefront prefill for order-invariant estimators: resolves reachable
-/// leaves, then propagates scheduled ops level by level on pool workers,
-/// merging results into `memo` in ascending node order. Request DAGs are
-/// validated to reference only earlier indices, so ascending index *is*
-/// topological order.
-fn prefill_wavefront(
-    est: &(dyn SparsityEstimator + Sync),
-    dag: &DagSpec,
-    leaves: &[Option<Arc<Synopsis>>],
-    roots: &[usize],
-    memo: &mut [Option<Arc<Synopsis>>],
-    pool: &WorkerPool,
-) -> Result<(), ServiceError> {
-    let mut scheduled: Vec<usize> = Vec::new();
-    let mut seen = vec![false; dag.nodes.len()];
-    let mut stack: Vec<usize> = roots.iter().rev().copied().collect();
-    while let Some(i) = stack.pop() {
-        if memo[i].is_some() || seen[i] {
-            continue;
-        }
-        seen[i] = true;
-        match &dag.nodes[i] {
-            NodeSpec::Leaf(name) => {
-                let syn = leaves[i]
-                    .as_ref()
-                    .map(Arc::clone)
-                    .ok_or_else(|| ServiceError::UnknownMatrix(name.clone()))?;
-                memo[i] = Some(syn);
-            }
-            NodeSpec::Op { inputs, .. } => {
-                scheduled.push(i);
-                stack.extend(inputs.iter().rev());
-            }
-        }
-    }
-    if scheduled.is_empty() {
-        return Ok(());
-    }
-    scheduled.sort_unstable();
-
-    // A node's level is one past its deepest scheduled input; leaves and
-    // already-memoized nodes are data, not work.
-    let mut level = vec![0usize; dag.nodes.len()];
-    let mut in_sched = vec![false; dag.nodes.len()];
-    let mut max_level = 0usize;
-    for &i in &scheduled {
-        if let NodeSpec::Op { inputs, .. } = &dag.nodes[i] {
-            let l = inputs
-                .iter()
-                .map(|&j| if in_sched[j] { level[j] + 1 } else { 0 })
-                .max()
-                .unwrap_or(0);
-            level[i] = l;
-            in_sched[i] = true;
-            max_level = max_level.max(l);
-        }
-    }
-
-    for l in 0..=max_level {
-        let batch: Vec<usize> = scheduled
-            .iter()
-            .copied()
-            .filter(|&i| level[i] == l)
-            .collect();
-        let memo_ref: &[Option<Arc<Synopsis>>] = memo;
-        let results = pool.run(batch.len(), |k| {
-            let NodeSpec::Op { op, inputs } = &dag.nodes[batch[k]] else {
-                unreachable!("only ops are scheduled");
-            };
-            let ins: Vec<&Synopsis> = inputs
-                .iter()
-                .map(|&j| &**memo_ref[j].as_ref().expect("lower wavefront level"))
-                .collect();
-            est.propagate(op, &ins)
-        });
-        for (k, res) in results.into_iter().enumerate() {
-            memo[batch[k]] = Some(Arc::new(res?));
-        }
-    }
-    Ok(())
-}
-
-/// Depth-first, memoized materialization — the same order
-/// `EstimationContext::materialize` walks, which keeps the estimator's RNG
-/// consumption identical to the in-process path.
-fn materialize<E: SparsityEstimator + ?Sized>(
-    est: &E,
-    dag: &DagSpec,
-    leaves: &[Option<Arc<Synopsis>>],
-    idx: usize,
-    memo: &mut Vec<Option<Arc<Synopsis>>>,
-) -> Result<Arc<Synopsis>, ServiceError> {
-    if let Some(syn) = &memo[idx] {
-        return Ok(Arc::clone(syn));
-    }
-    let syn = match &dag.nodes[idx] {
-        NodeSpec::Leaf(name) => leaves[idx]
-            .as_ref()
-            .map(Arc::clone)
-            .ok_or_else(|| ServiceError::UnknownMatrix(name.clone()))?,
-        NodeSpec::Op { op, inputs } => {
-            for &i in inputs {
-                materialize(est, dag, leaves, i, memo)?;
-            }
-            let ins: Vec<&Synopsis> = inputs
-                .iter()
-                .map(|&i| &**memo[i].as_ref().expect("just materialized"))
-                .collect();
-            Arc::new(est.propagate(op, &ins)?)
-        }
-    };
-    memo[idx] = Some(Arc::clone(&syn));
-    Ok(syn)
 }
 
 #[cfg(test)]

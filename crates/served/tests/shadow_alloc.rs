@@ -9,9 +9,12 @@
 //! Requires the `alloc-track` feature (the counting global allocator) and
 //! lives alone in its own integration binary: the allocation counters are
 //! process-global, so any concurrently running test would attribute its
-//! allocations to our measurement scope.
+//! allocations to our measurement scope. For the same reason every scope
+//! opens only once the plane's own worker threads have parked.
 
 #![cfg(feature = "alloc-track")]
+
+use std::time::{Duration, Instant};
 
 use mnc_obs::alloc::AllocScope;
 use mnc_obsd::{ObsDaemon, ObsdConfig};
@@ -27,6 +30,41 @@ fn plane(rate: f64) -> (ShadowPlane, ObsDaemon) {
     (ShadowPlane::new(&cfg, &daemon), daemon)
 }
 
+/// Blocks until every `mnc-shadow-*` worker is parked (state `S` in
+/// `/proc/self/task/*/stat`) on several consecutive polls. A freshly
+/// spawned worker allocates while it starts up, and those allocations
+/// would land inside a scope opened before it reaches its blocking
+/// receive.
+fn wait_for_parked_workers() {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut quiet_polls = 0;
+    while quiet_polls < 5 {
+        assert!(Instant::now() < deadline, "shadow workers never parked");
+        quiet_polls = if shadow_workers_parked() {
+            quiet_polls + 1
+        } else {
+            0
+        };
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+fn shadow_workers_parked() -> bool {
+    let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
+        return true; // no procfs: nothing to wait on
+    };
+    tasks.flatten().all(|task| {
+        let comm = std::fs::read_to_string(task.path().join("comm")).unwrap_or_default();
+        if !comm.starts_with("mnc-shadow-") {
+            return true;
+        }
+        // The state is the first field after the parenthesized name.
+        let stat = std::fs::read_to_string(task.path().join("stat")).unwrap_or_default();
+        stat.rsplit_once(") ")
+            .is_some_and(|(_, rest)| rest.starts_with('S'))
+    })
+}
+
 #[test]
 fn sampling_decision_allocates_nothing_at_any_rate() {
     for rate in [0.0, 0.5, 1.0] {
@@ -37,6 +75,7 @@ fn sampling_decision_allocates_nothing_at_any_rate() {
         for _ in 0..64 {
             warm += u64::from(plane.should_sample());
         }
+        wait_for_parked_workers();
 
         let scope = AllocScope::start();
         let mut hits = 0u64;
