@@ -3,13 +3,13 @@
 //! Starts an [`EstimationService`](mnc_served::EstimationService) on an
 //! ephemeral loopback port over a throwaway catalog, ingests a small matrix
 //! chain over HTTP, then drives `clients` threads issuing `POST
-//! /v1/estimate` in a closed loop. Every request's wall latency is
-//! collected; the p50/p99 land in the `mnc-perf` record as gated
-//! `served.estimate.*_ns` metrics, so a regression in the service path —
-//! routing, admission, session locking, the walk — trips the same CI gate
-//! as a kernel regression.
+//! /v1/estimate` in a closed loop, each over one persistent connection.
+//! Every request's wall latency is collected; the p50/p99 land in the
+//! `mnc-perf` record as gated `served.estimate.*_ns` metrics, so a
+//! regression in the service path — routing, admission, session locking,
+//! the walk — trips the same CI gate as a kernel regression.
 
-use std::io::{Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Instant;
 
@@ -51,25 +51,81 @@ pub struct LoadReport {
     pub shadow_p99_ns: f64,
 }
 
-/// Minimal blocking HTTP exchange; returns the status code.
-fn roundtrip(addr: &str, method: &str, path: &str, body: &[u8]) -> std::io::Result<u16> {
-    let mut stream = TcpStream::connect(addr)?;
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: perf\r\nContent-Length: {}\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw)?;
-    let head = std::str::from_utf8(&raw)
-        .ok()
-        .and_then(|t| t.lines().next())
-        .unwrap_or("");
-    head.split_whitespace()
+/// One client's persistent connection: each request leaves in one write
+/// and each response is read by its `Content-Length`, so the connection
+/// carries the next request. Reconnects after the server closes it.
+struct Conn<'a> {
+    addr: &'a str,
+    stream: Option<BufReader<TcpStream>>,
+}
+
+impl<'a> Conn<'a> {
+    fn new(addr: &'a str) -> Conn<'a> {
+        Conn { addr, stream: None }
+    }
+
+    /// One blocking HTTP exchange; returns the status code.
+    fn roundtrip(&mut self, method: &str, path: &str, body: &[u8]) -> io::Result<u16> {
+        if self.stream.is_none() {
+            let stream = TcpStream::connect(self.addr)?;
+            stream.set_nodelay(true)?;
+            self.stream = Some(BufReader::new(stream));
+        }
+        let stream = self.stream.as_mut().expect("connected above");
+        let mut wire = format!(
+            "{method} {path} HTTP/1.1\r\nHost: perf\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        wire.extend_from_slice(body);
+        let reply = stream
+            .get_mut()
+            .write_all(&wire)
+            .and_then(|()| read_response(stream));
+        if !matches!(reply, Ok((_, false))) {
+            self.stream = None;
+        }
+        reply.map(|(status, _)| status)
+    }
+}
+
+/// Reads one response; returns its status and whether the server closes
+/// the connection after it.
+fn read_response(stream: &mut BufReader<TcpStream>) -> io::Result<(u16, bool)> {
+    let invalid = |what| io::Error::new(io::ErrorKind::InvalidData, what);
+    let mut line = String::new();
+    read_line(stream, &mut line)?;
+    let status = line
+        .split_whitespace()
         .nth(1)
         .and_then(|s| s.parse().ok())
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "bad status line"))
+        .ok_or_else(|| invalid("bad status line"))?;
+    let (mut length, mut close) = (None, false);
+    loop {
+        read_line(stream, &mut line)?;
+        let Some((name, value)) = line.split_once(':') else {
+            break; // the blank line ending the head
+        };
+        if name.eq_ignore_ascii_case("content-length") {
+            length = value.trim().parse::<u64>().ok();
+        } else if name.eq_ignore_ascii_case("connection") {
+            close = value.trim().eq_ignore_ascii_case("close");
+        }
+    }
+    let length = length.ok_or_else(|| invalid("no Content-Length"))?;
+    if io::copy(&mut stream.by_ref().take(length), &mut io::sink())? < length {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
+    Ok((status, close))
+}
+
+/// Reads one line into `line` (cleared first); end-of-file is an error.
+fn read_line(stream: &mut BufReader<TcpStream>, line: &mut String) -> io::Result<()> {
+    line.clear();
+    match stream.read_line(line)? {
+        0 => Err(io::ErrorKind::UnexpectedEof.into()),
+        _ => Ok(()),
+    }
 }
 
 fn csr_json(m: &CsrMatrix) -> String {
@@ -117,14 +173,15 @@ pub fn run_load(scale: f64, clients: usize, requests: usize) -> LoadReport {
     let a = gen::rand_uniform(&mut rng, d, d, 0.05);
     let b = gen::rand_uniform(&mut rng, d, d, 0.05);
     let c = gen::rand_uniform(&mut rng, d, d, 0.05);
+    let mut ingest = Conn::new(&addr);
     for (name, m) in [("A", &a), ("B", &b), ("C", &c)] {
-        let status = roundtrip(
-            &addr,
-            "PUT",
-            &format!("/v1/matrices/{name}"),
-            csr_json(m).as_bytes(),
-        )
-        .expect("served: ingest");
+        let status = ingest
+            .roundtrip(
+                "PUT",
+                &format!("/v1/matrices/{name}"),
+                csr_json(m).as_bytes(),
+            )
+            .expect("served: ingest");
         assert_eq!(status, 201, "served: ingest {name} failed");
     }
 
@@ -137,11 +194,12 @@ pub fn run_load(scale: f64, clients: usize, requests: usize) -> LoadReport {
                         r#"{{"client":"load-{cid}","dag":[{{"leaf":"A"}},{{"leaf":"B"}},{{"leaf":"C"}},
                         {{"op":"matmul","inputs":[0,1]}},{{"op":"matmul","inputs":[3,2]}}]}}"#
                     );
+                    let mut conn = Conn::new(addr);
                     let mut lat = Vec::with_capacity(requests);
                     let (mut ok, mut errors) = (0u64, 0u64);
                     for _ in 0..requests {
                         let t = Instant::now();
-                        match roundtrip(addr, "POST", "/v1/estimate", req.as_bytes()) {
+                        match conn.roundtrip("POST", "/v1/estimate", req.as_bytes()) {
                             Ok(200) => {
                                 lat.push(t.elapsed().as_nanos() as u64);
                                 ok += 1;

@@ -163,7 +163,7 @@ fn malformed_requests_get_400_and_unknown_paths_404() {
     let (status, _) = raw_request(addr, b"GET /metrics SPDY/3\r\n\r\n");
     assert_eq!(status, 400);
     // Well-formed but non-GET.
-    let (status, _) = raw_request(addr, b"POST /metrics HTTP/1.1\r\n\r\n");
+    let (status, _) = raw_request(addr, b"POST /metrics HTTP/1.1\r\nConnection: close\r\n\r\n");
     assert_eq!(status, 405);
     // Well-formed GET for nothing we serve.
     let (status, body) = get(addr, "/nope");
@@ -298,6 +298,28 @@ fn timeline_disabled_serves_empty_series() {
     assert!(body.contains("\"series\":[]"), "{body}");
 }
 
+/// Reads one response off a kept connection by its `Content-Length`;
+/// returns `(status, body)`.
+fn read_kept_response(stream: &mut TcpStream) -> (u16, String) {
+    let mut raw = Vec::new();
+    let mut byte = [0u8; 1];
+    while !raw.ends_with(b"\r\n\r\n") {
+        stream.read_exact(&mut byte).expect("response head");
+        raw.push(byte[0]);
+    }
+    let head = String::from_utf8(raw).expect("utf8 head");
+    assert!(!head.contains("Connection: close"), "not kept: {head}");
+    let status = head.split(' ').nth(1).and_then(|s| s.parse().ok()).unwrap();
+    let len: usize = head
+        .lines()
+        .find_map(|l| l.strip_prefix("Content-Length: "))
+        .and_then(|v| v.parse().ok())
+        .expect("content length");
+    let mut body = vec![0u8; len];
+    stream.read_exact(&mut body).expect("response body");
+    (status, String::from_utf8(body).expect("utf8 body"))
+}
+
 #[test]
 fn shutdown_stops_the_server() {
     let daemon = ObsDaemon::new(small_config());
@@ -305,7 +327,41 @@ fn shutdown_stops_the_server() {
     let addr = server.local_addr();
     let (status, _) = get(addr, "/healthz");
     assert_eq!(status, 200);
+
+    // A connection kept from before the shutdown: served twice, then idle.
+    let mut kept = TcpStream::connect(addr).expect("connect");
+    kept.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    for _ in 0..2 {
+        kept.write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+            .expect("send");
+        assert_eq!(read_kept_response(&mut kept), (200, "OK\n".to_string()));
+    }
+
     server.shutdown();
+    // The server closes the idle kept connection on its own, well before
+    // the 5 s idle timeout would have.
+    let t = std::time::Instant::now();
+    let mut byte = [0u8; 1];
+    assert!(
+        matches!(kept.read(&mut byte), Ok(0) | Err(_)),
+        "kept connection sent bytes after shutdown"
+    );
+    assert!(
+        t.elapsed() < Duration::from_secs(2),
+        "kept connection lingered {:?} after shutdown",
+        t.elapsed()
+    );
+    // And a request sent on it now is not served.
+    let _ = kept.write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+    let mut out = Vec::new();
+    let _ = kept.read_to_end(&mut out);
+    assert!(
+        out.is_empty(),
+        "kept connection served after shutdown: {:?}",
+        String::from_utf8_lossy(&out)
+    );
+
     // The listener is gone: connecting either fails outright or the
     // connection closes without a response.
     match TcpStream::connect_timeout(&addr, Duration::from_millis(500)) {

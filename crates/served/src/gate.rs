@@ -1,10 +1,13 @@
 //! Admission control for the compute plane.
 //!
-//! The server spawns one thread per connection; the gate turns that
-//! unbounded concurrency into a **bounded worker pool**: at most `workers`
-//! requests compute simultaneously, at most `queue` more wait for a slot,
-//! and everything beyond is shed immediately with `429` + `Retry-After`
-//! instead of piling latency onto every in-flight request.
+//! The server spawns one thread per connection, and with keep-alive each
+//! thread serves its connection's requests one after another; the gate
+//! turns the resulting unbounded concurrency (one request per open
+//! connection) into a **bounded worker pool**: at most `workers` requests
+//! compute simultaneously, at most `queue` more wait for a slot, and
+//! everything beyond is shed immediately with `429` + `Retry-After` instead
+//! of piling latency onto every in-flight request. A shed request leaves
+//! its connection open for the client's retry.
 
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;

@@ -2,7 +2,7 @@
 //! restart-without-rebuild, saturation shedding, and the error surface.
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -14,7 +14,8 @@ use mnc_matrix::{gen, CsrMatrix};
 use mnc_served::{serve_with, EstimationService, ServeOptions, ServedConfig, ServerHandle};
 use rand::SeedableRng;
 
-/// One raw HTTP exchange: writes `head` + `body`, reads the full response.
+/// One raw HTTP exchange: writes `head` + `body`, reads the full response
+/// up to the server's close (the head must ask for `Connection: close`).
 /// The server may answer (413) and close before the body is fully written;
 /// that close can surface client-side as EPIPE on write — tolerated — or,
 /// under load, as ECONNRESET that discards the buffered response, in which
@@ -31,20 +32,25 @@ fn exchange(addr: &str, head: &str, body: &[u8]) -> (u16, HashMap<String, String
         let Some(split) = raw.windows(4).position(|w| w == b"\r\n\r\n") else {
             continue;
         };
-        let head = std::str::from_utf8(&raw[..split]).expect("utf8 head");
-        let mut lines = head.lines();
-        let status: u16 = lines
-            .next()
-            .and_then(|l| l.split_whitespace().nth(1))
-            .and_then(|s| s.parse().ok())
-            .expect("status");
-        let headers: HashMap<String, String> = lines
-            .filter_map(|l| l.split_once(':'))
-            .map(|(n, v)| (n.trim().to_ascii_lowercase(), v.trim().to_string()))
-            .collect();
+        let (status, headers) = parse_head(std::str::from_utf8(&raw[..split]).expect("utf8 head"));
         return (status, headers, raw[split + 4..].to_vec());
     }
     panic!("no complete response after 8 attempts");
+}
+
+/// A response head's status and headers (names lowercased).
+fn parse_head(head: &str) -> (u16, HashMap<String, String>) {
+    let mut lines = head.lines();
+    let status: u16 = lines
+        .next()
+        .and_then(|l| l.split_whitespace().nth(1))
+        .and_then(|s| s.parse().ok())
+        .expect("status");
+    let headers = lines
+        .filter_map(|l| l.split_once(':'))
+        .map(|(n, v)| (n.trim().to_ascii_lowercase(), v.trim().to_string()))
+        .collect();
+    (status, headers)
 }
 
 /// One HTTP exchange against `addr`; returns (status, headers, body).
@@ -55,7 +61,7 @@ fn http(
     content_type: Option<&str>,
     body: &[u8],
 ) -> (u16, HashMap<String, String>, Vec<u8>) {
-    let mut head = format!("{method} {path} HTTP/1.1\r\nHost: test\r\n");
+    let mut head = format!("{method} {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n");
     if let Some(ct) = content_type {
         head.push_str(&format!("Content-Type: {ct}\r\n"));
     }
@@ -464,7 +470,7 @@ fn http_with_header(
     body: &[u8],
 ) -> (u16, HashMap<String, String>, Vec<u8>) {
     let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: test\r\n{}: {}\r\nContent-Length: {}\r\n\r\n",
+        "{method} {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n{}: {}\r\nContent-Length: {}\r\n\r\n",
         header.0,
         header.1,
         body.len()
@@ -927,5 +933,132 @@ fn hostile_json_nesting_is_a_400_and_the_daemon_keeps_serving() {
 
     let (status, _, body) = http(&addr, "POST", "/v1/estimate", None, CHAIN_DAG.as_bytes());
     assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A client holding one kept connection, reading each response by its
+/// `Content-Length` (responses to pipelined requests may arrive together).
+struct Kept(BufReader<TcpStream>);
+
+impl Kept {
+    fn connect(addr: &str) -> Kept {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        Kept(BufReader::new(stream))
+    }
+
+    fn send(&mut self, wire: &[u8]) {
+        self.0.get_mut().write_all(wire).expect("send");
+    }
+
+    fn response(&mut self) -> (u16, HashMap<String, String>, Vec<u8>) {
+        let mut head = String::new();
+        while !head.ends_with("\r\n\r\n") {
+            let n = self.0.read_line(&mut head).expect("read head");
+            assert!(n > 0, "connection closed before a response");
+        }
+        let (status, headers) = parse_head(&head);
+        let mut body = vec![0u8; headers["content-length"].parse().expect("length")];
+        self.0.read_exact(&mut body).expect("read body");
+        (status, headers, body)
+    }
+
+    /// Whether the server closes the connection within 2 s (well inside
+    /// its 5 s idle timeout) with nothing left to read.
+    fn closed(&mut self) -> bool {
+        let stream = self.0.get_ref();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .expect("read timeout");
+        match self.0.fill_buf() {
+            Ok(rest) => rest.is_empty(),
+            Err(e) => !matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ),
+        }
+    }
+}
+
+fn wire(method: &str, path: &str, version: &str, extra: &str, body: &[u8]) -> Vec<u8> {
+    let mut w = format!(
+        "{method} {path} {version}\r\nHost: test\r\n{extra}Content-Length: {}\r\n\r\n",
+        body.len()
+    )
+    .into_bytes();
+    w.extend_from_slice(body);
+    w
+}
+
+#[test]
+fn one_kept_connection_serves_requests_byte_identically() {
+    let dir = tmpdir("keepalive");
+    let (_svc, _handle, addr) = start(ServedConfig::new(&dir));
+    let (a, b, c) = chain_matrices();
+    let (a, b, c) = (csr_json(&a), csr_json(&b), csr_json(&c));
+    let requests: [(&str, &str, &[u8], u16); 6] = [
+        ("PUT", "/v1/matrices/A", a.as_bytes(), 201),
+        ("PUT", "/v1/matrices/B", b.as_bytes(), 201),
+        ("PUT", "/v1/matrices/C", c.as_bytes(), 201),
+        ("POST", "/v1/estimate", CHAIN_DAG.as_bytes(), 200),
+        ("GET", "/v1/matrices/nope", b"", 404),
+        ("POST", "/v1/matrices/A", b"{}", 405),
+    ];
+
+    // Ingest, estimate, 404 and 405 over one connection; each body must
+    // match the same request on a fresh connection, byte for byte.
+    let mut kept = Kept::connect(&addr);
+    for (method, path, body, want) in requests {
+        kept.send(&wire(method, path, "HTTP/1.1", "", body));
+        let (status, headers, got) = kept.response();
+        assert_eq!(
+            status,
+            want,
+            "{method} {path}: {}",
+            String::from_utf8_lossy(&got)
+        );
+        assert!(
+            !headers.contains_key("connection"),
+            "{method} {path} closed"
+        );
+        let (fresh_status, _, fresh) = http(&addr, method, path, None, body);
+        assert_eq!((status, &got), (fresh_status, &fresh), "{method} {path}");
+    }
+
+    // A pipelined pair in one write is answered in order.
+    let mut pair = wire("POST", "/v1/estimate", "HTTP/1.1", "", CHAIN_DAG.as_bytes());
+    pair.extend(wire("GET", "/v1/matrices/B", "HTTP/1.1", "", b""));
+    kept.send(&pair);
+    let (s1, _, estimate) = kept.response();
+    let (s2, _, meta) = kept.response();
+    assert_eq!((s1, s2), (200, 200));
+    assert_eq!(
+        estimate,
+        http(&addr, "POST", "/v1/estimate", None, CHAIN_DAG.as_bytes()).2
+    );
+    assert_eq!(meta, http(&addr, "GET", "/v1/matrices/B", None, b"").2);
+
+    // `Connection: close` ends the connection after its response.
+    kept.send(&wire(
+        "GET",
+        "/healthz",
+        "HTTP/1.1",
+        "Connection: close\r\n",
+        b"",
+    ));
+    let (status, headers, _) = kept.response();
+    assert_eq!(status, 200);
+    assert_eq!(headers.get("connection").map(String::as_str), Some("close"));
+    assert!(kept.closed(), "Connection: close left the connection open");
+
+    // So does an HTTP/1.0 request.
+    let mut old = Kept::connect(&addr);
+    old.send(&wire("GET", "/v1/matrices/B", "HTTP/1.0", "", b""));
+    let (status, headers, body) = old.response();
+    assert_eq!((status, body), (200, meta));
+    assert_eq!(headers.get("connection").map(String::as_str), Some("close"));
+    assert!(old.closed(), "HTTP/1.0 left the connection open");
     let _ = std::fs::remove_dir_all(&dir);
 }
