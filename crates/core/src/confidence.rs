@@ -15,9 +15,16 @@
 //! Exact cases (Theorem 3.1, diagonal propagation, and the extended-count
 //! exact fraction) contribute zero width; the Theorem 3.2 bounds clip the
 //! interval.
+//!
+//! The interval does not re-run Algorithm 1: it is derived from the record
+//! the point estimate is computed from (which case fired, the exact
+//! non-zeros, the fallback's `(q, p)` and the bounds), so the two cannot
+//! disagree.
 
+use crate::estimate::matmul_record;
 use crate::sketch::MncSketch;
 use crate::MncConfig;
+use mnc_kernels::ScratchArena;
 
 /// A sparsity estimate with a confidence interval.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -92,100 +99,10 @@ pub fn inverse_normal_cdf(p: f64) -> f64 {
     }
 }
 
-/// Components of the product estimate needed to attach an interval:
-/// an exactly known non-zero count plus an `E_dm(x, y, p)`-estimated rest.
-struct Decomposition {
-    exact_nnz: f64,
-    /// `(q, p)` of the binomial fallback component, if any.
-    fallback: Option<(f64, f64)>,
-}
-
-fn decompose(ha: &MncSketch, hb: &MncSketch, cfg: &MncConfig) -> Decomposition {
-    use crate::estimate::vector_edm;
-    let cells = ha.nrows as f64 * hb.ncols as f64;
-    if cells == 0.0 || ha.meta.nnz == 0 || hb.meta.nnz == 0 {
-        return Decomposition {
-            exact_nnz: 0.0,
-            fallback: None,
-        };
-    }
-    if ha.meta.max_hr <= 1 || hb.meta.max_hc <= 1 {
-        let exact: f64 = ha
-            .hc
-            .iter()
-            .zip(&hb.hr)
-            .map(|(&a, &b)| a as f64 * b as f64)
-            .sum();
-        return Decomposition {
-            exact_nnz: exact,
-            fallback: None,
-        };
-    }
-    if cfg.use_extended && (ha.hec.is_some() || hb.her.is_some()) {
-        let zeros_a;
-        let hec_a: &[u32] = match &ha.hec {
-            Some(v) => v,
-            None => {
-                zeros_a = vec![0u32; ha.ncols];
-                &zeros_a
-            }
-        };
-        let zeros_b;
-        let her_b: &[u32] = match &hb.her {
-            Some(v) => v,
-            None => {
-                zeros_b = vec![0u32; hb.nrows];
-                &zeros_b
-            }
-        };
-        let rest_c: Vec<u32> = ha
-            .hc
-            .iter()
-            .zip(hec_a)
-            .map(|(&a, &e)| a.saturating_sub(e))
-            .collect();
-        let exact: f64 = hec_a
-            .iter()
-            .zip(&hb.hr)
-            .map(|(&a, &b)| a as f64 * b as f64)
-            .sum::<f64>()
-            + rest_c
-                .iter()
-                .zip(her_b)
-                .map(|(&a, &b)| a as f64 * b as f64)
-                .sum::<f64>();
-        let rest_r: Vec<u32> = hb
-            .hr
-            .iter()
-            .zip(her_b)
-            .map(|(&a, &e)| a.saturating_sub(e))
-            .collect();
-        let p = if cfg.use_bounds {
-            (ha.meta.nonempty_rows - ha.meta.rows_eq_1) as f64
-                * (hb.meta.nonempty_cols - hb.meta.cols_eq_1) as f64
-        } else {
-            cells
-        };
-        let q = vector_edm(&rest_c, &rest_r, p);
-        return Decomposition {
-            exact_nnz: exact,
-            fallback: Some((q, p)),
-        };
-    }
-    let p = if cfg.use_bounds {
-        ha.meta.nonempty_rows as f64 * hb.meta.nonempty_cols as f64
-    } else {
-        cells
-    };
-    let q = vector_edm(&ha.hc, &hb.hr, p);
-    Decomposition {
-        exact_nnz: 0.0,
-        fallback: Some((q, p)),
-    }
-}
-
 /// Product estimate with a confidence interval at the given level (e.g.
-/// `0.95`). The point estimate matches Algorithm 1.
+/// `0.95`). The point estimate is Algorithm 1's by construction: the
+/// interval is read from the same record
+/// [`crate::estimate::estimate_matmul_with`] takes its value from.
 pub fn estimate_matmul_ci(
     ha: &MncSketch,
     hb: &MncSketch,
@@ -196,42 +113,17 @@ pub fn estimate_matmul_ci(
         (0.0..1.0).contains(&confidence) && confidence > 0.0,
         "confidence must be in (0, 1)"
     );
-    let cells = ha.nrows as f64 * hb.ncols as f64;
-    let estimate = crate::estimate::estimate_matmul_with(ha, hb, cfg);
-    if cells == 0.0 {
-        return SparsityEstimateCi {
-            estimate,
-            lower: estimate,
-            upper: estimate,
-            exact: true,
-        };
-    }
-    let d = decompose(ha, hb, cfg);
-    let (mut lower_nnz, mut upper_nnz, exact) = match d.fallback {
-        None => (d.exact_nnz, d.exact_nnz, true),
-        Some((q, p)) => {
-            let z = inverse_normal_cdf(0.5 + confidence / 2.0);
-            let sigma = (p * q * (1.0 - q)).max(0.0).sqrt();
-            let mid = d.exact_nnz + q * p;
-            (mid - z * sigma, mid + z * sigma, false)
-        }
-    };
-    if cfg.use_bounds {
-        let lb = ha.meta.half_full_rows as f64 * hb.meta.half_full_cols as f64;
-        let ub = ha.meta.nonempty_rows as f64 * hb.meta.nonempty_cols as f64;
-        lower_nnz = lower_nnz.max(lb).min(ub);
-        upper_nnz = upper_nnz.max(lb).min(ub);
-    }
-    let clamp = |x: f64| (x / cells).clamp(0.0, 1.0);
-    let (mut lower, mut upper) = (clamp(lower_nnz), clamp(upper_nnz));
-    // The interval must contain the point estimate by construction.
-    lower = lower.min(estimate);
-    upper = upper.max(estimate);
+    let record = matmul_record(ha, hb, cfg, &mut ScratchArena::new());
+    let mid = record.nnz();
+    let half_width = record.fallback.map_or(0.0, |(q, p)| {
+        inverse_normal_cdf(0.5 + confidence / 2.0) * (p * q * (1.0 - q)).max(0.0).sqrt()
+    });
+    // `sparsity` is monotone, so the interval contains the estimate.
     SparsityEstimateCi {
-        estimate,
-        lower,
-        upper,
-        exact,
+        estimate: record.estimate(),
+        lower: record.sparsity(mid - half_width),
+        upper: record.sparsity(mid + half_width),
+        exact: record.fallback.is_none(),
     }
 }
 

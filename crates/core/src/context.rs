@@ -1,23 +1,19 @@
-//! Session-level estimation machinery: instrumentation counters, a
-//! byte-budgeted LRU synopsis cache, and parallel sketch construction.
+//! Session-level estimation machinery: instrumentation counters and a
+//! byte-budgeted LRU synopsis cache.
 //!
 //! These are the estimator-agnostic building blocks behind
 //! `mnc_expr::EstimationContext`. They live in the core crate so the cache
 //! and counters can be reused by any synopsis type (the cache is generic —
 //! the expression layer instantiates it over `Synopsis` values sized by
-//! `Synopsis::size_bytes()`), while the parallel builder reuses the
-//! phase-1/phase-2 split proven equivalent in [`crate::distributed`].
+//! `Synopsis::size_bytes()`). Parallel sketch construction lives with the
+//! sketch ([`crate::MncSketch::build_parallel`]).
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::hash::Hash;
 use std::time::Instant;
 
-use mnc_kernels::{row_chunks, WorkerPool};
-use mnc_matrix::CsrMatrix;
 use mnc_obs::LatencyHisto;
-
-use crate::sketch::MncSketch;
 
 // ---------------------------------------------------------------------------
 // Instrumentation
@@ -339,199 +335,9 @@ impl<K: Eq + Hash + Clone, V> LruSynopsisCache<K, V> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Parallel sketch construction
-// ---------------------------------------------------------------------------
-
-/// Phase-1 result for one row chunk: its `h^r` slice, a full-width `h^c`
-/// contribution, and the chunk's diagonal-consistency flag.
-struct Chunk1 {
-    hr: Vec<u32>,
-    hc: Vec<u32>,
-    diagonal_fragment: bool,
-}
-
-fn chunk_phase1(m: &CsrMatrix, lo: usize, hi: usize, ncols: usize) -> Chunk1 {
-    let mut hr = vec![0u32; hi - lo];
-    let mut hc = vec![0u32; ncols];
-    let mut diagonal_fragment = true;
-    for (k, rc) in hr.iter_mut().enumerate() {
-        let i = lo + k;
-        let (cols, _) = m.row(i);
-        *rc = cols.len() as u32;
-        diagonal_fragment &= cols.len() == 1 && cols[0] as usize == i;
-        for &c in cols {
-            hc[c as usize] += 1;
-        }
-    }
-    Chunk1 {
-        hr,
-        hc,
-        diagonal_fragment,
-    }
-}
-
-/// Phase-2 result for one row chunk: its `h^er` slice and a full-width
-/// `h^ec` contribution (needs the merged global `h^c`).
-struct Chunk2 {
-    her: Vec<u32>,
-    hec: Vec<u32>,
-}
-
-fn chunk_phase2(m: &CsrMatrix, lo: usize, hi: usize, global_hc: &[u32]) -> Chunk2 {
-    let mut her = vec![0u32; hi - lo];
-    let mut hec = vec![0u32; global_hc.len()];
-    for (k, er) in her.iter_mut().enumerate() {
-        let (cols, _) = m.row(lo + k);
-        let single_row = cols.len() == 1;
-        for &c in cols {
-            if global_hc[c as usize] == 1 {
-                *er += 1;
-            }
-            if single_row {
-                hec[c as usize] += 1;
-            }
-        }
-    }
-    Chunk2 { her, hec }
-}
-
-impl MncSketch {
-    /// [`MncSketch::build`] over `threads` scoped worker threads scanning
-    /// disjoint row chunks. Count merging is additive over integers, so the
-    /// result is **bit-identical** to the sequential build (asserted in
-    /// tests and by the serialization round-trip).
-    pub fn build_parallel(m: &CsrMatrix, threads: usize) -> Self {
-        Self::build_parallel_with(m, true, threads)
-    }
-
-    /// Parallel build with the extended vectors optional (MNC Basic).
-    ///
-    /// Mirrors the phase-1 / phase-2 split of
-    /// [`build_distributed`](crate::distributed::build_distributed), but over
-    /// row chunks of one matrix instead of pre-partitioned fragments.
-    pub fn build_parallel_with(m: &CsrMatrix, use_extended: bool, threads: usize) -> Self {
-        let (nrows, ncols) = m.shape();
-        let threads = threads.clamp(1, nrows.max(1));
-        if threads == 1 {
-            return Self::build_with(m, use_extended);
-        }
-        let chunks = row_chunks(nrows, threads);
-        let pool = WorkerPool::new(threads);
-
-        // Phase 1: per-chunk counts on pool workers, merged in chunk order.
-        let phase1: Vec<Chunk1> = pool.run(chunks.len(), |k| {
-            let (lo, hi) = chunks[k];
-            chunk_phase1(m, lo, hi, ncols)
-        });
-        let mut hr = Vec::with_capacity(nrows);
-        let mut hc = vec![0u32; ncols];
-        let mut diagonal = nrows == ncols && nrows > 0;
-        for c in &phase1 {
-            hr.extend_from_slice(&c.hr);
-            for (acc, &v) in hc.iter_mut().zip(&c.hc) {
-                *acc += v;
-            }
-            diagonal &= c.diagonal_fragment;
-        }
-
-        let max_hr = hr.iter().copied().max().unwrap_or(0);
-        let max_hc = hc.iter().copied().max().unwrap_or(0);
-
-        // Phase 2: extended vectors against the merged global h^c.
-        let (her, hec) = if use_extended && max_hr > 1 && max_hc > 1 {
-            let hc_ref = &hc;
-            let phase2: Vec<Chunk2> = pool.run(chunks.len(), |k| {
-                let (lo, hi) = chunks[k];
-                chunk_phase2(m, lo, hi, hc_ref)
-            });
-            let mut her = Vec::with_capacity(nrows);
-            let mut hec = vec![0u32; ncols];
-            for c in &phase2 {
-                her.extend_from_slice(&c.her);
-                for (acc, &v) in hec.iter_mut().zip(&c.hec) {
-                    *acc += v;
-                }
-            }
-            (Some(her), Some(hec))
-        } else {
-            (None, None)
-        };
-
-        MncSketch::from_vectors(nrows, ncols, hr, hc, her, hec, diagonal)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serialize::{from_bytes, to_bytes};
-    use mnc_matrix::gen;
-    use rand::SeedableRng;
-
-    fn rng(seed: u64) -> rand::rngs::StdRng {
-        rand::rngs::StdRng::seed_from_u64(seed)
-    }
-
-    #[test]
-    fn parallel_build_is_bit_identical_to_sequential() {
-        let mut r = rng(1);
-        for (rows, cols, s) in [
-            (64usize, 48usize, 0.1f64),
-            (33, 7, 0.4),
-            (7, 96, 0.05),
-            (1, 1, 1.0),
-        ] {
-            let m = gen::rand_uniform(&mut r, rows, cols, s);
-            let seq = MncSketch::build(&m);
-            for threads in [1, 2, 3, 4, 9, 64] {
-                let par = MncSketch::build_parallel(&m, threads);
-                assert_eq!(par, seq, "{rows}x{cols} s={s} threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_basic_build_matches_sequential_basic() {
-        let mut r = rng(2);
-        let m = gen::rand_uniform(&mut r, 40, 40, 0.2);
-        let par = MncSketch::build_parallel_with(&m, false, 4);
-        assert_eq!(par, MncSketch::build_with(&m, false));
-        assert!(par.her.is_none());
-    }
-
-    #[test]
-    fn parallel_build_diagonal_flag() {
-        let d = gen::scalar_diag(24, 2.0);
-        assert!(MncSketch::build_parallel(&d, 4).meta.fully_diagonal);
-        let mut r = rng(3);
-        let m = gen::rand_uniform(&mut r, 24, 24, 0.3);
-        assert_eq!(
-            MncSketch::build_parallel(&m, 4).meta.fully_diagonal,
-            MncSketch::build(&m).meta.fully_diagonal
-        );
-    }
-
-    #[test]
-    fn parallel_build_of_empty_and_degenerate_matrices() {
-        let z = CsrMatrix::zeros(0, 5);
-        let h = MncSketch::build_parallel(&z, 8);
-        assert_eq!(h, MncSketch::build(&z));
-        let z = CsrMatrix::zeros(5, 0);
-        assert_eq!(MncSketch::build_parallel(&z, 8), MncSketch::build(&z));
-    }
-
-    #[test]
-    fn parallel_built_sketch_round_trips_through_bytes() {
-        let mut r = rng(4);
-        let m = gen::rand_uniform(&mut r, 50, 30, 0.15);
-        let par = MncSketch::build_parallel(&m, 4);
-        let seq = MncSketch::build(&m);
-        // Bit-identical sketches serialize to identical bytes...
-        assert_eq!(to_bytes(&par), to_bytes(&seq));
-        // ...and the round-trip reproduces the parallel-built sketch.
-        assert_eq!(from_bytes(&to_bytes(&par)).unwrap(), par);
-    }
 
     #[test]
     fn lru_respects_byte_budget_and_evicts_least_recent() {

@@ -16,72 +16,19 @@
 //!    `h^ec` contribution (row counts are partition-local, so no broadcast
 //!    is needed for them); the driver merges again.
 //!
-//! Partitions are processed on scoped OS threads, standing in for cluster
+//! This is the same two-phase build over row blocks that
+//! [`MncSketch::build`] and [`MncSketch::build_parallel`] run, with each
+//! partition as one block; partitions are processed on a
+//! [`WorkerPool`] with one worker per partition, standing in for cluster
 //! executors.
 
+use mnc_kernels::WorkerPool;
 use mnc_matrix::partition::RowPartitionedMatrix;
-use mnc_matrix::CsrMatrix;
 
-use crate::sketch::MncSketch;
+use crate::sketch::{build_blocks, MncSketch, RowBlock};
 
-/// Per-partition result of phase 1.
-struct Phase1 {
-    /// Local slice of `h^r` (indexed by partition-local row).
-    hr: Vec<u32>,
-    /// Local contribution to `h^c` (full width, sparse in practice).
-    hc: Vec<u32>,
-    /// Whether this partition is consistent with a global diagonal matrix
-    /// (each local row `i` has exactly one non-zero at column `offset + i`).
-    diagonal_fragment: bool,
-}
-
-fn phase1(part: &CsrMatrix, offset: usize, ncols_global: usize) -> Phase1 {
-    let mut hr = vec![0u32; part.nrows()];
-    let mut hc = vec![0u32; ncols_global];
-    let mut diagonal_fragment = true;
-    for (i, rc) in hr.iter_mut().enumerate() {
-        let (cols, _) = part.row(i);
-        *rc = cols.len() as u32;
-        diagonal_fragment &= cols.len() == 1 && cols[0] as usize == offset + i;
-        for &c in cols {
-            hc[c as usize] += 1;
-        }
-    }
-    Phase1 {
-        hr,
-        hc,
-        diagonal_fragment,
-    }
-}
-
-/// Per-partition result of phase 2 (extended count vectors).
-struct Phase2 {
-    /// Local slice of `h^er`.
-    her: Vec<u32>,
-    /// Local contribution to `h^ec`.
-    hec: Vec<u32>,
-}
-
-fn phase2(part: &CsrMatrix, global_hc: &[u32]) -> Phase2 {
-    let mut her = vec![0u32; part.nrows()];
-    let mut hec = vec![0u32; global_hc.len()];
-    for (i, er) in her.iter_mut().enumerate() {
-        let (cols, _) = part.row(i);
-        let single_row = cols.len() == 1;
-        for &c in cols {
-            if global_hc[c as usize] == 1 {
-                *er += 1;
-            }
-            if single_row {
-                hec[c as usize] += 1;
-            }
-        }
-    }
-    Phase2 { her, hec }
-}
-
-/// Builds the MNC sketch of a row-partitioned matrix with one worker thread
-/// per partition. The result is **identical** to
+/// Builds the MNC sketch of a row-partitioned matrix with one worker per
+/// partition. The result is **identical** to
 /// [`MncSketch::build`](crate::MncSketch::build) on the assembled matrix.
 pub fn build_distributed(m: &RowPartitionedMatrix) -> MncSketch {
     build_distributed_with(m, true)
@@ -89,121 +36,14 @@ pub fn build_distributed(m: &RowPartitionedMatrix) -> MncSketch {
 
 /// Distributed build with the extended vectors optional (MNC Basic).
 pub fn build_distributed_with(m: &RowPartitionedMatrix, use_extended: bool) -> MncSketch {
-    let (nrows, ncols) = (m.nrows(), m.ncols());
-
-    // Phase 1: local counts on worker threads, merged in the driver.
-    let phase1_results: Vec<Phase1> = std::thread::scope(|scope| {
-        let handles: Vec<_> = m
-            .iter()
-            .map(|(offset, part)| scope.spawn(move || phase1(part, offset, ncols)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("phase 1 worker panicked"))
-            .collect()
-    });
-    let mut hr = Vec::with_capacity(nrows);
-    let mut hc = vec![0u32; ncols];
-    let mut diagonal = nrows == ncols && nrows > 0;
-    for p in &phase1_results {
-        hr.extend_from_slice(&p.hr);
-        for (acc, &c) in hc.iter_mut().zip(&p.hc) {
-            *acc += c;
-        }
-        diagonal &= p.diagonal_fragment;
-    }
-
-    let max_hr = hr.iter().copied().max().unwrap_or(0);
-    let max_hc = hc.iter().copied().max().unwrap_or(0);
-
-    // Phase 2: extended vectors, with the global h^c broadcast.
-    let (her, hec) = if use_extended && max_hr > 1 && max_hc > 1 {
-        let hc_ref = &hc;
-        let phase2_results: Vec<Phase2> = std::thread::scope(|scope| {
-            let handles: Vec<_> = m
-                .iter()
-                .map(|(_, part)| scope.spawn(move || phase2(part, hc_ref)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("phase 2 worker panicked"))
-                .collect()
-        });
-        let mut her = Vec::with_capacity(nrows);
-        let mut hec = vec![0u32; ncols];
-        for p in &phase2_results {
-            her.extend_from_slice(&p.her);
-            for (acc, &c) in hec.iter_mut().zip(&p.hec) {
-                *acc += c;
-            }
-        }
-        (Some(her), Some(hec))
-    } else {
-        (None, None)
-    };
-
-    MncSketch::from_vectors(nrows, ncols, hr, hc, her, hec, diagonal)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mnc_matrix::gen;
-    use rand::SeedableRng;
-
-    fn rng(seed: u64) -> rand::rngs::StdRng {
-        rand::rngs::StdRng::seed_from_u64(seed)
-    }
-
-    #[test]
-    fn distributed_build_matches_local_build() {
-        let mut r = rng(1);
-        for (rows, cols, s) in [(50usize, 40usize, 0.1f64), (33, 7, 0.4), (8, 64, 0.02)] {
-            let m = gen::rand_uniform(&mut r, rows, cols, s);
-            let local = MncSketch::build(&m);
-            for nparts in [1, 2, 3, 7] {
-                let pm = RowPartitionedMatrix::from_matrix(&m, nparts);
-                let dist = build_distributed(&pm);
-                assert_eq!(dist, local, "{rows}x{cols} s={s} nparts={nparts}");
-            }
-        }
-    }
-
-    #[test]
-    fn distributed_diagonal_flag() {
-        let d = gen::scalar_diag(24, 2.0);
-        let pm = RowPartitionedMatrix::from_matrix(&d, 4);
-        let sketch = build_distributed(&pm);
-        assert!(sketch.meta.fully_diagonal);
-
-        // A permutation is not diagonal even though each row has one nnz.
-        let mut r = rng(2);
-        let p = gen::permutation(&mut r, 24);
-        let pm = RowPartitionedMatrix::from_matrix(&p, 4);
-        // (The permutation could coincidentally be the identity; regenerate
-        // until it is not.)
-        if !p.is_fully_diagonal() {
-            assert!(!build_distributed(&pm).meta.fully_diagonal);
-        }
-    }
-
-    #[test]
-    fn distributed_basic_matches_local_basic() {
-        let mut r = rng(3);
-        let m = gen::rand_uniform(&mut r, 30, 30, 0.2);
-        let pm = RowPartitionedMatrix::from_matrix(&m, 3);
-        let dist = build_distributed_with(&pm, false);
-        let local = MncSketch::build_with(&m, false);
-        assert_eq!(dist, local);
-        assert!(dist.her.is_none());
-    }
-
-    #[test]
-    fn distributed_build_of_empty_matrix() {
-        let m = mnc_matrix::CsrMatrix::zeros(0, 5);
-        let pm = RowPartitionedMatrix::from_matrix(&m, 3);
-        let sketch = build_distributed(&pm);
-        assert_eq!(sketch.meta.nnz, 0);
-        assert_eq!(sketch.ncols, 5);
-    }
+    let blocks: Vec<RowBlock<'_>> = m
+        .iter()
+        .map(|(offset, part)| RowBlock {
+            m: part,
+            rows: 0..part.nrows(),
+            offset,
+        })
+        .collect();
+    let pool = WorkerPool::new(blocks.len());
+    build_blocks(&blocks, m.nrows(), m.ncols(), use_extended, &pool)
 }

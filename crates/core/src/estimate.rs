@@ -61,22 +61,104 @@ pub fn estimate_matmul_in(
     cfg: &MncConfig,
     arena: &mut ScratchArena,
 ) -> f64 {
+    matmul_record(ha, hb, cfg, arena).estimate()
+}
+
+/// The branch of Algorithm 1 that estimated a product.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum MatmulCase {
+    /// An operand or the output has no cells or no non-zeros.
+    Empty,
+    /// Theorem 3.1: the count-vector dot product is exact.
+    Exact,
+    /// Extended counts (Eq. 8–9): an exactly known fraction plus `E_dm`
+    /// over the remainder (Alg. 1, line 6).
+    Extended,
+    /// `E_dm` over the column/row counts (Alg. 1, lines 9–10).
+    Fallback,
+}
+
+/// What Algorithm 1 derived for one product. The point estimate and its
+/// confidence interval are both read from this one record.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct MatmulRecord {
+    /// The branch that fired.
+    pub(crate) case: MatmulCase,
+    /// Output cells, `m·l`.
+    pub(crate) cells: f64,
+    /// Non-zeros known exactly: the Theorem 3.1 dot product or the exact
+    /// fraction of Eq. 8.
+    pub(crate) exact_nnz: f64,
+    /// `(q, p)` of the `E_dm` component: it occupies a fraction `q` of `p`
+    /// candidate cells.
+    pub(crate) fallback: Option<(f64, f64)>,
+    /// Theorem 3.2 `(lower, upper)` non-zero bounds, when configured.
+    pub(crate) bounds: Option<(f64, f64)>,
+}
+
+impl MatmulRecord {
+    /// Estimated output non-zeros before the bounds apply. Neither term is
+    /// ever `-0.0`, so each case yields exactly the bits of its own term.
+    pub(crate) fn nnz(&self) -> f64 {
+        self.exact_nnz + self.fallback.map_or(0.0, |(q, p)| q * p)
+    }
+
+    /// Sparsity of `nnz` output non-zeros, clipped to the Theorem 3.2 bounds
+    /// and clamped to `[0, 1]`. Monotone in `nnz`.
+    pub(crate) fn sparsity(&self, nnz: f64) -> f64 {
+        if self.case == MatmulCase::Empty {
+            return 0.0;
+        }
+        let nnz = match self.bounds {
+            // Theorem 3.2: half-full rows x half-full columns always
+            // collide; non-empty rows x non-empty columns cap the output.
+            Some((lower, upper)) => nnz.max(lower).min(upper),
+            None => nnz,
+        };
+        (nnz / self.cells).clamp(0.0, 1.0)
+    }
+
+    /// The Algorithm 1 point estimate.
+    pub(crate) fn estimate(&self) -> f64 {
+        self.sparsity(self.nnz())
+    }
+}
+
+/// Runs Algorithm 1 on the sketches of `C = A B` and records what it
+/// derived. Panics if the sketch shapes are not compatible.
+pub(crate) fn matmul_record(
+    ha: &MncSketch,
+    hb: &MncSketch,
+    cfg: &MncConfig,
+    arena: &mut ScratchArena,
+) -> MatmulRecord {
     assert_eq!(
         ha.ncols, hb.nrows,
         "matmul sketch estimation: inner dimensions must agree"
     );
-    let (m, l) = (ha.nrows, hb.ncols);
-    let cells = m as f64 * l as f64;
+    let cells = ha.nrows as f64 * hb.ncols as f64;
+    let bounds = cfg.use_bounds.then_some((
+        ha.meta.half_full_rows as f64 * hb.meta.half_full_cols as f64,
+        ha.meta.nonempty_rows as f64 * hb.meta.nonempty_cols as f64,
+    ));
+    let record = |case, exact_nnz, fallback| MatmulRecord {
+        case,
+        cells,
+        exact_nnz,
+        fallback,
+        bounds,
+    };
     if cells == 0.0 || ha.meta.nnz == 0 || hb.meta.nnz == 0 {
-        return 0.0;
+        return record(MatmulCase::Empty, 0.0, None);
     }
 
-    let nnz_est = if ha.meta.max_hr <= 1 || hb.meta.max_hc <= 1 {
+    if ha.meta.max_hr <= 1 || hb.meta.max_hc <= 1 {
         // Theorem 3.1: the boolean product decomposes into a *disjoint*
         // union of outer products, so the dot product of the count vectors
         // is exact.
-        dot_u32(&ha.hc, &hb.hr)
-    } else if cfg.use_extended && (ha.hec.is_some() || hb.her.is_some()) {
+        return record(MatmulCase::Exact, dot_u32(&ha.hc, &hb.hr), None);
+    }
+    if cfg.use_extended && (ha.hec.is_some() || hb.her.is_some()) {
         // Extended counts (Eq. 8): split into an exactly-known fraction and
         // a generic remainder over a reduced output size (Alg. 1, line 6).
         // A missing extended vector acts as all-zeros: its exact term is 0
@@ -104,37 +186,22 @@ pub fn estimate_matmul_in(
             None => 0.0,
         };
         let rest_r: &[u32] = rest_r_buf.as_deref().unwrap_or(&hb.hr);
-        let exact = exact_c + exact_r;
         let p = if cfg.use_bounds {
             (ha.meta.nonempty_rows - ha.meta.rows_eq_1) as f64
                 * (hb.meta.nonempty_cols - hb.meta.cols_eq_1) as f64
         } else {
             cells
         };
-        let est = exact + vector_edm(rest_c, rest_r, p) * p;
+        let q = vector_edm(rest_c, rest_r, p);
         arena.put_u32_opt(rest_c_buf);
         arena.put_u32_opt(rest_r_buf);
-        est
-    } else {
-        // Generic fallback over column/row counts (Alg. 1, lines 9-10).
-        let p = if cfg.use_bounds {
-            ha.meta.nonempty_rows as f64 * hb.meta.nonempty_cols as f64
-        } else {
-            cells
-        };
-        vector_edm(&ha.hc, &hb.hr, p) * p
-    };
-
-    let mut nnz_est = nnz_est;
-    if cfg.use_bounds {
-        // Theorem 3.2: half-full rows x half-full columns always collide
-        // (lower bound); non-empty rows x non-empty columns cap the output
-        // (upper bound).
-        let lower = ha.meta.half_full_rows as f64 * hb.meta.half_full_cols as f64;
-        let upper = ha.meta.nonempty_rows as f64 * hb.meta.nonempty_cols as f64;
-        nnz_est = nnz_est.max(lower).min(upper);
+        return record(MatmulCase::Extended, exact_c + exact_r, Some((q, p)));
     }
-    (nnz_est / cells).clamp(0.0, 1.0)
+    // Generic fallback over column/row counts (Alg. 1, lines 9-10); with
+    // bounds on, `p` is the Theorem 3.2 upper bound.
+    let p = bounds.map_or(cells, |(_, upper)| upper);
+    let q = vector_edm(&ha.hc, &hb.hr, p);
+    record(MatmulCase::Fallback, 0.0, Some((q, p)))
 }
 
 /// `s(Aᵀ) = s(A)` — transpose preserves sparsity exactly.

@@ -8,8 +8,9 @@
 //!
 //! The crate is split along the paper's structure:
 //!
-//! * [`sketch`] — the [`MncSketch`] data structure and its single-pass
-//!   construction (Section 3.1);
+//! * [`sketch`] — the [`MncSketch`] data structure and its two-scan
+//!   construction over row blocks (Section 3.1), shared by the sequential,
+//!   parallel and [`distributed`] builds;
 //! * [`estimate`] — sparsity estimation for matrix products
 //!   (Algorithm 1; Theorems 3.1 and 3.2) and for reorganization /
 //!   element-wise operations (Section 4.1);

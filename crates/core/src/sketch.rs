@@ -1,6 +1,13 @@
 //! The MNC sketch data structure and its construction (Section 3.1).
+//!
+//! One two-scan construction over row blocks serves the sequential
+//! ([`MncSketch::build`]), parallel ([`MncSketch::build_parallel`]) and
+//! distributed ([`crate::distributed::build_distributed`]) builds, so all
+//! three produce the same sketch by construction.
 
-use mnc_kernels::VecMeta;
+use std::ops::Range;
+
+use mnc_kernels::{row_chunks, VecMeta, WorkerPool};
 use mnc_matrix::CsrMatrix;
 
 /// Summary statistics kept alongside the count vectors (Section 3.1,
@@ -81,48 +88,43 @@ impl MncSketch {
     /// if needed — a second scan over the non-zeros for `h^er`/`h^ec`.
     pub fn build_with(m: &CsrMatrix, use_extended: bool) -> Self {
         let (nrows, ncols) = m.shape();
-        let mut hr = vec![0u32; nrows];
-        let mut hc = vec![0u32; ncols];
-        for (i, rc) in hr.iter_mut().enumerate() {
-            let (cols, _) = m.row(i);
-            *rc = cols.len() as u32;
-            for &c in cols {
-                hc[c as usize] += 1;
-            }
-        }
-        let fully_diagonal = m.is_fully_diagonal();
-        let meta = compute_meta(&hr, &hc, nrows, ncols, fully_diagonal);
-
-        // Extended vectors only pay off when neither Theorem 3.1 case holds.
-        let (her, hec) = if use_extended && meta.max_hr > 1 && meta.max_hc > 1 {
-            let mut her = vec![0u32; nrows];
-            let mut hec = vec![0u32; ncols];
-            for (i, er) in her.iter_mut().enumerate() {
-                let (cols, _) = m.row(i);
-                let single_row = cols.len() == 1;
-                for &c in cols {
-                    if hc[c as usize] == 1 {
-                        *er += 1;
-                    }
-                    if single_row {
-                        hec[c as usize] += 1;
-                    }
-                }
-            }
-            (Some(her), Some(hec))
-        } else {
-            (None, None)
+        let whole = RowBlock {
+            m,
+            rows: 0..nrows,
+            offset: 0,
         };
+        build_blocks(&[whole], nrows, ncols, use_extended, &WorkerPool::default())
+    }
 
-        MncSketch {
+    /// [`MncSketch::build`] over `threads` pool workers scanning disjoint
+    /// row chunks. Count merging is additive over integers, so the result is
+    /// **bit-identical** to the sequential build.
+    pub fn build_parallel(m: &CsrMatrix, threads: usize) -> Self {
+        Self::build_parallel_with(m, true, threads)
+    }
+
+    /// Parallel build with the extended vectors optional (MNC Basic).
+    pub fn build_parallel_with(m: &CsrMatrix, use_extended: bool, threads: usize) -> Self {
+        let (nrows, ncols) = m.shape();
+        let threads = threads.clamp(1, nrows.max(1));
+        if threads == 1 {
+            return Self::build_with(m, use_extended);
+        }
+        let blocks: Vec<RowBlock<'_>> = row_chunks(nrows, threads)
+            .into_iter()
+            .map(|(lo, hi)| RowBlock {
+                m,
+                rows: lo..hi,
+                offset: 0,
+            })
+            .collect();
+        build_blocks(
+            &blocks,
             nrows,
             ncols,
-            hr,
-            hc,
-            her,
-            hec,
-            meta,
-        }
+            use_extended,
+            &WorkerPool::new(threads),
+        )
     }
 
     /// Assembles a sketch from (propagated) count vectors, recomputing the
@@ -277,6 +279,151 @@ impl MncSketch {
             + self.hc.capacity() * 4
             + vec_bytes(&self.her)
             + vec_bytes(&self.hec)) as u64
+    }
+}
+
+/// A contiguous block of CSR rows: rows `rows` of `m`, where row `i` of `m`
+/// is row `offset + i` of the sketched matrix. A whole matrix, a row chunk
+/// of one matrix (both at offset 0) and a partition of a row-partitioned
+/// matrix (all its rows, at the partition's offset) are all blocks.
+pub(crate) struct RowBlock<'a> {
+    pub(crate) m: &'a CsrMatrix,
+    pub(crate) rows: Range<usize>,
+    pub(crate) offset: usize,
+}
+
+/// One block's share of a pair of count vectors: its slice of the
+/// row-indexed vector and a full-width contribution to the column-indexed
+/// one.
+struct Partial {
+    rows: Vec<u32>,
+    cols: Vec<u32>,
+    /// Phase 1: the block is consistent with a fully diagonal matrix.
+    /// Phase 2 leaves it `true`, the identity of the merge.
+    diagonal: bool,
+}
+
+impl RowBlock<'_> {
+    /// The column indices of each row of the block, in row order. The row
+    /// pointer and column slices are taken once, before the scans: read
+    /// through `m` per row, the compiler reloads them after every count
+    /// store, which slows the build of sparse matrices.
+    fn row_cols(&self) -> impl Iterator<Item = &[u32]> {
+        let ptr = &self.m.row_ptr()[self.rows.start..=self.rows.end];
+        let col_idx = self.m.col_indices();
+        ptr.windows(2).map(move |w| &col_idx[w[0]..w[1]])
+    }
+
+    /// Phase 1: the block's `h^r` slice, its `h^c` contribution and its
+    /// diagonal fragment.
+    fn counts(&self, ncols: usize, square: bool) -> Partial {
+        let mut hr = vec![0u32; self.rows.len()];
+        let mut hc = vec![0u32; ncols];
+        for (rc, cols) in hr.iter_mut().zip(self.row_cols()) {
+            *rc = cols.len() as u32;
+            for &c in cols {
+                hc[c as usize] += 1;
+            }
+        }
+        // Like `CsrMatrix::is_fully_diagonal`, reject on the non-zero count
+        // before looking at any row.
+        let ptr = self.m.row_ptr();
+        let diagonal = square
+            && ptr[self.rows.end] - ptr[self.rows.start] == self.rows.len()
+            && (self.offset + self.rows.start..)
+                .zip(self.row_cols())
+                .all(|(i, cols)| cols.len() == 1 && cols[0] as usize == i);
+        Partial {
+            rows: hr,
+            cols: hc,
+            diagonal,
+        }
+    }
+
+    /// Phase 2: the block's `h^er` slice and its `h^ec` contribution, against
+    /// the merged global `h^c`.
+    fn extended(&self, hc: &[u32]) -> Partial {
+        let mut her = vec![0u32; self.rows.len()];
+        let mut hec = vec![0u32; hc.len()];
+        for (er, cols) in her.iter_mut().zip(self.row_cols()) {
+            let single_row = cols.len() == 1;
+            for &c in cols {
+                if hc[c as usize] == 1 {
+                    *er += 1;
+                }
+                if single_row {
+                    hec[c as usize] += 1;
+                }
+            }
+        }
+        Partial {
+            rows: her,
+            cols: hec,
+            diagonal: true,
+        }
+    }
+}
+
+/// Runs one phase over every block — on `pool` workers when there are
+/// several — and merges the partials in block order: row slices
+/// concatenate, column contributions add, diagonal fragments AND. A single
+/// block runs inline and its vectors are moved, not merged.
+fn run_phase(
+    blocks: &[RowBlock<'_>],
+    pool: &WorkerPool,
+    nrows: usize,
+    ncols: usize,
+    phase: impl Fn(&RowBlock<'_>) -> Partial + Sync,
+) -> Partial {
+    if let [block] = blocks {
+        return phase(block);
+    }
+    let mut acc = Partial {
+        rows: Vec::with_capacity(nrows),
+        cols: vec![0; ncols],
+        diagonal: nrows == ncols,
+    };
+    for p in pool.run(blocks.len(), |k| phase(&blocks[k])) {
+        acc.rows.extend_from_slice(&p.rows);
+        for (a, &v) in acc.cols.iter_mut().zip(&p.cols) {
+            *a += v;
+        }
+        acc.diagonal &= p.diagonal;
+    }
+    acc
+}
+
+/// The two-scan construction of Section 3.1 over the row blocks of an
+/// `nrows x ncols` matrix, shared by the sequential, parallel and
+/// distributed builds: phase 1 counts `h^r`/`h^c`; phase 2 — only when
+/// neither Theorem 3.1 case holds, where the extended vectors pay off —
+/// counts `h^er`/`h^ec` against the merged `h^c`.
+pub(crate) fn build_blocks(
+    blocks: &[RowBlock<'_>],
+    nrows: usize,
+    ncols: usize,
+    use_extended: bool,
+    pool: &WorkerPool,
+) -> MncSketch {
+    let counts = run_phase(blocks, pool, nrows, ncols, |b| {
+        b.counts(ncols, nrows == ncols)
+    });
+    let (hr, hc) = (counts.rows, counts.cols);
+    let meta = compute_meta(&hr, &hc, nrows, ncols, counts.diagonal);
+    let (her, hec) = if use_extended && meta.max_hr > 1 && meta.max_hc > 1 {
+        let ext = run_phase(blocks, pool, nrows, ncols, |b| b.extended(&hc));
+        (Some(ext.rows), Some(ext.cols))
+    } else {
+        (None, None)
+    };
+    MncSketch {
+        nrows,
+        ncols,
+        hr,
+        hc,
+        her,
+        hec,
+        meta,
     }
 }
 
@@ -443,6 +590,60 @@ mod tests {
             }
             for (e, b) in hec.iter().zip(&h.hc) {
                 assert!(e <= b);
+            }
+        }
+    }
+
+    /// Every entry point at every worker/partition count builds exactly the
+    /// sequential sketch — same value, same bytes — over random, diagonal,
+    /// permutation and empty-shape inputs, full MNC and MNC Basic. The
+    /// diagonal flag is pinned per input: a `0 x 0` matrix is vacuously
+    /// diagonal, `0 x n` and `n x 0` are not.
+    #[test]
+    fn all_entry_points_build_the_sequential_sketch() {
+        use crate::distributed::build_distributed_with;
+        use crate::serialize::{from_bytes, to_bytes};
+        use mnc_matrix::partition::RowPartitionedMatrix;
+
+        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+        let mut inputs = Vec::new();
+        for (rows, cols, s, diagonal) in [
+            (64usize, 48usize, 0.1f64, false),
+            (50, 40, 0.1, false),
+            (33, 7, 0.4, false),
+            (7, 96, 0.05, false),
+            (8, 64, 0.02, false),
+            (40, 40, 0.2, false),
+            (1, 1, 1.0, true),
+        ] {
+            inputs.push((gen::rand_uniform(&mut rng, rows, cols, s), diagonal));
+        }
+        let permutation = gen::permutation(&mut rng, 24);
+        inputs.push((permutation, false));
+        inputs.push((gen::scalar_diag(24, 2.0), true));
+        for (rows, cols, diagonal) in [(0, 0, true), (0, 5, false), (5, 0, false)] {
+            inputs.push((CsrMatrix::zeros(rows, cols), diagonal));
+        }
+
+        for (m, diagonal) in &inputs {
+            let shape = m.shape();
+            for use_extended in [true, false] {
+                let seq = MncSketch::build_with(m, use_extended);
+                assert_eq!(seq.meta.fully_diagonal, *diagonal, "{shape:?}");
+                if !use_extended {
+                    assert!(seq.her.is_none() && seq.hec.is_none());
+                }
+                for n in [1, 2, 3, 4, 7, 9, 64] {
+                    let parallel = MncSketch::build_parallel_with(m, use_extended, n);
+                    let parts = RowPartitionedMatrix::from_matrix(m, n);
+                    let distributed = build_distributed_with(&parts, use_extended);
+                    for (entry, h) in [("parallel", parallel), ("distributed", distributed)] {
+                        let ctx = format!("{entry} {shape:?} ext={use_extended} n={n}");
+                        assert_eq!(h, seq, "{ctx}");
+                        assert_eq!(to_bytes(&h), to_bytes(&seq), "{ctx}");
+                        assert_eq!(from_bytes(&to_bytes(&h)).unwrap(), h, "{ctx}");
+                    }
+                }
             }
         }
     }

@@ -6,8 +6,11 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use mnc::core::{MncConfig, MncSketch, SplitMix64};
+use mnc::core::estimate::estimate_matmul_with;
+use mnc::core::propagate::{propagate_matmul, propagate_transpose};
+use mnc::core::{build_distributed_with, estimate_matmul_ci, MncConfig, MncSketch, SplitMix64};
 use mnc::estimators::{BitsetEstimator, OpKind, SparsityEstimator};
+use mnc::matrix::partition::RowPartitionedMatrix;
 use mnc::matrix::{gen, ops, CsrMatrix};
 use rand::SeedableRng;
 
@@ -195,15 +198,66 @@ proptest! {
         prop_assert!((total as f64 - target).abs() < 6.0 * sigma + 1.0);
     }
 
-    /// Parallel sketch construction is bit-identical to the sequential
-    /// build for any matrix and worker count.
+    /// Parallel and distributed sketch construction are bit-identical to
+    /// the sequential build for any matrix, worker or partition count, full
+    /// MNC and MNC Basic.
     #[test]
     fn parallel_sketch_build_is_bit_identical(
         (m, n, s, seed) in matrix_params(),
         threads in 1usize..9,
+        use_extended in any::<bool>(),
     ) {
         let a = make(m, n, s, seed);
-        prop_assert_eq!(MncSketch::build_parallel(&a, threads), MncSketch::build(&a));
+        let seq = MncSketch::build_with(&a, use_extended);
+        prop_assert_eq!(&MncSketch::build_parallel_with(&a, use_extended, threads), &seq);
+        let parts = RowPartitionedMatrix::from_matrix(&a, threads);
+        prop_assert_eq!(&build_distributed_with(&parts, use_extended), &seq);
+    }
+
+    /// The confidence interval and the point estimate come from one
+    /// Algorithm 1 record, on built and on propagated sketches under every
+    /// configuration: the interval's estimate has Algorithm 1's bits, it is
+    /// exact exactly in the empty and Theorem 3.1 cases, and it lies inside
+    /// the interval.
+    #[test]
+    fn confidence_interval_is_algorithm_1(
+        (m, n, s, seed) in matrix_params(),
+        cols in 2usize..30,
+        s2 in 0.0f64..0.5,
+        single_nnz_rows in any::<bool>(),
+        confidence in 0.5f64..0.999,
+    ) {
+        let a = if single_nnz_rows {
+            // At most one non-zero per row: Theorem 3.1 applies.
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let counts: Vec<u32> = (0..m).map(|i| u32::from((seed >> (i % 60)) & 1 == 1)).collect();
+            gen::rand_with_row_counts(&mut rng, n, &counts)
+        } else {
+            make(m, n, s, seed)
+        };
+        let b = make(n, cols, s2, seed ^ 11);
+        let d = make(cols, n, s, seed ^ 12);
+        let (ha, hb, hd) = (MncSketch::build(&a), MncSketch::build(&b), MncSketch::build(&d));
+        let bounds_only = MncConfig { use_extended: false, ..MncConfig::default() };
+        let extended_only = MncConfig { use_bounds: false, ..MncConfig::default() };
+        for cfg in [MncConfig::default(), MncConfig::basic(), bounds_only, extended_only] {
+            let hab = propagate_matmul(&ha, &hb, &cfg, &mut SplitMix64::new(seed));
+            let hdb = propagate_matmul(&hd, &hb, &cfg, &mut SplitMix64::new(seed));
+            let hab_t = propagate_transpose(&hab);
+            for (x, y) in [(&ha, &hb), (&hb, &hd), (&hab, &hd), (&hdb, &hab_t)] {
+                let ci = estimate_matmul_ci(x, y, &cfg, confidence);
+                let point = estimate_matmul_with(x, y, &cfg);
+                prop_assert_eq!(ci.estimate.to_bits(), point.to_bits(), "cfg {:?}", cfg);
+                let empty = x.nrows * y.ncols == 0 || x.meta.nnz == 0 || y.meta.nnz == 0;
+                let theorem_3_1 = x.meta.max_hr <= 1 || y.meta.max_hc <= 1;
+                prop_assert_eq!(ci.exact, empty || theorem_3_1, "cfg {:?}", cfg);
+                prop_assert!(
+                    0.0 <= ci.lower && ci.lower <= ci.estimate
+                        && ci.estimate <= ci.upper && ci.upper <= 1.0,
+                    "cfg {:?}: {:?}", cfg, ci
+                );
+            }
+        }
     }
 
     /// Estimating through a cached `EstimationContext` returns exactly the
