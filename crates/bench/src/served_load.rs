@@ -128,7 +128,8 @@ fn read_line(stream: &mut BufReader<TcpStream>, line: &mut String) -> io::Result
     }
 }
 
-fn csr_json(m: &CsrMatrix) -> String {
+/// Raw-CSR ingest body (`PUT /v1/matrices/{name}`) for `m`.
+pub fn csr_json(m: &CsrMatrix) -> String {
     let ptr = m
         .row_ptr()
         .iter()

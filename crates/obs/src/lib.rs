@@ -62,7 +62,7 @@ pub use export::{ObsFormat, Report};
 pub use metrics::{Counter, Gauge, Histogram, LatencyHisto, MetricSnapshot, MetricsRegistry};
 pub use prometheus::render_prometheus;
 pub use request::{parse_traceparent, RequestContext, RequestSpan, TraceId};
-pub use ring::RecordRing;
+pub use ring::{RecordRing, Ring};
 pub use span::{SpanGuard, SpanRecord};
 
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};

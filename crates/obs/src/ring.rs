@@ -20,6 +20,11 @@
 //! spinning — for a flight recorder, losing one record under astronomical
 //! contention beats ever stalling the estimation hot path.
 //!
+//! [`Ring`] is the single-writer counterpart for state already behind a
+//! lock or owned by one thread (timeline frames, SLO event windows, the
+//! drift window, captured requests): a plain overwrite ring whose
+//! [`push`](Ring::push) hands back the evicted value.
+//!
 //! [`LockFreeList`]: crate::LockFreeList
 
 use std::cell::UnsafeCell;
@@ -166,6 +171,64 @@ impl<T> std::fmt::Debug for RecordRing<T> {
     }
 }
 
+/// A fixed-capacity, single-writer overwrite ring. Slot memory is
+/// reserved up front; once full, each push moves the new value into the
+/// oldest slot and returns the value it replaced. Nothing allocates after
+/// [`Ring::new`].
+#[derive(Debug)]
+pub struct Ring<T> {
+    /// Grows to `cap`, then is overwritten in place.
+    buf: Vec<T>,
+    cap: usize,
+    /// Slot of the oldest value once the ring is full (0 until then).
+    head: usize,
+}
+
+impl<T> Ring<T> {
+    /// A ring retaining the most recent `capacity` values (minimum 1).
+    pub fn new(capacity: usize) -> Self {
+        let cap = capacity.max(1);
+        Ring {
+            buf: Vec::with_capacity(cap),
+            cap,
+            head: 0,
+        }
+    }
+
+    /// The fixed slot count.
+    pub fn capacity(&self) -> usize {
+        self.cap
+    }
+
+    /// Values currently retained.
+    pub fn len(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Whether nothing was ever pushed.
+    pub fn is_empty(&self) -> bool {
+        self.buf.is_empty()
+    }
+
+    /// Appends `value`; once the ring is full, evicts and returns the
+    /// oldest value.
+    pub fn push(&mut self, value: T) -> Option<T> {
+        if self.buf.len() < self.cap {
+            self.buf.push(value);
+            return None;
+        }
+        let evicted = std::mem::replace(&mut self.buf[self.head], value);
+        self.head = (self.head + 1) % self.cap;
+        Some(evicted)
+    }
+
+    /// The retained values oldest first; `.rev()` walks newest first.
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = &T> {
+        let (newer, older) = self.buf.split_at(self.head);
+        older.iter().chain(newer)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,5 +320,56 @@ mod tests {
                 assert!(snap.windows(2).all(|w| w[0] < w[1]), "unordered: {snap:?}");
             }
         });
+    }
+
+    #[test]
+    fn ring_zero_capacity_behaves_as_one() {
+        let mut ring = Ring::new(0);
+        assert_eq!(ring.capacity(), 1);
+        assert!(ring.is_empty());
+        assert_eq!(ring.push(1u32), None);
+        assert_eq!(ring.push(2), Some(1));
+        assert_eq!(ring.iter().copied().collect::<Vec<_>>(), vec![2]);
+        assert_eq!(ring.len(), 1);
+    }
+
+    #[test]
+    fn ring_evicts_the_oldest_only_once_full() {
+        let mut ring = Ring::new(3);
+        for v in 0..3u32 {
+            assert_eq!(ring.push(v), None, "evicted before full");
+        }
+        assert_eq!(ring.len(), 3);
+        for v in 3..10u32 {
+            assert_eq!(ring.push(v), Some(v - 3));
+        }
+        assert_eq!(ring.len(), 3);
+    }
+
+    #[test]
+    fn ring_iterates_oldest_first_and_reverses_newest_first_across_wraps() {
+        let mut ring = Ring::new(4);
+        for n in 1..=13u32 {
+            ring.push(n);
+            let lo = n.saturating_sub(4) + 1;
+            let forward: Vec<u32> = ring.iter().copied().collect();
+            assert_eq!(forward, (lo..=n).collect::<Vec<_>>(), "after {n} pushes");
+            let backward: Vec<u32> = ring.iter().rev().copied().collect();
+            assert_eq!(
+                backward,
+                (lo..=n).rev().collect::<Vec<_>>(),
+                "after {n} pushes"
+            );
+        }
+    }
+
+    #[test]
+    fn ring_holds_non_copy_values() {
+        let mut ring = Ring::new(2);
+        assert_eq!(ring.push(String::from("a")), None);
+        assert_eq!(ring.push(String::from("b")), None);
+        assert_eq!(ring.push(String::from("c")).as_deref(), Some("a"));
+        let held: Vec<&str> = ring.iter().map(String::as_str).collect();
+        assert_eq!(held, ["b", "c"]);
     }
 }

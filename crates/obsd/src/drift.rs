@@ -37,6 +37,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use mnc_obs::ring::Ring;
 use mnc_obs::AccuracyRecord;
 
 /// Thresholds and smoothing parameters for the drift monitor.
@@ -96,8 +97,7 @@ struct Series {
     infinite: u64,
     ewma_ln: f64,
     /// Ring of the most recent errors (quantile window).
-    window: Vec<f64>,
-    next: usize,
+    window: Ring<f64>,
     degraded: bool,
 }
 
@@ -106,7 +106,7 @@ impl Series {
         if self.window.is_empty() {
             return 1.0;
         }
-        let mut sorted = self.window.clone();
+        let mut sorted: Vec<f64> = self.window.iter().copied().collect();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("clamped errors are finite"));
         let rank = ((0.95 * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
         sorted[rank - 1]
@@ -182,8 +182,7 @@ impl DriftMonitor {
                 n: 0,
                 infinite: 0,
                 ewma_ln: 0.0,
-                window: Vec::with_capacity(self.cfg.window.max(1)),
-                next: 0,
+                window: Ring::new(self.cfg.window),
                 degraded: false,
             });
         let ln = err.ln();
@@ -196,13 +195,7 @@ impl DriftMonitor {
         if infinite {
             s.infinite += 1;
         }
-        let cap = self.cfg.window.max(1);
-        if s.window.len() < cap {
-            s.window.push(err);
-        } else {
-            s.window[s.next] = err;
-            s.next = (s.next + 1) % cap;
-        }
+        s.window.push(err);
         if s.n >= self.cfg.min_samples {
             let geo = s.ewma_ln.exp();
             let p95 = s.p95();

@@ -32,6 +32,8 @@
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use mnc_obs::ring::Ring;
+
 /// Objective slots the engine evaluates. Fixed so state can be plain
 /// arrays; disabled objectives simply never accumulate burn.
 pub const OBJECTIVES: [&str; 3] = ["availability", "latency", "drift"];
@@ -148,56 +150,22 @@ pub struct SloTransition {
     pub fired: bool,
 }
 
-/// Per-objective event ring: `(bad, total)` per second, window sums by
-/// walking the most recent N slots (N ≤ `MAX_WINDOW_S`, trivially cheap
+/// `(bad, total)` summed over the most recent `window` seconds of a
+/// per-objective event ring (at most `MAX_WINDOW_S` slots, trivially cheap
 /// once a second).
-struct EventRing {
-    bad: Box<[u32]>,
-    total: Box<[u32]>,
-    head: usize,
-    len: usize,
-}
-
-impl EventRing {
-    fn new(capacity: usize) -> Self {
-        EventRing {
-            bad: vec![0; capacity].into_boxed_slice(),
-            total: vec![0; capacity].into_boxed_slice(),
-            head: 0,
-            len: 0,
-        }
-    }
-
-    fn push(&mut self, bad: u64, total: u64) {
-        let cap = self.total.len();
-        let at = (self.head + self.len) % cap;
-        self.bad[at] = u32::try_from(bad).unwrap_or(u32::MAX);
-        self.total[at] = u32::try_from(total).unwrap_or(u32::MAX);
-        if self.len < cap {
-            self.len += 1;
-        } else {
-            self.head = (self.head + 1) % cap;
-        }
-    }
-
-    /// `(bad, total)` summed over the most recent `window` slots.
-    fn window_sum(&self, window: usize) -> (u64, u64) {
-        let n = window.min(self.len);
-        let cap = self.total.len();
-        let mut bad = 0u64;
-        let mut total = 0u64;
-        for k in 0..n {
-            let at = (self.head + self.len - 1 - k) % cap;
-            bad += u64::from(self.bad[at]);
-            total += u64::from(self.total[at]);
-        }
-        (bad, total)
-    }
+fn window_sum(ring: &Ring<(u32, u32)>, window: usize) -> (u64, u64) {
+    ring.iter()
+        .rev()
+        .take(window)
+        .fold((0, 0), |(bad, total), &(b, t)| {
+            (bad + u64::from(b), total + u64::from(t))
+        })
 }
 
 /// The single-writer state: event rings plus the alert state machine.
 struct SloCore {
-    rings: [EventRing; N_OBJ],
+    /// Per-objective `(bad, total)` event counts, one slot per second.
+    rings: [Ring<(u32, u32)>; N_OBJ],
     firing: [bool; N_OBJ],
 }
 
@@ -244,7 +212,7 @@ impl SloEngine {
         SloEngine {
             config,
             core: Mutex::new(SloCore {
-                rings: std::array::from_fn(|_| EventRing::new(cap)),
+                rings: std::array::from_fn(|_| Ring::new(cap)),
                 firing: [false; N_OBJ],
             }),
             alerts_total: AtomicU64::new(0),
@@ -270,9 +238,10 @@ impl SloEngine {
             (u64::from(sample.drift_degraded), 1),
         ];
         let mut out = [None; N_OBJ];
+        let clamp = |v: u64| u32::try_from(v).unwrap_or(u32::MAX);
         let mut core = self.core.lock().expect("slo core poisoned");
         for (obj, (bad, total)) in events.into_iter().enumerate() {
-            core.rings[obj].push(bad, total);
+            core.rings[obj].push((clamp(bad), clamp(total)));
             if !self.config.enabled(obj) {
                 continue;
             }
@@ -292,7 +261,7 @@ impl SloEngine {
                 budget,
             );
             let (slow_bad, slow_total) =
-                core.rings[obj].window_sum(self.config.slow_window_s as usize);
+                window_sum(&core.rings[obj], self.config.slow_window_s as usize);
             let spent = if slow_total == 0 {
                 0.0
             } else {
@@ -381,9 +350,15 @@ impl SloEngine {
 /// Burn rate over the most recent `window` seconds: error fraction over
 /// budget, zeroed while the fast window holds fewer than `min_events`
 /// events (a lone failing request during a quiet minute must not trip).
-fn burn(ring: &EventRing, window: usize, fast_window: usize, min_events: u64, budget: f64) -> f64 {
-    let (bad, total) = ring.window_sum(window);
-    let (_, fast_total) = ring.window_sum(fast_window);
+fn burn(
+    ring: &Ring<(u32, u32)>,
+    window: usize,
+    fast_window: usize,
+    min_events: u64,
+    budget: f64,
+) -> f64 {
+    let (bad, total) = window_sum(ring, window);
+    let (_, fast_total) = window_sum(ring, fast_window);
     if total == 0 || fast_total < min_events {
         return 0.0;
     }

@@ -45,8 +45,10 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use mnc_obs::metrics::{bucket_of, NBUCKETS};
+use mnc_obs::export::json_escape;
+use mnc_obs::metrics::{bucket_of, bucket_quantile, NBUCKETS};
 use mnc_obs::prometheus::split_labeled_name;
+use mnc_obs::ring::Ring;
 use mnc_obs::{LatencyHisto, MetricSnapshot};
 
 use crate::slo::{SloConfig, SloEngine, SloSample, SloTransition, N_OBJECTIVES};
@@ -141,58 +143,15 @@ impl HistoFrame {
     }
 
     /// The `q`-quantile over this frame's bucket deltas (upper bucket
-    /// bound, clamped to `max`); 0 when empty. Mirrors
-    /// [`LatencyHisto::quantile`].
+    /// bound, clamped to `max`); 0 when empty — the same
+    /// [`bucket_quantile`] walk as [`LatencyHisto::quantile`].
     pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut cum = 0u64;
-        for (k, &c) in self.buckets.iter().enumerate() {
-            cum += u64::from(c);
-            if cum >= rank {
-                return mnc_obs::metrics::bucket_upper_bound(k).min(self.max);
-            }
-        }
-        self.max
-    }
-}
-
-/// Fixed-capacity overwrite ring; `push` returns the evicted frame.
-struct Ring<T> {
-    buf: Box<[T]>,
-    head: usize,
-    len: usize,
-}
-
-impl<T: Copy + Default> Ring<T> {
-    fn new(capacity: usize) -> Self {
-        Ring {
-            buf: vec![T::default(); capacity.max(1)].into_boxed_slice(),
-            head: 0,
-            len: 0,
-        }
-    }
-
-    fn push(&mut self, v: T) -> Option<T> {
-        let cap = self.buf.len();
-        if self.len < cap {
-            self.buf[(self.head + self.len) % cap] = v;
-            self.len += 1;
-            None
-        } else {
-            let evicted = self.buf[self.head];
-            self.buf[self.head] = v;
-            self.head = (self.head + 1) % cap;
-            Some(evicted)
-        }
-    }
-
-    /// Frames oldest-first.
-    fn iter(&self) -> impl Iterator<Item = &T> {
-        let cap = self.buf.len();
-        (0..self.len).map(move |k| &self.buf[(self.head + k) % cap])
+        bucket_quantile(
+            self.buckets.iter().map(|&c| u64::from(c)),
+            self.count,
+            self.max,
+            q,
+        )
     }
 }
 
@@ -552,8 +511,8 @@ impl Timeline {
             Ok(inner) => {
                 let mut frames = [0usize; 3];
                 for (r, slot) in frames.iter_mut().enumerate() {
-                    let s = inner.scalars.iter().map(|s| s.rings[r].len).max();
-                    let h = inner.histos.iter().map(|s| s.rings[r].len).max();
+                    let s = inner.scalars.iter().map(|s| s.rings[r].len()).max();
+                    let h = inner.histos.iter().map(|s| s.rings[r].len()).max();
                     *slot = s.unwrap_or(0).max(h.unwrap_or(0));
                 }
                 frames
@@ -791,10 +750,6 @@ fn classify_counter(name: &str) -> SloClass {
         .find(|(k, _)| *k == "status")
         .is_some_and(|(_, v)| v.starts_with('5') || *v == "429");
     SloClass::Request { bad }
-}
-
-fn json_escape(s: &str) -> String {
-    mnc_obs::export::json_escape(s)
 }
 
 #[cfg(test)]

@@ -28,13 +28,13 @@
 //! Bit-invariance: nothing here touches estimator state — the plane wraps
 //! the request flow, so answers with tracing on equal answers with it off.
 
-use std::collections::VecDeque;
 use std::fs::OpenOptions;
 use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use mnc_obs::export::{json_escape, span_json};
+use mnc_obs::ring::Ring;
 use mnc_obs::{Counter, Histogram, MetricSnapshot, Recorder, RequestContext, SpanRecord};
 use mnc_obsd::{ObsDaemon, Response};
 
@@ -334,8 +334,7 @@ pub struct TracePlane {
     daemon: ObsDaemon,
     metrics: RedMetrics,
     pool: Mutex<Vec<RequestContext>>,
-    captured: Mutex<VecDeque<CapturedRequest>>,
-    capture_capacity: usize,
+    captured: Mutex<Ring<CapturedRequest>>,
     access_log: Option<RotatingLog>,
     /// Span-ID allocator for captured trees (plane-level, distinct from any
     /// recorder's own IDs).
@@ -380,8 +379,7 @@ impl TracePlane {
             daemon: daemon.clone(),
             metrics: RedMetrics::new(),
             pool: Mutex::new(Vec::with_capacity(POOL_CAP)),
-            captured: Mutex::new(VecDeque::with_capacity(cfg.capture_capacity)),
-            capture_capacity: cfg.capture_capacity.max(1),
+            captured: Mutex::new(Ring::new(cfg.capture_capacity)),
             access_log,
             span_ids: AtomicU64::new(1),
             retry_after: AtomicU64::new(1),
@@ -495,11 +493,10 @@ impl TracePlane {
         if let Some(log) = &self.access_log {
             let _ = log.write_line(&cap.to_json());
         }
-        let mut ring = self.captured.lock().expect("capture ring poisoned");
-        if ring.len() >= self.capture_capacity {
-            ring.pop_front();
-        }
-        ring.push_back(cap);
+        self.captured
+            .lock()
+            .expect("capture ring poisoned")
+            .push(cap);
         self.captured_total.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -753,5 +750,23 @@ mod tests {
             spans[0].get("name").and_then(|n| n.as_str()),
             Some("request")
         );
+    }
+
+    #[test]
+    fn capture_ring_keeps_the_newest_requests_oldest_first() {
+        let daemon = ObsDaemon::new(mnc_obsd::ObsdConfig::default());
+        let mut cfg = ServedConfig::new(std::env::temp_dir().join("mnc-trace-capture-unused"));
+        cfg.capture_capacity = 4;
+        let plane = TracePlane::new(&cfg, &daemon).expect("plane");
+        let extra = 3;
+        for i in 0..cfg.capture_capacity + extra {
+            // A 5xx is always captured; the method tags the request.
+            let mut ctx = plane.acquire(None);
+            plane.complete(&mut ctx, &format!("M{i}"), endpoint_of("/v1/estimate"), 500);
+            plane.release(ctx);
+        }
+        let methods: Vec<String> = plane.captured().into_iter().map(|c| c.method).collect();
+        assert_eq!(methods, ["M3", "M4", "M5", "M6"]);
+        assert_eq!(plane.captured_total(), 7);
     }
 }
