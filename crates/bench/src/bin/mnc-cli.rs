@@ -9,8 +9,8 @@
 //! mnc-cli gen <uniform|permutation|nlp> <out.mtx> [rows cols sparsity]
 //! mnc-cli catalog add <dir> <a.mtx> [--name NAME]   # build + persist sketch
 //! mnc-cli catalog list <dir>                  # list persisted sketches
-//! mnc-cli serve --catalog <dir> [--addr HOST:PORT] [--workers N] [--threads N]
-//!                               [--queue N] [--slow-threshold MS] [--access-log PATH]
+//! mnc-cli serve --catalog <dir> [--addr HOST:PORT] [--workers N] [--queue N]
+//!                               [--slow-threshold MS] [--access-log PATH]
 //! mnc-cli top [--addr HOST:PORT] [--interval-ms N] [--once] [--frames N]
 //! ```
 //!
@@ -60,8 +60,7 @@ fn main() -> ExitCode {
                  mnc-cli gen <uniform|permutation|nlp> <out.mtx> [rows cols sparsity]\n  \
                  mnc-cli catalog add <dir> <a.mtx> [--name NAME]\n  \
                  mnc-cli catalog list <dir>\n  \
-                 mnc-cli serve --catalog <dir> [--addr HOST:PORT] [--workers N] [--threads N]\n    \
-                 [--queue N]\n    \
+                 mnc-cli serve --catalog <dir> [--addr HOST:PORT] [--workers N] [--queue N]\n    \
                  [--max-body BYTES] [--flight-capacity N] [--slow-threshold MS] [--access-log PATH]\n  \
                  mnc-cli top [--addr HOST:PORT] [--interval-ms N] [--once] [--frames N]",
                 mnc_bench::OBS_USAGE
@@ -326,12 +325,10 @@ fn cmd_catalog(args: &[String]) -> Result<(), String> {
             let m = load(file)?;
             let sketch = Arc::new(MncSketch::build(&m));
             let mut cat = SynopsisCatalog::open(dir).map_err(|e| e.to_string())?;
-            let entry = cat
-                .put(&name, Arc::clone(&sketch), true)
-                .map_err(|e| e.to_string())?;
+            let entry = cat.put(&name, sketch, true).map_err(|e| e.to_string())?;
             println!(
                 "{}",
-                mnc_served::proto::matrix_meta_json(&name, &sketch, entry.file_bytes)
+                mnc_served::proto::matrix_meta_json(&name, entry.sketch(), entry.file_bytes)
             );
             Ok(())
         }
@@ -346,10 +343,10 @@ fn cmd_catalog(args: &[String]) -> Result<(), String> {
                 println!(
                     "{:<24} {:>10} {:>10} {:>12} {:>12.3e} {:>10}",
                     name,
-                    entry.sketch.nrows,
-                    entry.sketch.ncols,
-                    entry.sketch.meta.nnz,
-                    entry.sketch.sparsity(),
+                    entry.sketch().nrows,
+                    entry.sketch().ncols,
+                    entry.sketch().meta.nnz,
+                    entry.sketch().sparsity(),
                     entry.file_bytes
                 );
             }
@@ -369,7 +366,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let mut catalog: Option<String> = None;
     let mut addr = "127.0.0.1:9419".to_string();
     let mut workers = 4usize;
-    let mut threads = 1usize;
     let mut queue = 8usize;
     let mut max_body = 4usize << 20;
     let mut flight_capacity = 1024usize;
@@ -387,11 +383,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 workers = value("--workers")?
                     .parse()
                     .map_err(|_| "--workers: not a number")?
-            }
-            "--threads" => {
-                threads = value("--threads")?
-                    .parse()
-                    .map_err(|_| "--threads: not a number")?
             }
             "--queue" => {
                 queue = value("--queue")?
@@ -422,7 +413,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let catalog = catalog.ok_or("serve: --catalog is required")?;
     let mut cfg = ServedConfig::new(&catalog);
     cfg.workers = workers;
-    cfg.threads = threads;
     cfg.queue = queue;
     cfg.flight_capacity = flight_capacity;
     if let Some(ms) = slow_threshold_ms {

@@ -10,8 +10,6 @@
 
 use std::fmt;
 
-use mnc_obs::Recorder;
-
 use crate::estimate::{
     estimate_cbind, estimate_diag_extract, estimate_diag_v2m, estimate_eq_zero, estimate_ew_add,
     estimate_ew_mul, estimate_matmul_with, estimate_neq_zero, estimate_rbind, estimate_reshape,
@@ -411,56 +409,6 @@ impl MncSketch {
             OpKind::Eq0 => propagate_eq_zero_in(a, arena),
         })
     }
-
-    /// [`MncSketch::estimate_with`] under an observability [`Recorder`]:
-    /// opens an `"estimate"` span carrying the op name, input non-zeros, and
-    /// the non-zeros implied by the estimate. With a disabled recorder this
-    /// is exactly `estimate_with` (no clock reads, no allocation), so
-    /// results are bit-identical either way.
-    pub fn estimate_traced(
-        op: &OpKind,
-        inputs: &[&MncSketch],
-        cfg: &MncConfig,
-        rec: &Recorder,
-    ) -> Result<f64> {
-        if !rec.is_enabled() {
-            return Self::estimate_with(op, inputs, cfg);
-        }
-        let nnz_in: u64 = inputs.iter().map(|h| h.meta.nnz).sum();
-        let mut span = rec.span("estimate").op(op.name()).nnz_in(nnz_in);
-        let s = Self::estimate_with(op, inputs, cfg)?;
-        if let Ok((rows, cols)) = op.output_shape(
-            &inputs
-                .iter()
-                .map(|h| (h.nrows, h.ncols))
-                .collect::<Vec<_>>(),
-        ) {
-            span.set_nnz_out((s * rows as f64 * cols as f64).round() as u64);
-        }
-        Ok(s)
-    }
-
-    /// [`MncSketch::propagate_with`] under an observability [`Recorder`]:
-    /// opens a `"propagate"` span carrying the op name, input/output
-    /// non-zeros, and the produced synopsis size. Bit-identical to
-    /// `propagate_with` regardless of whether the recorder is enabled.
-    pub fn propagate_traced(
-        op: &OpKind,
-        inputs: &[&MncSketch],
-        cfg: &MncConfig,
-        rng: &mut SplitMix64,
-        rec: &Recorder,
-    ) -> Result<MncSketch> {
-        if !rec.is_enabled() {
-            return Self::propagate_with(op, inputs, cfg, rng);
-        }
-        let nnz_in: u64 = inputs.iter().map(|h| h.meta.nnz).sum();
-        let mut span = rec.span("propagate").op(op.name()).nnz_in(nnz_in);
-        let out = Self::propagate_with(op, inputs, cfg, rng)?;
-        span.set_nnz_out(out.meta.nnz);
-        span.set_bytes(out.size_bytes() as u64);
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -602,47 +550,5 @@ mod tests {
         assert!(MncSketch::estimate(&OpKind::MatMul, &[&v, &w]).is_err());
         assert!(MncSketch::estimate(&OpKind::DiagV2M, &[&w]).is_err());
         assert!(MncSketch::propagate(&OpKind::DiagM2V, &[&w]).is_err());
-    }
-
-    #[test]
-    fn traced_calls_match_untraced_and_record_spans() {
-        let mut r = rng(7);
-        let a = gen::rand_uniform(&mut r, 24, 18, 0.2);
-        let b = gen::rand_uniform(&mut r, 18, 10, 0.3);
-        let (ha, hb) = (MncSketch::build(&a), MncSketch::build(&b));
-        let cfg = MncConfig::default();
-
-        for rec in [mnc_obs::Recorder::disabled(), mnc_obs::Recorder::enabled()] {
-            let s = MncSketch::estimate_traced(&OpKind::MatMul, &[&ha, &hb], &cfg, &rec).unwrap();
-            assert_eq!(
-                s.to_bits(),
-                MncSketch::estimate_with(&OpKind::MatMul, &[&ha, &hb], &cfg)
-                    .unwrap()
-                    .to_bits(),
-                "tracing must not perturb the estimate"
-            );
-            let mut r1 = SplitMix64::new(cfg.seed);
-            let mut r2 = SplitMix64::new(cfg.seed);
-            let traced =
-                MncSketch::propagate_traced(&OpKind::MatMul, &[&ha, &hb], &cfg, &mut r1, &rec)
-                    .unwrap();
-            let plain =
-                MncSketch::propagate_with(&OpKind::MatMul, &[&ha, &hb], &cfg, &mut r2).unwrap();
-            assert_eq!(traced, plain);
-
-            let spans = rec.spans();
-            if rec.is_enabled() {
-                assert_eq!(spans.len(), 2);
-                assert_eq!(spans[0].name, "estimate");
-                assert_eq!(spans[0].op.as_deref(), Some("matmul"));
-                assert_eq!(spans[0].nnz_in, Some(ha.meta.nnz + hb.meta.nnz));
-                assert!(spans[0].nnz_out.is_some());
-                assert_eq!(spans[1].name, "propagate");
-                assert_eq!(spans[1].nnz_out, Some(traced.meta.nnz));
-                assert_eq!(spans[1].synopsis_bytes, Some(traced.size_bytes() as u64));
-            } else {
-                assert!(spans.is_empty());
-            }
-        }
     }
 }

@@ -70,7 +70,7 @@ pub enum SynopsisKey {
     },
     /// A synopsis registered under an external name — the key used by
     /// services whose leaves live in a catalog rather than in-process
-    /// `Arc<CsrMatrix>` memory (`mnc-served`'s named matrices).
+    /// `Arc<CsrMatrix>` memory.
     Named {
         /// Catalog name of the synopsis.
         name: Arc<str>,

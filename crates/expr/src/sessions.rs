@@ -1,7 +1,7 @@
 //! Per-client estimation sessions for long-running services.
 //!
-//! A service front-end (`mnc-served`) handles requests from many clients
-//! concurrently; each client deserves its own [`EstimationContext`] so that
+//! A service front-end handles requests from many clients concurrently;
+//! each client may want its own [`EstimationContext`] so that
 //! one client's synopsis working set cannot evict another's, and so cache
 //! statistics are attributable per client. [`SessionPool`] owns those
 //! contexts, keyed by an opaque client id, with two eviction policies
@@ -18,6 +18,9 @@
 //! Dropping a session only discards *cached* synopses (and its stats) — the
 //! authoritative sketches live in the service's persistent catalog, so an
 //! evicted client transparently re-loads on its next request.
+//!
+//! `mnc-served` does not use a pool: its catalog holds one immutable copy
+//! of every leaf sketch, which every request shares.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -35,10 +38,6 @@ pub struct SessionPoolConfig {
     pub session_byte_budget: usize,
     /// Sessions idle for longer than this are dropped by [`SessionPool::sweep`].
     pub idle_ttl: Duration,
-    /// Worker-thread budget handed to each session's context
-    /// ([`EstimationContext::with_threads`]); 1 keeps every walk
-    /// sequential. Results are bit-identical at any setting.
-    pub threads: usize,
 }
 
 impl Default for SessionPoolConfig {
@@ -47,7 +46,6 @@ impl Default for SessionPoolConfig {
             max_sessions: 64,
             session_byte_budget: 16 << 20,
             idle_ttl: Duration::from_secs(300),
-            threads: 1,
         }
     }
 }
@@ -123,10 +121,9 @@ impl SessionPool {
             self.sessions.insert(
                 Arc::from(client),
                 ClientSession {
-                    ctx: init(
-                        EstimationContext::with_byte_budget(self.config.session_byte_budget)
-                            .with_threads(self.config.threads),
-                    ),
+                    ctx: init(EstimationContext::with_byte_budget(
+                        self.config.session_byte_budget,
+                    )),
                     last_used: now,
                     requests: 0,
                 },
@@ -201,7 +198,7 @@ impl SessionPool {
     }
 }
 
-// The service shares the pool across connection threads behind a mutex.
+// A service shares the pool across connection threads behind a mutex.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<SessionPool>();
@@ -219,7 +216,6 @@ mod tests {
             max_sessions: max,
             session_byte_budget: 16 << 20,
             idle_ttl: Duration::from_secs(ttl_secs),
-            ..SessionPoolConfig::default()
         })
     }
 

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! mnc-served --catalog <dir> [--addr 127.0.0.1:9419] [--workers 4]
-//!            [--threads 1] [--queue 8] [--max-body 4194304] [--flight-capacity 1024]
+//!            [--queue 8] [--max-body 4194304] [--flight-capacity 1024]
 //!            [--slow-threshold MS] [--access-log PATH] [--access-log-max-bytes N]
 //!            [--access-log-keep N] [--no-tracing]
 //!            [--shadow-rate FRACTION] [--retain-csr]
@@ -19,7 +19,7 @@ use std::process::ExitCode;
 use mnc_served::{serve_with, EstimationService, ServeOptions, ServedConfig};
 
 const USAGE: &str = "usage: mnc-served --catalog <dir> [--addr HOST:PORT] [--workers N] \
-                     [--threads N] [--queue N] [--max-body BYTES] [--flight-capacity N] \
+                     [--queue N] [--max-body BYTES] [--flight-capacity N] \
                      [--slow-threshold MS] [--access-log PATH] [--access-log-max-bytes N] \
                      [--access-log-keep N] [--no-tracing] \
                      [--shadow-rate FRACTION] [--retain-csr] \
@@ -36,7 +36,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut catalog: Option<String> = None;
     let mut addr = "127.0.0.1:9419".to_string();
     let mut workers = 4usize;
-    let mut threads = 1usize;
     let mut queue = 8usize;
     let mut max_body = 4 << 20;
     let mut flight_capacity = 1024usize;
@@ -65,11 +64,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 workers = value("--workers")?
                     .parse()
                     .map_err(|_| "--workers: not a number".to_string())?
-            }
-            "--threads" => {
-                threads = value("--threads")?
-                    .parse()
-                    .map_err(|_| "--threads: not a number".to_string())?
             }
             "--queue" => {
                 queue = value("--queue")?
@@ -161,7 +155,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     let catalog = catalog.ok_or_else(|| format!("--catalog is required\n{USAGE}"))?;
     let mut cfg = ServedConfig::new(catalog);
     cfg.workers = workers;
-    cfg.threads = threads;
     cfg.queue = queue;
     cfg.flight_capacity = flight_capacity;
     cfg.tracing = tracing;

@@ -29,6 +29,8 @@ use std::sync::Arc;
 
 use mnc_core::serialize::{from_bytes, to_bytes};
 use mnc_core::MncSketch;
+use mnc_estimators::mnc::MncSynopsis;
+use mnc_estimators::Synopsis;
 
 use crate::error::ServiceError;
 use crate::sidecar::{self, ShadowSidecar};
@@ -65,14 +67,34 @@ pub fn validate_name(name: &str) -> Result<(), ServiceError> {
 /// One resident catalog entry.
 #[derive(Debug, Clone)]
 pub struct CatalogEntry {
-    /// The decoded sketch, shared with sessions that load it.
-    pub sketch: Arc<MncSketch>,
+    /// The entry's one resident copy of its sketch, wrapped as the
+    /// [`Synopsis::Mnc`] every estimate's walk reads. Sketches are never
+    /// mutated after build, so requests share it by `Arc`, never by copy.
+    synopsis: Arc<Synopsis>,
     /// Serialized size on disk in bytes.
     pub file_bytes: u64,
     /// Shadow sidecar (alternate synopses + optional retained CSR), present
     /// only for entries ingested from raw CSR data. Octet-stream ingests
     /// have no raw data, so they carry none.
     pub shadow: Option<Arc<ShadowSidecar>>,
+}
+
+impl CatalogEntry {
+    fn new(sketch: MncSketch, file_bytes: u64) -> Self {
+        CatalogEntry {
+            synopsis: Arc::new(Synopsis::Mnc(MncSynopsis { sketch })),
+            file_bytes,
+            shadow: None,
+        }
+    }
+
+    /// The resident sketch (metadata, export).
+    pub fn sketch(&self) -> &MncSketch {
+        match &*self.synopsis {
+            Synopsis::Mnc(s) => &s.sketch,
+            _ => unreachable!("catalog entries hold MNC synopses only"),
+        }
+    }
 }
 
 /// A directory of named, persistent MNC sketches with an in-memory index.
@@ -134,14 +156,7 @@ impl SynopsisCatalog {
                         .map_err(|e| e.to_string())
                 }) {
                 Ok((sketch, file_bytes)) => {
-                    entries.insert(
-                        stem.to_string(),
-                        CatalogEntry {
-                            sketch: Arc::new(sketch),
-                            file_bytes,
-                            shadow: None,
-                        },
-                    );
+                    entries.insert(stem.to_string(), CatalogEntry::new(sketch, file_bytes));
                 }
                 Err(_) => {
                     let mut quarantine = path.clone();
@@ -188,7 +203,8 @@ impl SynopsisCatalog {
     /// Stores `sketch` under `name`, persisting it atomically
     /// (tmp + rename). `built` says whether the sketch was constructed from
     /// raw matrix data just now (true increments the rebuild counter) or
-    /// arrived pre-serialized. Replaces any existing entry.
+    /// arrived pre-serialized. Replaces any existing entry. The sketch is
+    /// taken over without a copy unless the caller still shares it.
     pub fn put(
         &mut self,
         name: &str,
@@ -208,11 +224,8 @@ impl SynopsisCatalog {
         // The new sketch replaces whatever was there; a sidecar built from
         // the *old* raw data would silently describe the wrong matrix.
         let _ = fs::remove_file(self.sidecar_path(name));
-        let entry = CatalogEntry {
-            sketch,
-            file_bytes: bytes.len() as u64,
-            shadow: None,
-        };
+        let sketch = Arc::try_unwrap(sketch).unwrap_or_else(|s| (*s).clone());
+        let entry = CatalogEntry::new(sketch, bytes.len() as u64);
         self.entries.insert(name.to_string(), entry);
         Ok(&self.entries[name])
     }
@@ -253,15 +266,23 @@ impl SynopsisCatalog {
         self.entries.get(name)
     }
 
-    /// The sketch under `name`, shared.
+    /// A **copy** of the sketch under `name`, for callers outside the
+    /// daemon that want an owned sketch. The daemon never calls it: its
+    /// estimates share the resident [`Self::synopsis`].
     pub fn sketch(&self, name: &str) -> Option<Arc<MncSketch>> {
-        self.entries.get(name).map(|e| Arc::clone(&e.sketch))
+        self.entries.get(name).map(|e| Arc::new(e.sketch().clone()))
+    }
+
+    /// The resident synopsis under `name`, shared — what the daemon's
+    /// estimates hand to the walk.
+    pub fn synopsis(&self, name: &str) -> Option<Arc<Synopsis>> {
+        self.entries.get(name).map(|e| Arc::clone(&e.synopsis))
     }
 
     /// Serialized bytes for `name` (re-encoded from the resident sketch —
     /// bit-identical to the file contents by the round-trip guarantee).
     pub fn bytes(&self, name: &str) -> Option<Vec<u8>> {
-        self.entries.get(name).map(|e| to_bytes(&e.sketch))
+        self.entries.get(name).map(|e| to_bytes(e.sketch()))
     }
 
     /// Removes `name` from the index and disk. Returns whether it existed.

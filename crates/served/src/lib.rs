@@ -28,9 +28,9 @@
 //!   (and true error where retained CSR gives exact ground truth) into the
 //!   accuracy channel, `/metrics`, and `GET /v1/debug/shadow` — never the
 //!   hot path;
-//! * [`service`] — the [`Handler`](mnc_obsd::Handler) tying it together,
-//!   with per-client sessions ([`mnc_expr::SessionPool`]) and the PR-5
-//!   telemetry endpoints mounted as the health plane.
+//! * [`service`] — the [`Handler`](mnc_obsd::Handler) tying it together:
+//!   estimates walk the catalog's resident synopses directly, and the
+//!   telemetry endpoints are mounted as the health plane.
 //!
 //! ## Endpoints
 //!

@@ -21,8 +21,8 @@ use crate::walk::{DagSpec, EstimateOutcome, NodeSpec};
 /// A parsed `POST /v1/estimate` body.
 #[derive(Debug, Clone)]
 pub struct EstimateRequest {
-    /// Session identifier; requests without one share the `"default"`
-    /// session.
+    /// Caller-chosen client label (`"default"` when absent). Accepted and
+    /// type-checked; it keys no server state.
     pub client: String,
     /// The expression to estimate.
     pub dag: DagSpec,
@@ -105,7 +105,8 @@ fn parse_op(name: &str, node: &JsonValue) -> Result<OpKind, ServiceError> {
 ///             {"op": "matmul", "inputs": [0, 1]}], "root": 2}`
 ///   (`root` defaults to the last node).
 ///
-/// Optional in both: `"client"` (session id) and `"include_sketch"`.
+/// Optional in both: `"client"` (a string label, validated but keying
+/// nothing) and `"include_sketch"`.
 pub fn parse_estimate_request(body: &[u8]) -> Result<EstimateRequest, ServiceError> {
     let v = parse_body(body)?;
     let client = match v.get("client") {

@@ -5,16 +5,16 @@
 //! * **data plane** — `PUT/GET/DELETE /v1/matrices...` maintaining the
 //!   persistent [`SynopsisCatalog`];
 //! * **compute plane** — `POST /v1/estimate`, admission-controlled by an
-//!   [`AdmissionGate`] and executed against per-client
-//!   [`SessionPool`](mnc_expr::SessionPool) sessions;
+//!   [`AdmissionGate`] and walked over the catalog's resident synopses;
 //! * **health plane** — the PR-5 telemetry endpoints (`/healthz`,
 //!   `/metrics`, `/flight`, `/attribution`) served from the embedded
-//!   [`ObsDaemon`]; every session created by the pool is wired into it.
+//!   [`ObsDaemon`].
 //!
-//! Locking discipline: the catalog and the session pool sit behind separate
-//! mutexes, taken one at a time and never across the propagation work —
-//! leaf synopses are resolved under the locks, the (expensive) walk runs
-//! lock-free under its admission permit.
+//! Locking discipline: one mutex, around the catalog. An estimate holds it
+//! only to resolve its leaves as `Arc` clones of the resident synopses; the
+//! (expensive) walk runs lock-free under its admission permit. A PUT or
+//! DELETE swaps the catalog's `Arc`, so a walk already running keeps the
+//! synopsis it resolved and every later request sees the new binding.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -22,11 +22,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use mnc_core::serialize::from_bytes;
-use mnc_core::MncSketch;
-use mnc_estimators::mnc::MncSynopsis;
 use mnc_estimators::{MncEstimator, SparsityEstimator, Synopsis};
-use mnc_expr::{SessionPool, SessionPoolConfig};
-use mnc_kernels::WorkerPool;
 use mnc_obs::RequestContext;
 use mnc_obsd::{
     telemetry_response, Handler, ObsDaemon, ObsdConfig, Request, Response, SloConfig,
@@ -40,7 +36,7 @@ use crate::proto;
 use crate::shadow::ShadowPlane;
 use crate::sidecar::ShadowSidecar;
 use crate::trace::{endpoint_of, TracePlane};
-use crate::walk::{self, NodeSpec};
+use crate::walk::{self, DagSpec, NodeSpec};
 
 /// Service configuration.
 #[derive(Debug, Clone)]
@@ -49,14 +45,8 @@ pub struct ServedConfig {
     pub catalog_dir: PathBuf,
     /// Concurrent compute slots.
     pub workers: usize,
-    /// Worker-thread budget for each estimation walk (propagation
-    /// wavefronts and per-session contexts); 1 keeps every walk
-    /// sequential. Responses are byte-identical at any setting.
-    pub threads: usize,
     /// Bounded wait queue beyond the compute slots.
     pub queue: usize,
-    /// Per-client session policy.
-    pub sessions: SessionPoolConfig,
     /// Flight-ring capacity of the embedded telemetry daemon.
     pub flight_capacity: usize,
     /// Request-scoped tracing plane on/off (trace IDs, RED metrics, tail
@@ -109,9 +99,7 @@ impl ServedConfig {
         ServedConfig {
             catalog_dir: catalog_dir.into(),
             workers: 4,
-            threads: 1,
             queue: 8,
-            sessions: SessionPoolConfig::default(),
             flight_capacity: 1024,
             tracing: true,
             slow_threshold: Duration::from_millis(250),
@@ -144,8 +132,6 @@ struct Counters {
 /// [`mnc_obsd::serve_with`].
 pub struct EstimationService {
     catalog: Mutex<SynopsisCatalog>,
-    pool: WorkerPool,
-    sessions: Mutex<SessionPool>,
     gate: AdmissionGate,
     daemon: ObsDaemon,
     trace: TracePlane,
@@ -179,14 +165,8 @@ impl EstimationService {
         });
         let trace = TracePlane::new(&cfg, &daemon)?;
         let shadow = ShadowPlane::new(&cfg, &daemon);
-        let sessions = SessionPoolConfig {
-            threads: cfg.threads,
-            ..cfg.sessions
-        };
         Ok(Arc::new(EstimationService {
             catalog: Mutex::new(catalog),
-            pool: WorkerPool::new(cfg.threads),
-            sessions: Mutex::new(SessionPool::new(sessions)),
             gate: AdmissionGate::new(cfg.workers, cfg.queue),
             daemon,
             trace,
@@ -266,19 +246,13 @@ impl EstimationService {
                 cat.shadow_count(),
             )
         };
-        let (active_sessions, pstats) = {
-            let pool = self.sessions.lock().expect("sessions poisoned");
-            (pool.len(), pool.stats())
-        };
         let tl = self.daemon.timeline();
         let tstats = tl.stats();
         let body = format!(
             "{{\"uptime_secs\":{},\"uptime_s\":{},\"requests\":{},\"estimates\":{},\
              \"rejected\":{},\
              \"errors\":{},\"matrices\":{},\"rebuilds\":{},\"quarantined\":{},\
-             \"workers\":{},\"threads\":{},\"queue\":{},\"active\":{},\
-             \"sessions\":{{\"active\":{},\"created\":{},\"evicted_idle\":{},\
-             \"evicted_lru\":{}}},\
+             \"workers\":{},\"queue\":{},\"active\":{},\
              \"tracing\":{{\"enabled\":{},\"captured\":{},\"retry_after_secs\":{}}},\
              \"shadow\":{{\"enabled\":{},\"sampled\":{},\"completed\":{},\
              \"dropped\":{},\"queue_depth\":{},\"sidecars\":{}}},\
@@ -296,13 +270,8 @@ impl EstimationService {
             rebuilds,
             quarantined,
             self.gate.workers(),
-            self.pool.threads(),
             self.gate.queue(),
             self.gate.active(),
-            active_sessions,
-            pstats.created,
-            pstats.evicted_idle,
-            pstats.evicted_lru,
             self.trace.enabled(),
             self.trace.captured_total(),
             self.trace.retry_after_secs(),
@@ -330,7 +299,7 @@ impl EstimationService {
         let cat = self.catalog.lock().expect("catalog poisoned");
         let items: Vec<String> = cat
             .iter()
-            .map(|(name, e)| proto::matrix_meta_json(name, &e.sketch, e.file_bytes))
+            .map(|(name, e)| proto::matrix_meta_json(name, e.sketch(), e.file_bytes))
             .collect();
         Response::json(
             200,
@@ -386,11 +355,8 @@ impl EstimationService {
                 Some(sc) => cat.put_with_shadow(name, sketch, sc)?,
                 None => cat.put(name, sketch, false)?,
             };
-            proto::matrix_meta_json(name, &entry.sketch, entry.file_bytes)
+            proto::matrix_meta_json(name, entry.sketch(), entry.file_bytes)
         };
-        // The name may be re-bound to different data: drop every session so
-        // no cached synopsis survives under the stale name.
-        self.sessions.lock().expect("sessions poisoned").clear();
         Ok(Response::json(201, body))
     }
 
@@ -401,7 +367,7 @@ impl EstimationService {
             .ok_or_else(|| ServiceError::UnknownMatrix(name.to_string()))?;
         Ok(Response::json(
             200,
-            proto::matrix_meta_json(name, &entry.sketch, entry.file_bytes),
+            proto::matrix_meta_json(name, entry.sketch(), entry.file_bytes),
         ))
     }
 
@@ -427,7 +393,6 @@ impl EstimationService {
         if !removed {
             return Err(ServiceError::UnknownMatrix(name.to_string()));
         }
-        self.sessions.lock().expect("sessions poisoned").clear();
         Ok(Response::text(204, ""))
     }
 
@@ -456,44 +421,11 @@ impl EstimationService {
         // interleaving — and bit-identical to a cold in-process context.
         let est = MncEstimator::new();
 
-        // Resolve catalog sketches (catalog lock only).
         let t = ctx.transition(t, "catalog");
-        let mut raw: Vec<Option<Arc<MncSketch>>> = vec![None; req.dag.nodes.len()];
-        {
-            let cat = self.catalog.lock().expect("catalog poisoned");
-            for (i, node) in req.dag.nodes.iter().enumerate() {
-                if let NodeSpec::Leaf(name) = node {
-                    raw[i] = Some(
-                        cat.sketch(name)
-                            .ok_or_else(|| ServiceError::UnknownMatrix(name.clone()))?,
-                    );
-                }
-            }
-        }
-        // Wrap them as session-cached synopses (session lock only).
-        let t = ctx.transition(t, "session");
-        let daemon = self.daemon.clone();
-        let mut leaves: Vec<Option<Arc<Synopsis>>> = vec![None; req.dag.nodes.len()];
-        {
-            let mut pool = self.sessions.lock().expect("sessions poisoned");
-            let sctx =
-                pool.session_init_at(&req.client, Instant::now(), |ctx| ctx.with_obsd(&daemon));
-            for (i, node) in req.dag.nodes.iter().enumerate() {
-                if let NodeSpec::Leaf(name) = node {
-                    let sketch = raw[i].as_ref().expect("resolved above");
-                    let syn = sctx.named_synopsis(&est, name, || {
-                        Ok(Synopsis::Mnc(MncSynopsis {
-                            sketch: (**sketch).clone(),
-                        }))
-                    })?;
-                    leaves[i] = Some(syn);
-                }
-            }
-        }
+        let leaves = self.resolve_leaves(&req.dag)?;
         // The walk itself runs without any service lock.
         let t = ctx.transition(t, "walk");
-        let out =
-            walk::estimate_dag_pooled(&est, &req.dag, &leaves, req.include_sketch, &self.pool)?;
+        let out = walk::estimate_dag(&est, &req.dag, &leaves, req.include_sketch)?;
         self.counters.estimates.fetch_add(1, Ordering::Relaxed);
         let t = ctx.transition(t, "serialize");
         let resp = Response::json(200, proto::estimate_json(&out));
@@ -504,7 +436,7 @@ impl EstimationService {
         // background queue — the bytes above are already final.
         if self.shadow.should_sample() {
             self.shadow
-                .submit(ctx.trace_hex(), &req.dag, out.sparsity, &raw, || {
+                .submit(ctx.trace_hex(), &req.dag, out.sparsity, &leaves, || {
                     let cat = self.catalog.lock().expect("catalog poisoned");
                     req.dag
                         .nodes
@@ -517,6 +449,22 @@ impl EstimationService {
                 });
         }
         Ok(resp)
+    }
+
+    /// Per node, the resident synopsis of each leaf (an `Arc` clone of the
+    /// catalog's own, never a copy) — taken under the catalog lock only.
+    fn resolve_leaves(&self, dag: &DagSpec) -> Result<Vec<Option<Arc<Synopsis>>>, ServiceError> {
+        let cat = self.catalog.lock().expect("catalog poisoned");
+        dag.nodes
+            .iter()
+            .map(|node| match node {
+                NodeSpec::Leaf(name) => cat
+                    .synopsis(name)
+                    .map(Some)
+                    .ok_or_else(|| ServiceError::UnknownMatrix(name.clone())),
+                NodeSpec::Op { .. } => Ok(None),
+            })
+            .collect()
     }
 
     fn admit(&self) -> Result<crate::gate::Permit<'_>, ServiceError> {
@@ -551,8 +499,51 @@ impl Handler for EstimationService {
     }
 
     fn tick(&self) {
-        self.sessions.lock().expect("sessions poisoned").sweep();
         self.trace.tick(&self.gate);
         self.daemon.refresh();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mnc_core::{MncSketch, OpKind};
+    use mnc_matrix::gen;
+    use rand::SeedableRng;
+
+    /// The walk receives the catalog's own synopsis: resolving a leaf copies
+    /// no sketch, on the first request or any later one.
+    #[test]
+    fn walk_leaves_are_the_catalogs_resident_synopses() {
+        let dir = std::env::temp_dir().join(format!("mnc-service-leaves-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let svc = EstimationService::new(ServedConfig::new(&dir)).unwrap();
+        let mut r = rand::rngs::StdRng::seed_from_u64(5);
+        let x = MncSketch::build(&gen::rand_uniform(&mut r, 20, 20, 0.2));
+        let mut cat = svc.catalog.lock().unwrap();
+        cat.put("X", Arc::new(x), false).unwrap();
+        let resident = cat.synopsis("X").unwrap();
+        drop(cat);
+
+        let leaf = || NodeSpec::Leaf("X".into());
+        let dag = DagSpec {
+            nodes: vec![
+                leaf(),
+                leaf(),
+                NodeSpec::Op {
+                    op: OpKind::MatMul,
+                    inputs: vec![0, 1],
+                },
+            ],
+            root: 2,
+        };
+        for _ in 0..2 {
+            let leaves = svc.resolve_leaves(&dag).unwrap();
+            for syn in &leaves[..2] {
+                assert!(Arc::ptr_eq(syn.as_ref().unwrap(), &resident));
+            }
+            assert!(leaves[2].is_none());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -45,7 +45,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use mnc_core::{MncSketch, OpKind};
+use mnc_core::OpKind;
 use mnc_estimators::meta::MetaSynopsis;
 use mnc_estimators::{BitsetEstimator, DensityMapEstimator, MetaAcEstimator, Synopsis};
 use mnc_matrix::{ops, CsrMatrix};
@@ -124,8 +124,9 @@ struct ShadowJob {
     dag: DagSpec,
     /// The primary (MNC) answer the response carried.
     primary: f64,
-    /// Per-node raw sketches for leaf nodes (MetaAC derives from these).
-    sketches: Vec<Option<Arc<MncSketch>>>,
+    /// Per-node resident MNC synopses for leaf nodes, shared with the
+    /// catalog (MetaAC derives from these).
+    leaves: Vec<Option<Arc<Synopsis>>>,
     /// Per-node shadow sidecars for leaf nodes (DMap/Bitset synopses,
     /// optionally retained CSR). Absent for octet-stream ingests.
     sidecars: Vec<Option<Arc<ShadowSidecar>>>,
@@ -365,7 +366,7 @@ impl ShadowPlane {
         trace_hex: &str,
         dag: &DagSpec,
         primary: f64,
-        sketches: &[Option<Arc<MncSketch>>],
+        leaves: &[Option<Arc<Synopsis>>],
         sidecars: impl FnOnce() -> Vec<Option<Arc<ShadowSidecar>>>,
     ) {
         let Some(tx) = &self.tx else { return };
@@ -375,7 +376,7 @@ impl ShadowPlane {
             trace_hex: trace_hex.to_string(),
             dag: dag.clone(),
             primary,
-            sketches: sketches.to_vec(),
+            leaves: leaves.to_vec(),
             sidecars: sidecars(),
         };
         // Depth goes up before the send: a worker may dequeue (and
@@ -599,11 +600,12 @@ fn alternate_leaves(job: &ShadowJob, ei: usize) -> Option<Vec<Option<Arc<Synopsi
         let syn = match ei {
             // MetaAC is free: shape + nnz straight off the MNC sketch.
             0 => {
-                let sk = job.sketches[i].as_ref()?;
+                let mnc = job.leaves[i].as_ref()?;
+                let (nrows, ncols) = mnc.shape();
                 Synopsis::Meta(MetaSynopsis {
-                    nrows: sk.nrows,
-                    ncols: sk.ncols,
-                    nnz: sk.meta.nnz as f64,
+                    nrows,
+                    ncols,
+                    nnz: mnc.nnz() as f64,
                 })
             }
             1 => Synopsis::DensityMap(job.sidecars[i].as_ref()?.dm.clone()),
@@ -675,7 +677,7 @@ mod tests {
     ) -> (
         DagSpec,
         f64,
-        Vec<Option<Arc<MncSketch>>>,
+        Vec<Option<Arc<Synopsis>>>,
         Vec<Option<Arc<ShadowSidecar>>>,
     ) {
         let mut r = rand::rngs::StdRng::seed_from_u64(0xCAFE);
@@ -693,30 +695,20 @@ mod tests {
             root: 2,
         };
         let est = MncEstimator::new();
-        let syn = |m: &Arc<CsrMatrix>| match est.build(m).unwrap() {
-            Synopsis::Mnc(s) => Arc::new(s.sketch),
-            _ => unreachable!(),
-        };
-        let (ska, skb) = (syn(&a), syn(&b));
         let leaves = vec![
-            Some(Arc::new(Synopsis::Mnc(mnc_estimators::mnc::MncSynopsis {
-                sketch: (*ska).clone(),
-            }))),
-            Some(Arc::new(Synopsis::Mnc(mnc_estimators::mnc::MncSynopsis {
-                sketch: (*skb).clone(),
-            }))),
+            Some(Arc::new(est.build(&a).unwrap())),
+            Some(Arc::new(est.build(&b).unwrap())),
             None,
         ];
         let primary = walk::estimate_dag(&MncEstimator::new(), &dag, &leaves, false)
             .unwrap()
             .sparsity;
-        let sketches = vec![Some(ska), Some(skb), None];
         let sidecars = vec![
             Some(Arc::new(ShadowSidecar::build(&a, retain))),
             Some(Arc::new(ShadowSidecar::build(&b, retain))),
             None,
         ];
-        (dag, primary, sketches, sidecars)
+        (dag, primary, leaves, sidecars)
     }
 
     #[test]
@@ -741,8 +733,8 @@ mod tests {
     #[test]
     fn shadow_run_records_divergence_and_exemplars() {
         let (p, daemon) = plane(1.0);
-        let (dag, primary, sketches, sidecars) = job_parts(false);
-        p.submit("cafe".repeat(8).as_str(), &dag, primary, &sketches, || {
+        let (dag, primary, leaves, sidecars) = job_parts(false);
+        p.submit("cafe".repeat(8).as_str(), &dag, primary, &leaves, || {
             sidecars.clone()
         });
         p.drain();
@@ -773,8 +765,8 @@ mod tests {
     #[test]
     fn retained_csr_yields_true_error_records() {
         let (p, daemon) = plane(1.0);
-        let (dag, primary, sketches, sidecars) = job_parts(true);
-        p.submit("beef".repeat(8).as_str(), &dag, primary, &sketches, || {
+        let (dag, primary, leaves, sidecars) = job_parts(true);
+        p.submit("beef".repeat(8).as_str(), &dag, primary, &leaves, || {
             sidecars.clone()
         });
         p.drain();
@@ -799,9 +791,9 @@ mod tests {
     #[test]
     fn missing_sidecars_skip_alternates_but_meta_still_runs() {
         let (p, _daemon) = plane(1.0);
-        let (dag, primary, sketches, _) = job_parts(false);
+        let (dag, primary, leaves, _) = job_parts(false);
         let no_sidecars: Vec<Option<Arc<ShadowSidecar>>> = vec![None, None, None];
-        p.submit("0123".repeat(8).as_str(), &dag, primary, &sketches, || {
+        p.submit("0123".repeat(8).as_str(), &dag, primary, &leaves, || {
             no_sidecars.clone()
         });
         p.drain();
@@ -814,9 +806,9 @@ mod tests {
     #[test]
     fn exemplar_ring_keeps_the_worst_and_stays_bounded() {
         let (p, _daemon) = plane(1.0);
-        let (dag, primary, sketches, sidecars) = job_parts(false);
+        let (dag, primary, leaves, sidecars) = job_parts(false);
         for _ in 0..(EXEMPLAR_CAP + 8) {
-            p.submit("dead".repeat(8).as_str(), &dag, primary, &sketches, || {
+            p.submit("dead".repeat(8).as_str(), &dag, primary, &leaves, || {
                 sidecars.clone()
             });
             p.drain();

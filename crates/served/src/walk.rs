@@ -139,27 +139,14 @@ pub struct EstimateOutcome {
     pub sketch_bytes: Option<Vec<u8>>,
 }
 
-/// Runs the walk. `leaves[i]` must hold the synopsis for every
-/// [`NodeSpec::Leaf`] at index `i` (the service resolves them from the
-/// per-client session before calling, so propagation runs lock-free).
+/// Runs the walk, sequentially. `leaves[i]` must hold the synopsis for
+/// every [`NodeSpec::Leaf`] at index `i` (the service resolves them from
+/// the catalog before calling, so propagation runs lock-free).
 pub fn estimate_dag<E: SparsityEstimator + ?Sized>(
     est: &E,
     dag: &DagSpec,
     leaves: &[Option<Arc<Synopsis>>],
     want_sketch: bool,
-) -> Result<EstimateOutcome, ServiceError> {
-    estimate_dag_pooled(est, dag, leaves, want_sketch, &WorkerPool::new(1))
-}
-
-/// [`estimate_dag`] on a worker pool. The walk's wavefront engages only for
-/// order-invariant estimators — never the service's default probabilistic
-/// MNC — so responses are byte-identical under any `threads` setting.
-pub fn estimate_dag_pooled<E: SparsityEstimator + ?Sized>(
-    est: &E,
-    dag: &DagSpec,
-    leaves: &[Option<Arc<Synopsis>>],
-    want_sketch: bool,
-    pool: &WorkerPool,
 ) -> Result<EstimateOutcome, ServiceError> {
     debug_assert_eq!(leaves.len(), dag.nodes.len());
     // The resolved leaves seed the walk's memo, so it never builds one.
@@ -175,7 +162,8 @@ pub fn estimate_dag_pooled<E: SparsityEstimator + ?Sized>(
             NodeSpec::Op { .. } => Ok(None),
         })
         .collect::<Result<_, _>>()?;
-    let mut walk = Walk::new(est, dag, pool, (), memo);
+    let pool = WorkerPool::new(1);
+    let mut walk = Walk::new(est, dag, &pool, (), memo);
     let sparsity = walk.estimate_root(dag.root, want_sketch)?;
     let shape_of = |i: usize| {
         walk.memoized(i)
@@ -364,76 +352,6 @@ mod tests {
         let bytes = with_sketch.sketch_bytes.unwrap();
         let sk = mnc_core::from_bytes(&bytes).unwrap();
         assert_eq!((sk.nrows, sk.ncols), plain.shape);
-    }
-
-    #[test]
-    fn pooled_walk_is_byte_identical_across_thread_counts() {
-        let mut r = rand::rngs::StdRng::seed_from_u64(13);
-        let a = Arc::new(gen::rand_uniform(&mut r, 40, 30, 0.1));
-        let b = Arc::new(gen::rand_uniform(&mut r, 30, 40, 0.1));
-        let c = Arc::new(gen::rand_uniform(&mut r, 40, 30, 0.12));
-        let d = Arc::new(gen::rand_uniform(&mut r, 30, 40, 0.12));
-        // Two independent matmul branches: a real level-1 wavefront.
-        let dag = DagSpec {
-            nodes: vec![
-                leaf("A"),
-                leaf("B"),
-                leaf("C"),
-                leaf("D"),
-                op(OpKind::MatMul, &[0, 1]),
-                op(OpKind::MatMul, &[2, 3]),
-                op(OpKind::EwAdd, &[4, 5]),
-            ],
-            root: 6,
-        };
-        dag.validate().unwrap();
-
-        let det = || {
-            MncEstimator::with_config(
-                "MNC",
-                mnc_core::MncConfig {
-                    probabilistic_rounding: false,
-                    ..mnc_core::MncConfig::default()
-                },
-            )
-        };
-        let est = det();
-        let leaves: Vec<Option<Arc<Synopsis>>> = [&a, &b, &c, &d]
-            .iter()
-            .map(|m| Some(Arc::new(est.build(m).unwrap())))
-            .chain([None, None, None])
-            .collect();
-
-        for want_sketch in [false, true] {
-            let seq = estimate_dag(&det(), &dag, &leaves, want_sketch).unwrap();
-            for threads in [2, 8] {
-                let par = estimate_dag_pooled(
-                    &det(),
-                    &dag,
-                    &leaves,
-                    want_sketch,
-                    &WorkerPool::new(threads),
-                )
-                .unwrap();
-                assert_eq!(seq.sparsity.to_bits(), par.sparsity.to_bits());
-                assert_eq!(seq.nnz, par.nnz);
-                assert_eq!(seq.sketch_bytes, par.sketch_bytes, "threads={threads}");
-            }
-        }
-
-        // The default probabilistic estimator stays on the sequential
-        // schedule, so a parallel pool changes nothing.
-        let seq = estimate_dag(&MncEstimator::new(), &dag, &leaves, true).unwrap();
-        let par = estimate_dag_pooled(
-            &MncEstimator::new(),
-            &dag,
-            &leaves,
-            true,
-            &WorkerPool::new(8),
-        )
-        .unwrap();
-        assert_eq!(seq.sparsity.to_bits(), par.sparsity.to_bits());
-        assert_eq!(seq.sketch_bytes, par.sketch_bytes);
     }
 
     #[test]

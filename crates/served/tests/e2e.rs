@@ -167,7 +167,7 @@ fn estimate_over_http_is_bit_identical_to_library() {
         "HTTP answer must be bit-identical to the in-process context"
     );
 
-    // Warm-cache repeat (same session) answers the same bits.
+    // A repeat answers the same bits.
     let (_, _, body2) = http(&addr, "POST", "/v1/estimate", None, CHAIN_DAG.as_bytes());
     assert_eq!(body2, body);
 
@@ -214,65 +214,6 @@ fn concurrent_estimates_all_agree() {
         assert_eq!(got.to_bits(), expected.to_bits());
     }
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn threaded_service_is_byte_identical_and_survives_a_bounce() {
-    let (a, b, c) = chain_matrices();
-    let expected = library_chain_answer(&a, &b, &c);
-
-    // Reference body from a sequential (threads=1) service.
-    let dir1 = tmpdir("threads-seq");
-    let seq_body = {
-        let (_svc, mut handle, addr) = start(ServedConfig::new(&dir1));
-        put_chain(&addr, &a, &b, &c);
-        let (status, _, body) = http(&addr, "POST", "/v1/estimate", None, CHAIN_DAG.as_bytes());
-        assert_eq!(status, 200);
-        handle.shutdown();
-        body
-    };
-
-    // A threads=4 service must answer the same bytes: the default MNC
-    // estimator is order-sensitive (probabilistic rounding), so the walk
-    // stays on the sequential schedule no matter the pool size.
-    let dir4 = tmpdir("threads-par");
-    let mut cfg = ServedConfig::new(&dir4);
-    cfg.threads = 4;
-    let par_body = {
-        let (_svc, mut handle, addr) = start(cfg);
-        put_chain(&addr, &a, &b, &c);
-
-        let (status, _, status_body) = http(&addr, "GET", "/v1/status", None, b"");
-        assert_eq!(status, 200);
-        assert!(
-            String::from_utf8_lossy(&status_body).contains("\"threads\":4"),
-            "status must report the thread budget"
-        );
-
-        let (status, _, body) = http(&addr, "POST", "/v1/estimate", None, CHAIN_DAG.as_bytes());
-        assert_eq!(status, 200);
-        handle.shutdown();
-        body
-    };
-    assert_eq!(par_body, seq_body, "threads must not change a single byte");
-    let got = json_body(&par_body)
-        .get("sparsity")
-        .and_then(|s| s.as_f64())
-        .unwrap();
-    assert_eq!(got.to_bits(), expected.to_bits());
-
-    // Bounce the threaded service: catalog serves without rebuilds and the
-    // answer bytes are unchanged.
-    let mut cfg = ServedConfig::new(&dir4);
-    cfg.threads = 4;
-    let (svc, _handle, addr) = start(cfg);
-    assert_eq!(svc.rebuilds(), 0, "bounce must not rebuild sketches");
-    let (status, _, body) = http(&addr, "POST", "/v1/estimate", None, CHAIN_DAG.as_bytes());
-    assert_eq!(status, 200);
-    assert_eq!(body, seq_body);
-
-    let _ = std::fs::remove_dir_all(&dir1);
-    let _ = std::fs::remove_dir_all(&dir4);
 }
 
 #[test]
@@ -602,7 +543,6 @@ fn slow_requests_are_tail_captured_with_attributable_span_trees() {
         "admission",
         "debug_delay",
         "catalog",
-        "session",
         "walk",
         "serialize",
     ] {
@@ -878,7 +818,7 @@ fn metric_value(body: &[u8], name: &str) -> Option<i64> {
 }
 
 #[test]
-fn session_churn_leaks_no_telemetry_sources_or_resident_bytes() {
+fn ingest_churn_leaks_no_telemetry_sources() {
     let dir = tmpdir("churn");
     let (_svc, _handle, addr) = start(ServedConfig::new(&dir));
     let mut r = rand::rngs::StdRng::seed_from_u64(0xC4A);
@@ -886,7 +826,8 @@ fn session_churn_leaks_no_telemetry_sources_or_resident_bytes() {
     let put = csr_json(&x);
     let est = br#"{"op":"matmul","inputs":["X","X"]}"#;
 
-    // Every PUT drops all sessions, so every estimate creates a new one.
+    // Every PUT rebinds X and the next estimate reads the new binding; the
+    // telemetry source count must not move.
     let mut sources_after_first = None;
     for _ in 0..50 {
         assert_eq!(
@@ -897,24 +838,65 @@ fn session_churn_leaks_no_telemetry_sources_or_resident_bytes() {
         assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
         let (_, _, metrics) = http(&addr, "GET", "/metrics", None, b"");
         let sources = metric_value(&metrics, "mnc_obsd_sources").expect("sources gauge");
-        assert!(
-            metric_value(&metrics, "mnc_cache_bytes_resident").unwrap_or(0) > 0,
-            "the live session holds X's sketch"
-        );
         assert_eq!(*sources_after_first.get_or_insert(sources), sources);
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
 
-    // With every session dropped, nothing is resident any more.
-    assert_eq!(
-        http(&addr, "PUT", "/v1/matrices/X", None, put.as_bytes()).0,
-        201
-    );
-    let (_, _, metrics) = http(&addr, "GET", "/metrics", None, b"");
-    assert_eq!(metric_value(&metrics, "mnc_cache_bytes_resident"), Some(0));
-    assert_eq!(
-        metric_value(&metrics, "mnc_obsd_sources"),
-        sources_after_first
-    );
+/// `X·X` through a cold in-process context.
+fn library_square_answer(x: &Arc<CsrMatrix>) -> f64 {
+    let mut dag = ExprDag::new();
+    let lx = dag.leaf("X", Arc::clone(x));
+    let root = dag.matmul(lx, lx).unwrap();
+    EstimationContext::new()
+        .estimate_root(&MncEstimator::new(), &dag, root)
+        .unwrap()
+}
+
+#[test]
+fn rebinding_or_deleting_a_name_reaches_every_client() {
+    let dir = tmpdir("rebind");
+    let (_svc, _handle, addr) = start(ServedConfig::new(&dir));
+    let mut r = rand::rngs::StdRng::seed_from_u64(0x5EB);
+    let old = Arc::new(gen::rand_uniform(&mut r, 40, 40, 0.05).to_indicator());
+    let new = Arc::new(gen::rand_uniform(&mut r, 40, 40, 0.2).to_indicator());
+    let estimate = |client: usize| {
+        let req = format!(
+            r#"{{"client":"c{client}","dag":[{{"leaf":"X"}},{{"op":"matmul","inputs":[0,0]}}]}}"#
+        );
+        http(&addr, "POST", "/v1/estimate", None, req.as_bytes())
+    };
+    let bits = |body: &[u8]| {
+        let v = json_body(body);
+        v.get("sparsity")
+            .and_then(|s| s.as_f64())
+            .unwrap()
+            .to_bits()
+    };
+
+    let put = |m: &CsrMatrix| http(&addr, "PUT", "/v1/matrices/X", None, csr_json(m).as_bytes());
+    assert_eq!(put(&old).0, 201);
+    let (before, after) = (library_square_answer(&old), library_square_answer(&new));
+    assert_ne!(before.to_bits(), after.to_bits(), "the rebinding must show");
+    for client in 0..16 {
+        let (status, _, body) = estimate(client);
+        assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
+        assert_eq!(bits(&body), before.to_bits(), "client c{client}");
+    }
+
+    // Rebind X: every client's next answer is the new matrix's.
+    assert_eq!(put(&new).0, 201);
+    for client in 0..16 {
+        let (status, _, body) = estimate(client);
+        assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
+        assert_eq!(bits(&body), after.to_bits(), "client c{client}");
+    }
+
+    // Delete X: no client is answered from a stale binding.
+    assert_eq!(http(&addr, "DELETE", "/v1/matrices/X", None, b"").0, 204);
+    for client in 0..16 {
+        assert_eq!(estimate(client).0, 404, "client c{client}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

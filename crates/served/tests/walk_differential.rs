@@ -1,16 +1,18 @@
 //! Differential test for the one DAG walk: a random request DAG estimated
 //! through `mnc_served::walk` must answer exactly what a cold in-process
 //! `EstimationContext` answers for the equivalent `ExprDag` — sparsity
-//! bits and root-sketch bytes, for every estimator family, at any worker
-//! count. Bitset answers must additionally equal exact evaluation.
+//! bits and root-sketch bytes, for every estimator family, with the
+//! context at any worker count. Bitset answers must additionally equal
+//! exact evaluation.
 //!
 //! The hand-written lockstep tests in `walk.rs` and `e2e.rs` pin specific
 //! shapes; this suite covers random shapes (shared sub-nodes, unary and
 //! binary ops, leaf roots, unreachable nodes) and the non-MNC estimators.
 //!
 //! CI runs this suite in debug **and** `--release` at `MNC_THREADS` 1, 2,
-//! and 8. Every case runs at one thread and at `MNC_THREADS` (a {2, 8}
-//! sweep when the variable is unset).
+//! and 8. Every case runs the context at one thread and at `MNC_THREADS`
+//! (a {2, 8} sweep when the variable is unset); the served walk is
+//! sequential.
 
 use std::sync::Arc;
 
@@ -23,9 +25,8 @@ use mnc_estimators::{
     Synopsis,
 };
 use mnc_expr::{EstimationContext, Evaluator, ExprDag};
-use mnc_kernels::WorkerPool;
 use mnc_matrix::{gen, CsrMatrix};
-use mnc_served::walk::estimate_dag_pooled;
+use mnc_served::walk::estimate_dag;
 use mnc_served::{DagSpec, NodeSpec};
 
 const UNARY: [OpKind; 3] = [OpKind::Transpose, OpKind::Neq0, OpKind::Eq0];
@@ -138,8 +139,8 @@ fn random_case(seed: u64) -> Case {
     }
 }
 
-/// Asserts the served walk answers exactly what a cold context answers,
-/// with and without the root sketch, at every worker count.
+/// Asserts the served walk answers exactly what a cold context answers at
+/// every worker count, with and without the root sketch.
 fn check_case(case: &Case) {
     let root = case.spec.root;
     for make in estimators() {
@@ -179,30 +180,29 @@ fn check_case(case: &Case) {
             .map(|m| m.as_ref().map(|m| Arc::new(builder.build(m).unwrap())))
             .collect();
 
+        let at = format!("{name}, root={root}, dag={:?}", case.spec);
         for threads in thread_counts() {
-            let pool = WorkerPool::new(threads);
-            let at = format!(
-                "{name}, threads={threads}, root={root}, dag={:?}",
-                case.spec
-            );
-
             let mut par = EstimationContext::new().with_threads(threads);
             let cold = par.estimate_root(&*make(), &case.dag, root).unwrap();
-            assert_eq!(cold.to_bits(), exact.to_bits(), "context: {at}");
+            assert_eq!(
+                cold.to_bits(),
+                exact.to_bits(),
+                "context: threads={threads}, {at}"
+            );
+        }
 
-            let plain = estimate_dag_pooled(&*make(), &case.spec, &leaves, false, &pool).unwrap();
-            assert_eq!(plain.sparsity.to_bits(), expected.to_bits(), "served: {at}");
-            assert_eq!(plain.shape, case.dag.shape(root), "shape: {at}");
+        let plain = estimate_dag(&*make(), &case.spec, &leaves, false).unwrap();
+        assert_eq!(plain.sparsity.to_bits(), expected.to_bits(), "served: {at}");
+        assert_eq!(plain.shape, case.dag.shape(root), "shape: {at}");
 
-            let sketched = estimate_dag_pooled(&*make(), &case.spec, &leaves, true, &pool);
-            match (&expected_sketch, sketched) {
-                (Some(bytes), Ok(out)) => {
-                    assert_eq!(out.sparsity.to_bits(), expected.to_bits(), "sketched: {at}");
-                    assert_eq!(out.sketch_bytes.as_ref(), Some(bytes), "sketch: {at}");
-                }
-                (None, Err(e)) => assert_eq!(e.status(), 400, "{at}"),
-                (want, got) => panic!("sketch {want:?} vs {got:?}: {at}"),
+        let sketched = estimate_dag(&*make(), &case.spec, &leaves, true);
+        match (&expected_sketch, sketched) {
+            (Some(bytes), Ok(out)) => {
+                assert_eq!(out.sparsity.to_bits(), expected.to_bits(), "sketched: {at}");
+                assert_eq!(out.sketch_bytes.as_ref(), Some(bytes), "sketch: {at}");
             }
+            (None, Err(e)) => assert_eq!(e.status(), 400, "{at}"),
+            (want, got) => panic!("sketch {want:?} vs {got:?}: {at}"),
         }
     }
 }
