@@ -3,8 +3,8 @@
 //! these, not construction).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mnc_core::propagate::propagate_matmul;
-use mnc_core::{MncConfig, MncSketch, SplitMix64};
+use mnc_core::propagate::propagate_matmul_in;
+use mnc_core::{MncConfig, MncSketch, ScratchArena, SplitMix64};
 use mnc_expr::{dense_chain_order, plan_cost_sketched, random_plan, sparse_chain_order, PlanTree};
 use mnc_matrix::gen;
 use rand::SeedableRng;
@@ -23,7 +23,7 @@ fn bench_propagate_matmul(c: &mut Criterion) {
         let cfg = MncConfig::default();
         g.bench_with_input(BenchmarkId::from_parameter(dim), &s, |b, s| {
             let mut rng = SplitMix64::new(3);
-            b.iter(|| propagate_matmul(&s[0], &s[1], &cfg, &mut rng));
+            b.iter(|| propagate_matmul_in(&s[0], &s[1], &cfg, &mut rng, &mut ScratchArena::new()));
         });
     }
     g.finish();

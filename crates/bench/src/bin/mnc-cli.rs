@@ -9,8 +9,6 @@
 //! mnc-cli gen <uniform|permutation|nlp> <out.mtx> [rows cols sparsity]
 //! mnc-cli catalog add <dir> <a.mtx> [--name NAME]   # build + persist sketch
 //! mnc-cli catalog list <dir>                  # list persisted sketches
-//! mnc-cli serve --catalog <dir> [--addr HOST:PORT] [--workers N] [--queue N]
-//!                               [--slow-threshold MS] [--access-log PATH]
 //! mnc-cli top [--addr HOST:PORT] [--interval-ms N] [--once] [--frames N]
 //! ```
 //!
@@ -24,8 +22,8 @@
 //!
 //! `catalog add` / `catalog list` manage an `mnc-served` synopsis catalog
 //! directory offline: sketches added here are served after a daemon start
-//! without any rebuild. `serve` runs the daemon in-process (same flags as
-//! the standalone `mnc-served` binary).
+//! without any rebuild. The daemon itself is the `mnc-served` binary
+//! (`mnc-served --catalog <dir>`); `top` watches a running one.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -49,7 +47,6 @@ fn main() -> ExitCode {
         Some("estimate") => cmd_estimate(&args[1..]),
         Some("gen") => cmd_gen(&args[1..]),
         Some("catalog") => cmd_catalog(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
         Some("top") => cmd_top(&args[1..]),
         _ => {
             eprintln!(
@@ -60,9 +57,8 @@ fn main() -> ExitCode {
                  mnc-cli gen <uniform|permutation|nlp> <out.mtx> [rows cols sparsity]\n  \
                  mnc-cli catalog add <dir> <a.mtx> [--name NAME]\n  \
                  mnc-cli catalog list <dir>\n  \
-                 mnc-cli serve --catalog <dir> [--addr HOST:PORT] [--workers N] [--queue N]\n    \
-                 [--max-body BYTES] [--flight-capacity N] [--slow-threshold MS] [--access-log PATH]\n  \
-                 mnc-cli top [--addr HOST:PORT] [--interval-ms N] [--once] [--frames N]",
+                 mnc-cli top [--addr HOST:PORT] [--interval-ms N] [--once] [--frames N]\n  \
+                 (to serve a catalog over HTTP, run `mnc-served --catalog <dir>`)",
                 mnc_bench::OBS_USAGE
             );
             return ExitCode::from(2);
@@ -358,82 +354,6 @@ fn cmd_catalog(args: &[String]) -> Result<(), String> {
         _ => Err(
             "usage: mnc-cli catalog add <dir> <a.mtx> [--name NAME] | catalog list <dir>".into(),
         ),
-    }
-}
-
-fn cmd_serve(args: &[String]) -> Result<(), String> {
-    use mnc_served::{serve_with, EstimationService, ServeOptions, ServedConfig};
-    let mut catalog: Option<String> = None;
-    let mut addr = "127.0.0.1:9419".to_string();
-    let mut workers = 4usize;
-    let mut queue = 8usize;
-    let mut max_body = 4usize << 20;
-    let mut flight_capacity = 1024usize;
-    let mut slow_threshold_ms: Option<u64> = None;
-    let mut access_log: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--catalog" => catalog = Some(value("--catalog")?.clone()),
-            "--addr" => addr = value("--addr")?.clone(),
-            "--workers" => {
-                workers = value("--workers")?
-                    .parse()
-                    .map_err(|_| "--workers: not a number")?
-            }
-            "--queue" => {
-                queue = value("--queue")?
-                    .parse()
-                    .map_err(|_| "--queue: not a number")?
-            }
-            "--max-body" => {
-                max_body = value("--max-body")?
-                    .parse()
-                    .map_err(|_| "--max-body: not a number")?
-            }
-            "--flight-capacity" => {
-                flight_capacity = value("--flight-capacity")?
-                    .parse()
-                    .map_err(|_| "--flight-capacity: not a number")?
-            }
-            "--slow-threshold" => {
-                slow_threshold_ms = Some(
-                    value("--slow-threshold")?
-                        .parse()
-                        .map_err(|_| "--slow-threshold: not a number (ms)")?,
-                )
-            }
-            "--access-log" => access_log = Some(value("--access-log")?.clone()),
-            other => return Err(format!("serve: unknown flag `{other}`")),
-        }
-    }
-    let catalog = catalog.ok_or("serve: --catalog is required")?;
-    let mut cfg = ServedConfig::new(&catalog);
-    cfg.workers = workers;
-    cfg.queue = queue;
-    cfg.flight_capacity = flight_capacity;
-    if let Some(ms) = slow_threshold_ms {
-        cfg.slow_threshold = std::time::Duration::from_millis(ms);
-    }
-    cfg.access_log = access_log.map(std::path::PathBuf::from);
-    let service = EstimationService::new(cfg).map_err(|e| e.to_string())?;
-    let handle = serve_with(
-        service,
-        addr.as_str(),
-        ServeOptions {
-            max_body_bytes: max_body,
-        },
-    )
-    .map_err(|e| format!("bind {addr}: {e}"))?;
-    println!(
-        "mnc-cli serve: listening on http://{} (catalog {catalog})",
-        handle.local_addr()
-    );
-    loop {
-        std::thread::park();
     }
 }
 

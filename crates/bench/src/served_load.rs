@@ -1,9 +1,9 @@
 //! Concurrent-client load harness for `mnc-served`.
 //!
-//! Starts an [`EstimationService`](mnc_served::EstimationService) on an
-//! ephemeral loopback port over a throwaway catalog, ingests a small matrix
-//! chain over HTTP, then drives `clients` threads issuing `POST
-//! /v1/estimate` in a closed loop, each over one persistent connection.
+//! Starts an [`EstimationService`] on an ephemeral loopback port over a
+//! throwaway catalog, ingests a small matrix chain over HTTP, then drives
+//! `clients` threads issuing `POST /v1/estimate` in a closed loop, each
+//! over one persistent connection.
 //! Every request's wall latency is collected; the p50/p99 land in the
 //! `mnc-perf` record as gated `served.estimate.*_ns` metrics, so a
 //! regression in the service path — routing, admission, session locking,

@@ -1,8 +1,9 @@
 //! Allocation-reduction guarantee of the scratch arena: a matmul
-//! propagation chain that leases its count-vector buffers from a
-//! [`ScratchArena`] and recycles retired intermediates must make at most
-//! half the allocations of the same chain allocating fresh vectors per
-//! step — and produce bit-identical sketches.
+//! propagation chain that leases its count-vector buffers from one
+//! [`ScratchArena`] and recycles retired intermediates (as the chain
+//! optimizer's fold does) must make at most half the allocations of the
+//! same chain passing a fresh arena per step — and produce bit-identical
+//! sketches.
 //!
 //! The allocation counters only move under `--features alloc-track` (CI
 //! runs `cargo test -p mnc-bench --features alloc-track`); in untracked
@@ -11,7 +12,7 @@
 
 use std::sync::Arc;
 
-use mnc_core::propagate::{propagate_matmul, propagate_matmul_in};
+use mnc_core::propagate::propagate_matmul_in;
 use mnc_core::{MncConfig, MncSketch, ScratchArena, SplitMix64};
 use mnc_matrix::{gen, CsrMatrix};
 use mnc_obs::alloc::{tracking_active, AllocScope};
@@ -32,7 +33,7 @@ fn chain_sketches(d: usize, k: usize) -> Vec<MncSketch> {
 /// Folds the chain through the arena-backed path, recycling each retired
 /// intermediate, and reports the sketch plus the allocation delta of the
 /// propagation (sketch construction stays outside the scope).
-fn fold_with_arena(
+fn fold_recycling(
     sketches: &[MncSketch],
     cfg: &MncConfig,
     arena: &mut ScratchArena,
@@ -48,16 +49,24 @@ fn fold_with_arena(
     (cur, scope.measure())
 }
 
-/// The pre-arena shape: every step allocates fresh output vectors.
+/// The fold without recycling: every step passes a fresh arena, as every
+/// propagation outside the chain optimizer does, so each step allocates
+/// fresh output vectors.
 fn fold_allocating(
     sketches: &[MncSketch],
     cfg: &MncConfig,
 ) -> (MncSketch, mnc_obs::alloc::AllocDelta) {
     let mut rng = SplitMix64::new(cfg.seed);
     let scope = AllocScope::start();
-    let mut cur = propagate_matmul(&sketches[0], &sketches[1], cfg, &mut rng);
+    let mut cur = propagate_matmul_in(
+        &sketches[0],
+        &sketches[1],
+        cfg,
+        &mut rng,
+        &mut ScratchArena::new(),
+    );
     for s in &sketches[2..] {
-        cur = propagate_matmul(&cur, s, cfg, &mut rng);
+        cur = propagate_matmul_in(&cur, s, cfg, &mut rng, &mut ScratchArena::new());
     }
     (cur, scope.measure())
 }
@@ -70,9 +79,9 @@ fn arena_halves_chain_allocations_and_keeps_bits() {
     // Warm the pool: the first pass leases fresh buffers; the measured
     // steady-state pass below must be served from recycled ones.
     let mut arena = ScratchArena::new();
-    let (_, _) = fold_with_arena(&sketches, &cfg, &mut arena);
+    let (_, _) = fold_recycling(&sketches, &cfg, &mut arena);
 
-    let (pooled, pooled_delta) = fold_with_arena(&sketches, &cfg, &mut arena);
+    let (pooled, pooled_delta) = fold_recycling(&sketches, &cfg, &mut arena);
     let (fresh, fresh_delta) = fold_allocating(&sketches, &cfg);
 
     assert_eq!(

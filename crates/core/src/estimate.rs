@@ -52,9 +52,9 @@ pub fn estimate_matmul_with(ha: &MncSketch, hb: &MncSketch, cfg: &MncConfig) -> 
 }
 
 /// [`estimate_matmul_with`] with caller-provided scratch: the extended-count
-/// temporaries of Algorithm 1 are leased from `arena` instead of freshly
-/// allocated, so repeated estimation (DAG propagation, chain optimization)
-/// runs allocation-free in steady state. Bit-identical to the plain variant.
+/// temporaries of Algorithm 1 are leased from `arena` and handed back, so
+/// matmul propagation leases them again as its output vectors.
+/// Bit-identical to the plain variant.
 pub fn estimate_matmul_in(
     ha: &MncSketch,
     hb: &MncSketch,

@@ -46,15 +46,16 @@ pub use serialize::{from_bytes, to_bytes, DecodeError};
 pub use sketch::{MncSketch, SketchMeta};
 
 // The kernel scratch arena is part of the core propagation API surface
-// (`MncSketch::propagate_in`, the `propagate_*_in` free functions), so
-// downstream crates get it without naming `mnc-kernels` directly.
+// (`MncSketch::propagate_in`, the `propagate_*_in` kernels), so downstream
+// crates get it without naming `mnc-kernels` directly.
 pub use mnc_kernels::ScratchArena;
 
-// The legacy per-op free functions are no longer re-exported at the crate
-// root: [`MncSketch::estimate`] / [`MncSketch::propagate`] (see [`op`]) are
-// the public vocabulary. Specialized callers (benchmarks, the chain
-// optimizer's zero-alloc inner loop) reach the per-op kernels through
-// their defining modules, e.g. `mnc_core::propagate::propagate_matmul_in`.
+// Propagation takes one path: `MncSketch::propagate_in` validates the
+// inputs and dispatches to the one `propagate_*_in` kernel of each op, and
+// `MncSketch::propagate` is its default-config face. Callers with no
+// arena of their own pass `&mut ScratchArena::new()`. The kernels are not
+// re-exported at the crate root; callers that fold one op themselves (the
+// chain optimizer, benchmarks) name them through `mnc_core::propagate`.
 
 /// Configuration of the MNC estimator.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -3,10 +3,11 @@
 //! [`OpKind`] and [`EstimatorError`] originally lived in `mnc-estimators`;
 //! they moved here so that the core sketch and every estimator speak one
 //! vocabulary (`mnc-estimators` re-exports them). On top of that vocabulary,
-//! [`MncSketch::estimate`] and [`MncSketch::propagate`] collapse the twelve
-//! `estimate_*`/`propagate_*` free-function pairs into two entry points that
-//! validate arity and shapes up front and return [`EstimatorError`] instead
-//! of panicking on malformed input.
+//! [`MncSketch::estimate`] and [`MncSketch::propagate_in`] (with its
+//! default-config face [`MncSketch::propagate`]) are the one dispatch over
+//! the per-op `estimate_*`/`propagate_*` kernels: they validate arity and
+//! shapes up front and return [`EstimatorError`] instead of panicking on
+//! malformed input.
 
 use std::fmt;
 
@@ -360,30 +361,24 @@ impl MncSketch {
     }
 
     /// Derives the output sketch of `op` applied to `inputs` with the
-    /// default configuration and a rounding generator seeded from it — the
-    /// op-driven face of the twelve `propagate_*` functions.
+    /// default configuration, a rounding generator seeded from it and a
+    /// fresh scratch arena — the op-driven face of the `propagate_*`
+    /// kernels.
     pub fn propagate(op: &OpKind, inputs: &[&MncSketch]) -> Result<MncSketch> {
         let cfg = MncConfig::default();
         let mut rng = SplitMix64::new(cfg.seed);
-        Self::propagate_with(op, inputs, &cfg, &mut rng)
+        Self::propagate_in(op, inputs, &cfg, &mut rng, &mut ScratchArena::new())
     }
 
-    /// [`MncSketch::propagate`] under an explicit configuration and rounding
-    /// generator (callers that propagate repeatedly thread one generator
-    /// through for deterministic, unbiased rounding).
-    pub fn propagate_with(
-        op: &OpKind,
-        inputs: &[&MncSketch],
-        cfg: &MncConfig,
-        rng: &mut SplitMix64,
-    ) -> Result<MncSketch> {
-        Self::propagate_in(op, inputs, cfg, rng, &mut ScratchArena::new())
-    }
-
-    /// [`MncSketch::propagate_with`] with caller-provided scratch: every
-    /// output count vector and extended-count temporary is leased from
-    /// `arena`, so repeated propagation over a DAG runs allocation-free in
-    /// steady state. Bit-identical to the plain variant.
+    /// [`MncSketch::propagate`] under an explicit configuration, rounding
+    /// generator and scratch arena. Callers that propagate repeatedly
+    /// thread one generator through for deterministic, unbiased rounding.
+    /// Every output count vector and extended-count temporary is leased
+    /// from `arena`; callers with no arena of their own pass
+    /// `&mut ScratchArena::new()`, and a caller that recycles retired
+    /// intermediates into its arena ([`MncSketch::recycle_into`]) reaches
+    /// an allocation-free steady state. The arena's contents never change
+    /// the result.
     pub fn propagate_in(
         op: &OpKind,
         inputs: &[&MncSketch],
@@ -533,9 +528,21 @@ mod tests {
         let cfg = MncConfig::default();
         let mut r1 = SplitMix64::new(cfg.seed);
         let mut r2 = SplitMix64::new(cfg.seed);
-        let via_op =
-            MncSketch::propagate_with(&OpKind::MatMul, &[&ha, &hb], &cfg, &mut r1).unwrap();
-        let direct = crate::propagate::propagate_matmul(&ha, &hb, &cfg, &mut r2);
+        let via_op = MncSketch::propagate_in(
+            &OpKind::MatMul,
+            &[&ha, &hb],
+            &cfg,
+            &mut r1,
+            &mut ScratchArena::new(),
+        )
+        .unwrap();
+        let direct = crate::propagate::propagate_matmul_in(
+            &ha,
+            &hb,
+            &cfg,
+            &mut r2,
+            &mut ScratchArena::new(),
+        );
         assert_eq!(via_op, direct);
     }
 

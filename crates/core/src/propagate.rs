@@ -50,18 +50,9 @@ fn scale_counts(
 /// sparsity is estimated with Algorithm 1 and both count vectors are scaled
 /// to match it, assuming the per-row/column non-zero distribution carries
 /// over the product.
-pub fn propagate_matmul(
-    ha: &MncSketch,
-    hb: &MncSketch,
-    cfg: &MncConfig,
-    rng: &mut SplitMix64,
-) -> MncSketch {
-    propagate_matmul_in(ha, hb, cfg, rng, &mut ScratchArena::new())
-}
-
-/// [`propagate_matmul`] with caller-provided scratch — output count vectors
-/// are leased from `arena` and their metadata is recomputed in the same
-/// fused scaling pass. Bit-identical to the plain variant.
+///
+/// Output count vectors are leased from `arena`, and their metadata is
+/// recomputed in the same fused scaling pass.
 pub fn propagate_matmul_in(
     ha: &MncSketch,
     hb: &MncSketch,
@@ -145,11 +136,6 @@ pub fn propagate_neq_zero(h: &MncSketch) -> MncSketch {
 
 /// `A == 0`: complement counts, `h^r_C = n - h^r_A`, `h^c_C = m - h^c_A`;
 /// extension vectors are dropped (Eq. 14).
-pub fn propagate_eq_zero(h: &MncSketch) -> MncSketch {
-    propagate_eq_zero_in(h, &mut ScratchArena::new())
-}
-
-/// [`propagate_eq_zero`] with caller-provided scratch.
 pub fn propagate_eq_zero_in(h: &MncSketch, arena: &mut ScratchArena) -> MncSketch {
     let n = h.ncols as u32;
     let m = h.nrows as u32;
@@ -170,11 +156,6 @@ pub fn propagate_eq_zero_in(h: &MncSketch, arena: &mut ScratchArena) -> MncSketc
 /// `rbind(A, B)`: row counts concatenate and column counts add — both exact.
 /// `h^ec` adds exactly (single-non-zero rows are unaffected by stacking);
 /// `h^er` cannot be preserved (a column's total count changes) — Eq. 14.
-pub fn propagate_rbind(ha: &MncSketch, hb: &MncSketch) -> MncSketch {
-    propagate_rbind_in(ha, hb, &mut ScratchArena::new())
-}
-
-/// [`propagate_rbind`] with caller-provided scratch.
 pub fn propagate_rbind_in(ha: &MncSketch, hb: &MncSketch, arena: &mut ScratchArena) -> MncSketch {
     assert_eq!(ha.ncols, hb.ncols, "rbind propagation: shape mismatch");
     let nrows = ha.nrows + hb.nrows;
@@ -195,12 +176,7 @@ pub fn propagate_rbind_in(ha: &MncSketch, hb: &MncSketch, arena: &mut ScratchAre
     )
 }
 
-/// `cbind(A, B)`: symmetric to [`propagate_rbind`].
-pub fn propagate_cbind(ha: &MncSketch, hb: &MncSketch) -> MncSketch {
-    propagate_cbind_in(ha, hb, &mut ScratchArena::new())
-}
-
-/// [`propagate_cbind`] with caller-provided scratch.
+/// `cbind(A, B)`: symmetric to [`propagate_rbind_in`].
 pub fn propagate_cbind_in(ha: &MncSketch, hb: &MncSketch, arena: &mut ScratchArena) -> MncSketch {
     assert_eq!(ha.nrows, hb.nrows, "cbind propagation: shape mismatch");
     let ncols = ha.ncols + hb.ncols;
@@ -244,11 +220,6 @@ pub fn propagate_diag_v2m(h: &MncSketch) -> MncSketch {
 /// "in a best-effort manner" (Section 4.2): each output row is expected to
 /// hold `h^r_i / n` non-zeros, probabilistically rounded; the single output
 /// column sums the row expectations.
-pub fn propagate_diag_extract(h: &MncSketch, cfg: &MncConfig, rng: &mut SplitMix64) -> MncSketch {
-    propagate_diag_extract_in(h, cfg, rng, &mut ScratchArena::new())
-}
-
-/// [`propagate_diag_extract`] with caller-provided scratch.
 pub fn propagate_diag_extract_in(
     h: &MncSketch,
     cfg: &MncConfig,
@@ -280,17 +251,6 @@ pub fn propagate_diag_extract_in(
 ///   columns that fold onto them **exactly**; row counts split evenly
 ///   (estimated).
 /// * Otherwise: best-effort uniform redistribution of the non-zeros.
-pub fn propagate_reshape(
-    h: &MncSketch,
-    k: usize,
-    l: usize,
-    cfg: &MncConfig,
-    rng: &mut SplitMix64,
-) -> MncSketch {
-    propagate_reshape_in(h, k, l, cfg, rng, &mut ScratchArena::new())
-}
-
-/// [`propagate_reshape`] with caller-provided scratch.
 pub fn propagate_reshape_in(
     h: &MncSketch,
     k: usize,
@@ -357,16 +317,6 @@ pub fn propagate_reshape_in(
 
 /// Element-wise addition (Eq. 15, `+` branch): per-entry inclusion-exclusion
 /// with the symmetric collision factors `λ^r`, `λ^c`.
-pub fn propagate_ew_add(
-    ha: &MncSketch,
-    hb: &MncSketch,
-    cfg: &MncConfig,
-    rng: &mut SplitMix64,
-) -> MncSketch {
-    propagate_ew_add_in(ha, hb, cfg, rng, &mut ScratchArena::new())
-}
-
-/// [`propagate_ew_add`] with caller-provided scratch.
 pub fn propagate_ew_add_in(
     ha: &MncSketch,
     hb: &MncSketch,
@@ -399,16 +349,6 @@ pub fn propagate_ew_add_in(
 }
 
 /// Element-wise multiplication (Eq. 15, `⊙` branch).
-pub fn propagate_ew_mul(
-    ha: &MncSketch,
-    hb: &MncSketch,
-    cfg: &MncConfig,
-    rng: &mut SplitMix64,
-) -> MncSketch {
-    propagate_ew_mul_in(ha, hb, cfg, rng, &mut ScratchArena::new())
-}
-
-/// [`propagate_ew_mul`] with caller-provided scratch.
 pub fn propagate_ew_mul_in(
     ha: &MncSketch,
     hb: &MncSketch,
@@ -463,7 +403,7 @@ mod tests {
         let b = gen::rand_uniform(&mut r, 60, 70, 0.08);
         let (ha, hb) = (MncSketch::build(&a), MncSketch::build(&b));
         let s = crate::estimate::estimate_matmul(&ha, &hb);
-        let hc = propagate_matmul(&ha, &hb, &cfg(), &mut smx());
+        let hc = propagate_matmul_in(&ha, &hb, &cfg(), &mut smx(), &mut ScratchArena::new());
         let expect = s * 80.0 * 70.0;
         let got: f64 = hc.hr.iter().map(|&c| c as f64).sum();
         // Probabilistic rounding keeps the sum within sampling noise.
@@ -483,12 +423,12 @@ mod tests {
         let d = gen::scalar_diag(30, 2.0);
         let hd = MncSketch::build(&d);
         // diag(λ) · X preserves X's sketch exactly (Eq. 12).
-        let hc = propagate_matmul(&hd, &hx, &cfg(), &mut smx());
+        let hc = propagate_matmul_in(&hd, &hx, &cfg(), &mut smx(), &mut ScratchArena::new());
         assert_eq!(hc, hx);
         // X · diag(λ) on the other side.
         let d2 = gen::scalar_diag(20, 3.0);
         let hd2 = MncSketch::build(&d2);
-        let hc2 = propagate_matmul(&hx, &hd2, &cfg(), &mut smx());
+        let hc2 = propagate_matmul_in(&hx, &hd2, &cfg(), &mut smx(), &mut ScratchArena::new());
         assert_eq!(hc2, hx);
     }
 
@@ -507,7 +447,7 @@ mod tests {
         let mut r = rng(4);
         let a = gen::rand_uniform(&mut r, 20, 15, 0.3);
         let h = MncSketch::build(&a);
-        let hz = propagate_eq_zero(&h);
+        let hz = propagate_eq_zero_in(&h, &mut ScratchArena::new());
         let rebuilt = MncSketch::build(&ops::eq_zero(&a));
         assert_eq!(hz.hr, rebuilt.hr);
         assert_eq!(hz.hc, rebuilt.hc);
@@ -518,7 +458,11 @@ mod tests {
         let mut r = rng(5);
         let a = gen::rand_uniform(&mut r, 12, 10, 0.2);
         let b = gen::rand_uniform(&mut r, 8, 10, 0.4);
-        let h = propagate_rbind(&MncSketch::build(&a), &MncSketch::build(&b));
+        let h = propagate_rbind_in(
+            &MncSketch::build(&a),
+            &MncSketch::build(&b),
+            &mut ScratchArena::new(),
+        );
         let rebuilt = MncSketch::build(&ops::rbind(&a, &b).unwrap());
         assert_eq!(h.hr, rebuilt.hr);
         assert_eq!(h.hc, rebuilt.hc);
@@ -530,7 +474,11 @@ mod tests {
         let mut r = rng(6);
         let a = gen::rand_uniform(&mut r, 12, 10, 0.2);
         let b = gen::rand_uniform(&mut r, 12, 6, 0.4);
-        let h = propagate_cbind(&MncSketch::build(&a), &MncSketch::build(&b));
+        let h = propagate_cbind_in(
+            &MncSketch::build(&a),
+            &MncSketch::build(&b),
+            &mut ScratchArena::new(),
+        );
         let rebuilt = MncSketch::build(&ops::cbind(&a, &b).unwrap());
         assert_eq!(h.hr, rebuilt.hr);
         assert_eq!(h.hc, rebuilt.hc);
@@ -555,7 +503,7 @@ mod tests {
         // Expected diagonal occupancy for a dense square matrix is 1/row.
         let d = gen::rand_dense(&mut rng(12).clone(), 16, 16);
         let h = MncSketch::build(&d);
-        let hp = propagate_diag_extract(&h, &cfg(), &mut smx());
+        let hp = propagate_diag_extract_in(&h, &cfg(), &mut smx(), &mut ScratchArena::new());
         assert_eq!(hp.nrows, 16);
         assert_eq!(hp.ncols, 1);
         assert_eq!(hp.hr.iter().map(|&c| c as u64).sum::<u64>(), 16);
@@ -567,7 +515,7 @@ mod tests {
         let a = gen::rand_uniform(&mut r, 12, 5, 0.3);
         let h = MncSketch::build(&a);
         // 12x5 -> 4x15 merges 3 rows into 1.
-        let hp = propagate_reshape(&h, 4, 15, &cfg(), &mut smx());
+        let hp = propagate_reshape_in(&h, 4, 15, &cfg(), &mut smx(), &mut ScratchArena::new());
         let rebuilt = MncSketch::build(&ops::reshape(&a, 4, 15).unwrap());
         assert_eq!(hp.hr, rebuilt.hr, "merged row counts are exact");
         let sum_hc: u64 = hp.hc.iter().map(|&c| c as u64).sum();
@@ -580,7 +528,7 @@ mod tests {
         let a = gen::rand_uniform(&mut r, 4, 15, 0.3);
         let h = MncSketch::build(&a);
         // 4x15 -> 12x5 splits each row into 3.
-        let hp = propagate_reshape(&h, 12, 5, &cfg(), &mut smx());
+        let hp = propagate_reshape_in(&h, 12, 5, &cfg(), &mut smx(), &mut ScratchArena::new());
         let rebuilt = MncSketch::build(&ops::reshape(&a, 12, 5).unwrap());
         assert_eq!(hp.hc, rebuilt.hc, "folded column counts are exact");
     }
@@ -590,7 +538,7 @@ mod tests {
         let mut r = rng(9);
         let a = gen::rand_uniform(&mut r, 6, 4, 0.5);
         let h = MncSketch::build(&a);
-        let hp = propagate_reshape(&h, 6, 4, &cfg(), &mut smx());
+        let hp = propagate_reshape_in(&h, 6, 4, &cfg(), &mut smx(), &mut ScratchArena::new());
         assert_eq!(hp, h);
     }
 
@@ -600,7 +548,7 @@ mod tests {
         let a = gen::rand_uniform(&mut r, 50, 40, 0.2);
         let b = gen::rand_uniform(&mut r, 50, 40, 0.3);
         let (ha, hb) = (MncSketch::build(&a), MncSketch::build(&b));
-        let hp = propagate_ew_mul(&ha, &hb, &cfg(), &mut smx());
+        let hp = propagate_ew_mul_in(&ha, &hb, &cfg(), &mut smx(), &mut ScratchArena::new());
         let truth = ops::ew_mul(&a, &b).unwrap();
         let est_nnz: f64 = hp.hr.iter().map(|&c| c as f64).sum();
         let true_nnz = truth.nnz() as f64;
@@ -616,7 +564,7 @@ mod tests {
         let a = gen::rand_uniform(&mut r, 50, 40, 0.15);
         let b = gen::rand_uniform(&mut r, 50, 40, 0.25);
         let (ha, hb) = (MncSketch::build(&a), MncSketch::build(&b));
-        let hp = propagate_ew_add(&ha, &hb, &cfg(), &mut smx());
+        let hp = propagate_ew_add_in(&ha, &hb, &cfg(), &mut smx(), &mut ScratchArena::new());
         let truth = ops::ew_add(&a, &b).unwrap();
         let est_nnz: f64 = hp.hr.iter().map(|&c| c as f64).sum();
         let true_nnz = truth.nnz() as f64;

@@ -36,7 +36,6 @@ pub mod sampling;
 
 use std::sync::Arc;
 
-use mnc_kernels::ScratchArena;
 use mnc_matrix::CsrMatrix;
 
 pub use analysis::{Complexity, COMPLEXITY_TABLE};
@@ -159,16 +158,6 @@ impl Synopsis {
             }
         }
     }
-
-    /// Returns the synopsis's reusable buffers to `arena` so subsequent
-    /// propagations can lease them instead of allocating. Only the MNC
-    /// sketch's count vectors participate today; every other synopsis is
-    /// simply dropped.
-    pub fn recycle_into(self, arena: &mut ScratchArena) {
-        if let Synopsis::Mnc(s) = self {
-            s.sketch.recycle_into(arena);
-        }
-    }
 }
 
 /// The common estimator interface the SparsEst benchmark drives.
@@ -188,20 +177,6 @@ pub trait SparsityEstimator {
     /// Derives the output synopsis of `op`, enabling recursive estimation
     /// over expression chains and DAGs.
     fn propagate(&self, op: &OpKind, inputs: &[&Synopsis]) -> Result<Synopsis>;
-
-    /// [`SparsityEstimator::propagate`] with caller-provided scratch:
-    /// estimators that build count-vector outputs may lease their buffers
-    /// from `arena` instead of allocating fresh ones. The result must be
-    /// bit-identical to `propagate`; the default implementation ignores the
-    /// arena and delegates.
-    fn propagate_scratch(
-        &self,
-        op: &OpKind,
-        inputs: &[&Synopsis],
-        _arena: &mut ScratchArena,
-    ) -> Result<Synopsis> {
-        self.propagate(op, inputs)
-    }
 
     /// Whether the estimator handles matrix product *chains* (the `®` column
     /// of Table 1).
@@ -250,14 +225,6 @@ impl<E: SparsityEstimator + ?Sized> SparsityEstimator for Box<E> {
     }
     fn propagate(&self, op: &OpKind, inputs: &[&Synopsis]) -> Result<Synopsis> {
         (**self).propagate(op, inputs)
-    }
-    fn propagate_scratch(
-        &self,
-        op: &OpKind,
-        inputs: &[&Synopsis],
-        arena: &mut ScratchArena,
-    ) -> Result<Synopsis> {
-        (**self).propagate_scratch(op, inputs, arena)
     }
     fn supports_chains(&self) -> bool {
         (**self).supports_chains()

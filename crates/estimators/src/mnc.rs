@@ -31,13 +31,6 @@ pub struct MncEstimator {
     /// shared by parallel DAG walks — which are only enabled when rounding
     /// is deterministic, so the lock is never contended on hot paths.
     rng: Mutex<SplitMix64>,
-    /// Route propagation through the persistent scratch arena below. Kept
-    /// out of [`MncConfig`] and the cache key because the arena-backed path
-    /// is bit-identical to the allocating one.
-    use_arena: bool,
-    /// Persistent pool of count-vector buffers reused across `propagate`
-    /// calls (see [`mnc_core::ScratchArena`]).
-    scratch: Mutex<ScratchArena>,
 }
 
 impl Default for MncEstimator {
@@ -64,18 +57,7 @@ impl MncEstimator {
             cfg,
             build_threads: 1,
             rng: Mutex::new(SplitMix64::new(cfg.seed)),
-            use_arena: true,
-            scratch: Mutex::new(ScratchArena::new()),
         }
-    }
-
-    /// Toggles the internal scratch arena (on by default). Estimates and
-    /// propagated sketches are bit-identical either way; turning it off
-    /// forces a fresh allocation per count vector, which the invariance
-    /// tests and the allocation-tracking benchmarks exploit.
-    pub fn with_arena(mut self, on: bool) -> Self {
-        self.use_arena = on;
-        self
     }
 
     /// Builds leaf sketches on `threads` scoped worker threads
@@ -120,45 +102,16 @@ impl SparsityEstimator for MncEstimator {
 
     fn propagate(&self, op: &OpKind, inputs: &[&Synopsis]) -> Result<Synopsis> {
         let sketches = self.sketches(inputs)?;
+        let arena = &mut ScratchArena::new();
         let sketch = if self.cfg.probabilistic_rounding {
             // Rounding draws must keep their global call sequence, so the
             // shared generator stays locked across the whole propagation.
             let rng = &mut *self.rng.lock().expect("rng lock");
-            if self.use_arena {
-                let arena = &mut *self.scratch.lock().expect("scratch lock");
-                MncSketch::propagate_in(op, &sketches, &self.cfg, rng, arena)?
-            } else {
-                MncSketch::propagate_with(op, &sketches, &self.cfg, rng)?
-            }
+            MncSketch::propagate_in(op, &sketches, &self.cfg, rng, arena)?
         } else {
             // Deterministic rounding never draws (`round_count` is the only
             // consumer), so a fresh seeded generator is indistinguishable
             // from the shared one and parallel propagates skip the lock.
-            // The scratch arena is leased opportunistically: a contended
-            // lock falls back to the (bit-identical) allocating path
-            // instead of serializing the workers.
-            let mut rng = SplitMix64::new(self.cfg.seed);
-            match self.scratch.try_lock() {
-                Ok(mut arena) if self.use_arena => {
-                    MncSketch::propagate_in(op, &sketches, &self.cfg, &mut rng, &mut arena)?
-                }
-                _ => MncSketch::propagate_with(op, &sketches, &self.cfg, &mut rng)?,
-            }
-        };
-        Ok(Synopsis::Mnc(MncSynopsis { sketch }))
-    }
-
-    fn propagate_scratch(
-        &self,
-        op: &OpKind,
-        inputs: &[&Synopsis],
-        arena: &mut ScratchArena,
-    ) -> Result<Synopsis> {
-        let sketches = self.sketches(inputs)?;
-        let sketch = if self.cfg.probabilistic_rounding {
-            let rng = &mut *self.rng.lock().expect("rng lock");
-            MncSketch::propagate_in(op, &sketches, &self.cfg, rng, arena)?
-        } else {
             let mut rng = SplitMix64::new(self.cfg.seed);
             MncSketch::propagate_in(op, &sketches, &self.cfg, &mut rng, arena)?
         };
@@ -289,32 +242,6 @@ mod tests {
         // And the estimates track the exact kernels.
         let t_max = ops::ew_max(&a, &b).unwrap().sparsity();
         assert!((max - t_max).abs() < 0.06, "max {max} truth {t_max}");
-    }
-
-    #[test]
-    fn arena_on_and_off_propagate_bit_identically() {
-        let mut r = rng(6);
-        let a = gen::rand_uniform(&mut r, 40, 30, 0.12);
-        let b = gen::rand_uniform(&mut r, 30, 40, 0.09);
-        // Chain a few ops so the arena's pooled buffers actually get reused
-        // (later ops lease what earlier intermediates released).
-        let run = |e: &MncEstimator| -> MncSketch {
-            let mut cur = e
-                .propagate(&OpKind::MatMul, &[&syn(e, &a), &syn(e, &b)])
-                .unwrap();
-            for op in [OpKind::Transpose, OpKind::Eq0, OpKind::Neq0] {
-                cur = e.propagate(&op, &[&cur]).unwrap();
-            }
-            let Synopsis::Mnc(s) = e.propagate(&OpKind::MatMul, &[&cur, &syn(e, &a)]).unwrap()
-            else {
-                panic!("expected MNC synopsis");
-            };
-            s.sketch
-        };
-        assert_eq!(
-            run(&MncEstimator::new()),
-            run(&MncEstimator::new().with_arena(false))
-        );
     }
 
     #[test]

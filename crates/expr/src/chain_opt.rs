@@ -1,6 +1,6 @@
 //! Matrix-multiplication chain optimization (Appendix C).
 //!
-//! The textbook `O(n³)` dynamic program [CLRS] in two flavours:
+//! The textbook `O(n³)` dynamic program \[CLRS\] in two flavours:
 //!
 //! * [`dense_chain_order`] — classic dense FLOP costs `m·n·l` per product,
 //!   oblivious to sparsity (SystemML's default);

@@ -1,7 +1,7 @@
 //! Cost-based physical planning from sparsity estimates — the paper's
 //! motivating applications (Section 1): "sparsity estimates are used during
 //! operation runtime for output format decisions and memory preallocation
-//! [and] during compilation for memory and cost estimates".
+//! \[and\] during compilation for memory and cost estimates".
 //!
 //! [`Planner::plan`] walks an expression DAG with any
 //! [`SparsityEstimator`], estimates every intermediate, and derives:

@@ -14,9 +14,9 @@
 //! intermediates by `(dag id, node id)` — DAGs are append-only, so a node's
 //! content never changes under its id.
 //!
-//! DAG estimation runs the one [`Walk`](crate::walk::Walk) with the context
-//! as its synopsis store: the cache answers the walk's probes, and every
-//! build, propagate, and estimate feeds the statistics, spans, and cache.
+//! DAG estimation runs the one [`Walk`] with the context as its synopsis
+//! store: the cache answers the walk's probes, and every build, propagate,
+//! and estimate feeds the statistics, spans, and cache.
 //! `mnc-served` drives the same walk without a cache, so on a cold cache
 //! the context performs *exactly* the service's build/propagate sequence
 //! (depth-first, inputs in order), and estimators with internal RNG
@@ -27,7 +27,7 @@
 
 use std::sync::Arc;
 
-use mnc_core::{EstimationStats, LruSynopsisCache, OpTimer, ScratchArena};
+use mnc_core::{EstimationStats, LruSynopsisCache, OpTimer};
 use mnc_estimators::{Result, SparsityEstimator, Synopsis};
 use mnc_kernels::WorkerPool;
 use mnc_matrix::CsrMatrix;
@@ -125,12 +125,6 @@ impl SynopsisKey {
 pub struct EstimationContext {
     cache: LruSynopsisCache<CacheKey, Arc<Synopsis>>,
     stats: EstimationStats,
-    /// Pooled count-vector buffers handed to [`SparsityEstimator::propagate_scratch`]
-    /// so repeated DAG propagation runs allocation-free in steady state.
-    arena: ScratchArena,
-    /// Routes propagation through the arena (on by default); results are
-    /// bit-identical either way — see `tests/obs_invariance.rs`.
-    use_arena: bool,
     /// Reused per-walk memo buffer (cleared, not reallocated, between walks).
     memo: Vec<Option<Arc<Synopsis>>>,
     /// Worker pool for DAG-wavefront materialization (1 thread = the plain
@@ -168,8 +162,6 @@ impl EstimationContext {
         EstimationContext {
             cache: LruSynopsisCache::new(byte_budget),
             stats: EstimationStats::new(),
-            arena: ScratchArena::new(),
-            use_arena: true,
             memo: Vec::new(),
             pool: WorkerPool::default(),
             rec: Recorder::disabled(),
@@ -233,14 +225,6 @@ impl EstimationContext {
         }
     }
 
-    /// Toggles the propagation scratch arena (on by default). Arena-backed
-    /// propagation is bit-identical to the allocating path; turning it off
-    /// is for A/B allocation measurements and invariance tests.
-    pub fn with_arena(mut self, on: bool) -> Self {
-        self.use_arena = on;
-        self
-    }
-
     /// Materializes independent DAG nodes on up to `threads` pool workers
     /// (topological wavefronts; default 1 = sequential). The parallel walk
     /// only engages for estimators that are order-invariant and expose a
@@ -256,11 +240,6 @@ impl EstimationContext {
     /// The configured worker-thread budget (1 = sequential walks).
     pub fn threads(&self) -> usize {
         self.pool.threads()
-    }
-
-    /// The session's scratch arena (lease/reuse counters for telemetry).
-    pub fn arena(&self) -> &ScratchArena {
-        &self.arena
     }
 
     /// The session's recorder (disabled unless [`with_recorder`] was used).
@@ -475,8 +454,7 @@ impl Drop for EstimationContext {
 }
 
 /// The context as a walk's synopsis store: the cache answers probes and
-/// admits results; statistics, histograms, spans, and the scratch arena
-/// see every step.
+/// admits results; statistics, histograms, and spans see every step.
 struct Cached<'c> {
     ctx: &'c mut EstimationContext,
     /// The estimator half of every cache key, formatted once per walk.
@@ -501,10 +479,6 @@ impl SynopsisStore<ExprDag> for Cached<'_> {
     fn probe(&mut self, dag: &ExprDag, id: NodeId) -> Option<Arc<Synopsis>> {
         let key = self.key(dag, id);
         self.ctx.lookup(&key)
-    }
-
-    fn arena(&mut self) -> Option<&mut ScratchArena> {
-        self.ctx.use_arena.then_some(&mut self.ctx.arena)
     }
 
     fn begin(&mut self, dag: &ExprDag, id: NodeId, ins: &[&Synopsis], estimate: bool) {

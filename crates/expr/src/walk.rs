@@ -8,8 +8,8 @@
 //! over a [`DagView`] (the nodes, and how a leaf's synopsis is built) and a
 //! [`SynopsisStore`] (a cache, and what happens around each piece of work).
 //! [`EstimationContext`] walks an [`ExprDag`] against its cache,
-//! statistics, spans, and scratch arena; `mnc-served` walks a request DAG
-//! whose leaf synopses it resolved beforehand, with no store at all.
+//! statistics, and spans; `mnc-served` walks a request DAG whose leaf
+//! synopses it resolved beforehand, with no store at all.
 //!
 //! The walk order is a contract, because estimators with an internal RNG
 //! stream (probabilistic rounding in MNC) draw from it per propagation:
@@ -26,7 +26,7 @@
 
 use std::sync::Arc;
 
-use mnc_core::{OpTimer, ScratchArena};
+use mnc_core::OpTimer;
 use mnc_estimators::{OpKind, Result, SparsityEstimator, Synopsis};
 use mnc_kernels::WorkerPool;
 
@@ -97,17 +97,11 @@ impl DagView for ExprDag {
 
 /// The hooks where walks differ. Every hook defaults to doing nothing
 /// beyond the plain computation, so `()` is the store of a walk without a
-/// cache, an arena, or telemetry.
+/// cache or telemetry.
 pub trait SynopsisStore<D: DagView> {
     /// Looks node `id` up before the walk computes it (at most once per
     /// node and walk, in pre-order).
     fn probe(&mut self, _dag: &D, _id: NodeId) -> Option<Arc<Synopsis>> {
-        None
-    }
-
-    /// A scratch arena for the sequential path's propagations. Wavefront
-    /// workers call the allocating `est.propagate`, which is bit-identical.
-    fn arena(&mut self) -> Option<&mut ScratchArena> {
         None
     }
 
@@ -223,10 +217,7 @@ where
                 let t = OpTimer::start();
                 let syn = Arc::new(match node {
                     Node::Leaf => dag.build(self.est, id)?,
-                    Node::Op { op, .. } => match self.store.arena() {
-                        Some(arena) => self.est.propagate_scratch(op, ins.as_slice(), arena)?,
-                        None => self.est.propagate(op, ins.as_slice())?,
-                    },
+                    Node::Op { op, .. } => self.est.propagate(op, ins.as_slice())?,
                 });
                 self.store.done(dag, id, t.elapsed_ns(), Some(&syn));
                 syn
@@ -285,8 +276,6 @@ where
                 let t = OpTimer::start();
                 let syn = match dag.node(batch[k]) {
                     Node::Leaf => dag.build(est, batch[k])?,
-                    // Allocating propagate: a store's scratch arena is
-                    // single-threaded state.
                     Node::Op { op, inputs } => {
                         est.propagate(op, GatheredIns::gather(inputs, memo).as_slice())?
                     }

@@ -153,35 +153,6 @@ proptest! {
         prop_assert_eq!(plain.to_bits(), traced.to_bits());
     }
 
-    /// The kernel scratch arena is bit-invariant: a session propagating
-    /// through pooled buffers (the default) and a session allocating fresh
-    /// vectors per op produce identical estimates — for the full estimator
-    /// and for MNC Basic, with the estimator-side arena toggled too. Walks
-    /// run twice per context so the second pass actually leases recycled
-    /// buffers.
-    #[test]
-    fn scratch_arena_never_changes_estimates((d, k, raw, op_bits, seed) in params()) {
-        let sparsities = sparsity_vec(k, raw);
-        let (dag, root) = random_dag(d, &sparsities, op_bits, seed);
-
-        let run = |ctx_arena: bool, est_arena: bool| -> (u64, u64) {
-            let mut ctx = EstimationContext::new().with_arena(ctx_arena);
-            let est = MncEstimator::new().with_arena(est_arena);
-            let first = ctx.estimate_root(&est, &dag, root).expect("estimate");
-            let second = ctx.estimate_root(&est, &dag, root).expect("estimate");
-            (first.to_bits(), second.to_bits())
-        };
-        let baseline = run(false, false);
-        for (ctx_arena, est_arena) in [(true, true), (true, false), (false, true)] {
-            let got = run(ctx_arena, est_arena);
-            prop_assert_eq!(
-                baseline, got,
-                "arena (ctx={}, est={}) perturbed the estimate",
-                ctx_arena, est_arena
-            );
-        }
-    }
-
     /// `InstrumentedEstimator` is transparent: wrapped and bare estimators
     /// agree bit for bit, with tracing on or off.
     #[test]

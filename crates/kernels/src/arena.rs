@@ -3,35 +3,36 @@
 //! Sketch propagation allocates the same handful of `O(m + n)` vectors per
 //! operation — output count vectors plus the extended-count temporaries of
 //! Algorithm 1. A [`ScratchArena`] leases zero-filled buffers and takes them
-//! back, so a DAG propagation chain reaches a steady state where no call
-//! touches the allocator: the arena's capacity high-water mark is the
-//! largest vector ever leased, and span-stamped alloc deltas (the
-//! `alloc-track` feature of `mnc-obs`) verify the chain runs allocation-free.
+//! back. Within one matmul propagation, Algorithm 1's temporaries go back
+//! to the arena and are leased again as the output vectors, so even a fresh
+//! arena saves those allocations. Across calls, buffers come back only where a
+//! caller retires an intermediate sketch (`MncSketch::recycle_into`): the
+//! chain optimizer's fold does, and once its pool holds one generation of
+//! buffers that fold touches the allocator no more (checked under the
+//! `alloc-track` feature of `mnc-obs`). Every other propagation passes a
+//! fresh arena, which allocates nothing until its first lease.
 //!
 //! ## Lifetime rules
 //!
-//! * `take_*` returns a buffer of exactly the requested length, zero-filled;
-//!   `take_*_spare` returns a cleared length-zero buffer for callers that
-//!   fill it themselves (the `*_into` combinators).
-//! * `put_*` returns a buffer to the pool; length/contents are irrelevant
+//! * `take_u32` returns a buffer of exactly the requested length,
+//!   zero-filled; `take_u32_spare` returns a cleared length-zero buffer for
+//!   callers that fill it themselves (the `*_into` combinators).
+//! * `put_u32` returns a buffer to the pool; length/contents are irrelevant
 //!   (the next lease clears it). Buffers moved into long-lived results (e.g.
 //!   cached sketches) are simply *not* returned — the pool refills on its
-//!   own from later `put_*` calls.
-//! * The pool is bounded ([`ScratchArena::MAX_POOLED`] per element type);
-//!   excess buffers are dropped, so an arena never pins more than a bounded
+//!   own from later `put_u32` calls.
+//! * The pool is bounded ([`ScratchArena::MAX_POOLED`] buffers); excess
+//!   buffers are dropped, so an arena never pins more than a bounded
 //!   multiple of the largest working set.
 
-/// Reusable buffer pool for `u32` count vectors and `u64` word/product rows.
+/// Reusable buffer pool for `u32` count vectors.
 #[derive(Debug, Default)]
 pub struct ScratchArena {
     u32_bufs: Vec<Vec<u32>>,
-    u64_bufs: Vec<Vec<u64>>,
-    leases: u64,
-    reuses: u64,
 }
 
 impl ScratchArena {
-    /// Maximum buffers retained per element type.
+    /// Maximum buffers retained.
     pub const MAX_POOLED: usize = 64;
 
     /// An empty arena. Does not allocate until the first lease.
@@ -41,10 +42,8 @@ impl ScratchArena {
 
     /// Leases a zero-filled `u32` buffer of length `len`.
     pub fn take_u32(&mut self, len: usize) -> Vec<u32> {
-        self.leases += 1;
         match self.u32_bufs.pop() {
             Some(mut v) => {
-                self.reuses += 1;
                 v.clear();
                 v.resize(len, 0);
                 v
@@ -58,10 +57,8 @@ impl ScratchArena {
     /// which clear and fill the buffer themselves. Skips the zero-fill pass
     /// [`ScratchArena::take_u32`] pays.
     pub fn take_u32_spare(&mut self) -> Vec<u32> {
-        self.leases += 1;
         match self.u32_bufs.pop() {
             Some(mut v) => {
-                self.reuses += 1;
                 v.clear();
                 v
             }
@@ -82,48 +79,6 @@ impl ScratchArena {
             self.put_u32(v);
         }
     }
-
-    /// Leases a zero-filled `u64` buffer of length `len`.
-    pub fn take_u64(&mut self, len: usize) -> Vec<u64> {
-        self.leases += 1;
-        match self.u64_bufs.pop() {
-            Some(mut v) => {
-                self.reuses += 1;
-                v.clear();
-                v.resize(len, 0);
-                v
-            }
-            None => vec![0; len],
-        }
-    }
-
-    /// Returns a `u64` buffer to the pool.
-    pub fn put_u64(&mut self, v: Vec<u64>) {
-        if self.u64_bufs.len() < Self::MAX_POOLED {
-            self.u64_bufs.push(v);
-        }
-    }
-
-    /// Leases a `u32` buffer initialized as a copy of `src`.
-    pub fn take_u32_copy(&mut self, src: &[u32]) -> Vec<u32> {
-        let mut v = self.take_u32(src.len());
-        v.copy_from_slice(src);
-        v
-    }
-
-    /// Total buffer leases served.
-    pub fn leases(&self) -> u64 {
-        self.leases
-    }
-
-    /// Fraction of leases served from the pool (steady-state → 1.0).
-    pub fn reuse_rate(&self) -> f64 {
-        if self.leases == 0 {
-            0.0
-        } else {
-            self.reuses as f64 / self.leases as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -140,8 +95,6 @@ mod tests {
         let v2 = a.take_u32(5);
         assert_eq!(v2, vec![0; 5], "recycled buffer must be cleared");
         assert_eq!(v2.as_ptr(), p, "buffer must come from the pool");
-        assert_eq!(a.leases(), 2);
-        assert!((a.reuse_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -154,16 +107,12 @@ mod tests {
     }
 
     #[test]
-    fn u64_pool_and_copy_lease() {
+    fn spare_leases_are_cleared_and_optional_puts_skip_none() {
         let mut a = ScratchArena::new();
-        let w = a.take_u64(4);
-        assert_eq!(w, vec![0u64; 4]);
-        a.put_u64(w);
-        assert_eq!(a.take_u64(2), vec![0u64; 2]);
-        let c = a.take_u32_copy(&[1, 2, 3]);
-        assert_eq!(c, vec![1, 2, 3]);
-        a.put_u32_opt(Some(c));
+        a.put_u32_opt(Some(vec![1, 2, 3]));
         a.put_u32_opt(None);
         assert_eq!(a.u32_bufs.len(), 1);
+        let v = a.take_u32_spare();
+        assert!(v.is_empty() && v.capacity() >= 3);
     }
 }

@@ -5,8 +5,9 @@
 //! those inner loops as free-standing kernels so every caller — matmul
 //! estimation, sketch propagation, the chain-optimizer DP, and the bitset
 //! boolean product — shares one implementation that the compiler can
-//! autovectorize, plus a [`ScratchArena`] of reusable buffers so propagation
-//! chains run allocation-free in steady state.
+//! autovectorize, plus a [`ScratchArena`] of reusable buffers so a
+//! propagation chain that recycles its retired intermediates runs
+//! allocation-free in steady state.
 //!
 //! ## Bit-identity contract
 //!

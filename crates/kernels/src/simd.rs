@@ -15,7 +15,7 @@
 //! the end is unchanged. Bitwise OR/AND/popcount are per-word and order-free.
 //! The element-wise combinators (`zip_add` & co.) compute each output lane
 //! independently with exact integer ops (`_mm256_add_epi32`,
-//! `_mm256_max_epu32`, ...), and their fused [`VecMeta`] statistics are
+//! `_mm256_max_epu32`, ...), and their fused [`VecMeta`](crate::VecMeta) statistics are
 //! integer sums/maxima/counts — again order-free. Nothing here touches a
 //! transcendental: `vector_edm` keeps its sequential scalar order upstream.
 

@@ -6,7 +6,7 @@
 //! estimation overhead (Figures 8–16) — so every estimation session can be
 //! traced, metered, and accuracy-audited through three channels:
 //!
-//! * **spans** ([`span`]) — hierarchical wall-clock spans recording the op,
+//! * **spans** ([`mod@span`]) — hierarchical wall-clock spans recording the op,
 //!   nnz in/out, and synopsis bytes. Spans are finished per-thread and merged
 //!   into the shared [`Recorder`] with a single lock-free push on drop;
 //! * **metrics** ([`metrics`]) — a named registry of monotone counters,

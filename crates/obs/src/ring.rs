@@ -1,6 +1,6 @@
 //! A fixed-capacity, lock-free overwrite ring for telemetry records.
 //!
-//! Long-running services cannot afford the append-only [`LockFreeList`]
+//! Long-running services cannot afford the append-only `LockFreeList`
 //! (crate-private) that batch runs use: a process serving millions of
 //! estimates would grow its span storage without bound. [`RecordRing`]
 //! instead retains the **most recent** `capacity` records in O(capacity)
@@ -24,8 +24,6 @@
 //! lock or owned by one thread (timeline frames, SLO event windows, the
 //! drift window, captured requests): a plain overwrite ring whose
 //! [`push`](Ring::push) hands back the evicted value.
-//!
-//! [`LockFreeList`]: crate::LockFreeList
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -2,9 +2,9 @@
 //!
 //! Bodies are JSON, parsed with the workspace's dependency-free
 //! [`mnc_obs::json`] parser and rendered by hand. Floating-point results go
-//! through [`json_f64`](mnc_obs::export::json_f64) — the shortest
-//! round-trip representation — so a client parsing the response recovers
-//! the **bit-exact** `f64` the estimator produced.
+//! through [`json_f64`] — the shortest round-trip representation — so a
+//! client parsing the response recovers the **bit-exact** `f64` the
+//! estimator produced.
 //!
 //! Binary sketch payloads travel as raw MNCS bytes
 //! (`application/octet-stream`) on ingest/export and as lowercase hex in

@@ -249,7 +249,7 @@ impl EstimationService {
         let tl = self.daemon.timeline();
         let tstats = tl.stats();
         let body = format!(
-            "{{\"uptime_secs\":{},\"uptime_s\":{},\"requests\":{},\"estimates\":{},\
+            "{{\"uptime_s\":{},\"requests\":{},\"estimates\":{},\
              \"rejected\":{},\
              \"errors\":{},\"matrices\":{},\"rebuilds\":{},\"quarantined\":{},\
              \"workers\":{},\"queue\":{},\"active\":{},\
@@ -260,7 +260,6 @@ impl EstimationService {
              \"dropped_series\":{},\"samples\":{},\"contended_samples\":{},\
              \"frames\":{{\"1s\":{},\"10s\":{},\"60s\":{}}}}},\
              \"slo\":{}}}",
-            self.started.elapsed().as_secs(),
             self.started.elapsed().as_secs(),
             self.counters.requests.load(Ordering::Relaxed),
             self.counters.estimates.load(Ordering::Relaxed),

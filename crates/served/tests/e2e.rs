@@ -276,6 +276,13 @@ fn sketch_ingest_and_export_roundtrip() {
     assert_eq!(status, 200);
     let sv = json_body(&status_body);
     assert_eq!(sv.get("rebuilds").and_then(|x| x.as_f64()), Some(0.0));
+    // `uptime_s` is the status object's one uptime key.
+    let raw = std::str::from_utf8(&status_body).unwrap();
+    assert_eq!(raw.matches("uptime").count(), 1, "{raw}");
+    assert!(
+        sv.get("uptime_s").and_then(|x| x.as_f64()).is_some(),
+        "{raw}"
+    );
 
     // Export returns the exact bytes back.
     let (status, headers, exported) = http(&addr, "GET", "/v1/matrices/A/sketch", None, b"");
