@@ -274,10 +274,10 @@ fn main() -> ExitCode {
     let dags: Vec<(ExprDag, NodeId)> = (0..2).map(|p| probe_dag(&mats, p)).collect();
 
     // Uncached: every probe builds all leaf synopses from scratch.
+    let est = MncEstimator::new();
     let t = Instant::now();
     let mut uncached_sum = 0.0;
     for rep in 0..reps {
-        let est = MncEstimator::new();
         let (dag, root) = &dags[rep % dags.len()];
         uncached_sum += estimate_root(&est, dag, *root).expect("estimate");
     }
@@ -287,7 +287,6 @@ fn main() -> ExitCode {
     let (cached, cached_sum, mut ctx) = cached_loop(&dags, reps, Some(obs.recorder()));
 
     // Planner re-costing rides the same session: plans hit warm synopses.
-    let est = MncEstimator::new();
     let t = Instant::now();
     let plan = Planner::default()
         .plan_with_context(&est, &dags[0].0, &mut ctx)

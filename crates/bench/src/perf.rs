@@ -331,7 +331,7 @@ fn kernel_workload(rec: &Recorder, scale: f64, metrics: &mut BTreeMap<String, f6
     // the integer dot and the fused scale-with-metadata, writing into
     // arena-recycled buffers. Counts are mostly zero, as the sketches of
     // sparse matrices are. Deterministic rounding keeps both sides
-    // comparable (no RNG stream to advance).
+    // comparable (neither draws).
     let vecs: Vec<Vec<u32>> = (0..8)
         .map(|i| {
             let mut v = lcg_counts(20 + i, len, 1000);

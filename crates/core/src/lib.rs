@@ -16,7 +16,8 @@
 //!   element-wise operations (Section 4.1);
 //! * [`propagate`] — sketch propagation across products (Section 3.3,
 //!   Eq. 11–12) and other operations (Section 4.2, Eq. 14–15), with
-//!   probabilistic rounding;
+//!   probabilistic rounding seeded from each propagation's own inputs
+//!   (see [`op`]);
 //! * [`round`] — unbiased probabilistic rounding on top of a tiny,
 //!   dependency-free SplitMix64 generator.
 //!
@@ -41,7 +42,7 @@ pub use confidence::{estimate_matmul_ci, SparsityEstimateCi};
 pub use context::{EstimationStats, LruSynopsisCache, OpStat, OpTimer};
 pub use distributed::{build_distributed, build_distributed_with};
 pub use op::{EstimatorError, OpKind};
-pub use round::SplitMix64;
+pub use round::{splitmix64, SplitMix64};
 pub use serialize::{from_bytes, to_bytes, DecodeError};
 pub use sketch::{MncSketch, SketchMeta};
 
@@ -51,11 +52,12 @@ pub use sketch::{MncSketch, SketchMeta};
 pub use mnc_kernels::ScratchArena;
 
 // Propagation takes one path: `MncSketch::propagate_in` validates the
-// inputs and dispatches to the one `propagate_*_in` kernel of each op, and
-// `MncSketch::propagate` is its default-config face. Callers with no
-// arena of their own pass `&mut ScratchArena::new()`. The kernels are not
-// re-exported at the crate root; callers that fold one op themselves (the
-// chain optimizer, benchmarks) name them through `mnc_core::propagate`.
+// inputs, seeds the rounding generator from them, and dispatches to the
+// one `propagate_*_in` kernel of each op; `MncSketch::propagate` is its
+// default-config face. Callers with no arena of their own pass
+// `&mut ScratchArena::new()`. The kernels, which take the generator as an
+// argument, are not re-exported at the crate root; benchmarks and tests
+// that time or probe one kernel name them through `mnc_core::propagate`.
 
 /// Configuration of the MNC estimator.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -69,7 +71,8 @@ pub struct MncConfig {
     /// Round propagated count vectors probabilistically (unbiased) instead
     /// of deterministically (`round()`), Section 3.3.
     pub probabilistic_rounding: bool,
-    /// Seed for the internal rounding generator.
+    /// Seed mixed into every propagation's rounding generator, together
+    /// with the kernel and the inputs' shapes and metadata.
     pub seed: u64,
 }
 

@@ -8,6 +8,14 @@
 //! the per-op `estimate_*`/`propagate_*` kernels: they validate arity and
 //! shapes up front and return [`EstimatorError`] instead of panicking on
 //! malformed input.
+//!
+//! The dispatch also owns the one rounding-seed rule. Paper Section 3.3
+//! asks only that each probabilistic rounding be unbiased, so any draw
+//! sequence will do. [`MncSketch::propagate_in`] seeds a fresh
+//! [`SplitMix64`] from `cfg.seed`, a tag for the kernel it runs, and every
+//! input's shape and [`SketchMeta`] fields, folded with [`splitmix64`].
+//! Propagation is therefore a pure function of `(cfg, op, inputs)`: no
+//! call history, thread schedule or walk order can change its bits.
 
 use std::fmt;
 
@@ -21,8 +29,8 @@ use crate::propagate::{
     propagate_ew_add_in, propagate_ew_mul_in, propagate_matmul_in, propagate_neq_zero,
     propagate_rbind_in, propagate_reshape_in, propagate_transpose,
 };
-use crate::round::SplitMix64;
-use crate::sketch::MncSketch;
+use crate::round::{splitmix64, SplitMix64};
+use crate::sketch::{MncSketch, SketchMeta};
 use crate::MncConfig;
 use mnc_kernels::ScratchArena;
 
@@ -314,8 +322,55 @@ pub type Result<T> = std::result::Result<T, EstimatorError>;
 
 /// Validates arity and shape compatibility, returning the output shape.
 fn validate(op: &OpKind, inputs: &[&MncSketch]) -> Result<(usize, usize)> {
-    let shapes: Vec<(usize, usize)> = inputs.iter().map(|h| (h.nrows, h.ncols)).collect();
-    op.output_shape(&shapes)
+    // Every op is unary or binary, so the shapes fit on the stack.
+    let shape = |h: &MncSketch| (h.nrows, h.ncols);
+    match inputs {
+        [a] => op.output_shape(&[shape(a)]),
+        [a, b] => op.output_shape(&[shape(a), shape(b)]),
+        _ => Err(EstimatorError::arity(op, inputs.len())),
+    }
+}
+
+/// The rounding generator of one propagation: `cfg.seed`, then the
+/// `kernel` tag, then each input's shape and metadata, folded one value at
+/// a time with [`splitmix64`]. The metadata is recomputed whenever a
+/// sketch is built, propagated or decoded, so a decoded sketch seeds
+/// exactly like the one that was serialized.
+fn rounding_rng(cfg: &MncConfig, kernel: &[u64], inputs: &[&MncSketch]) -> SplitMix64 {
+    let fold = |h: u64, v: u64| splitmix64(h ^ v);
+    let mut h = kernel.iter().fold(cfg.seed, |h, &v| fold(h, v));
+    for s in inputs {
+        // Destructured so that a new metadata field cannot be left out.
+        let SketchMeta {
+            nnz,
+            max_hr,
+            max_hc,
+            nonempty_rows,
+            nonempty_cols,
+            half_full_rows,
+            half_full_cols,
+            rows_eq_1,
+            cols_eq_1,
+            fully_diagonal,
+        } = s.meta;
+        h = [
+            s.nrows as u64,
+            s.ncols as u64,
+            nnz,
+            u64::from(max_hr),
+            u64::from(max_hc),
+            nonempty_rows as u64,
+            nonempty_cols as u64,
+            half_full_rows as u64,
+            half_full_cols as u64,
+            rows_eq_1 as u64,
+            cols_eq_1 as u64,
+            u64::from(fully_diagonal),
+        ]
+        .into_iter()
+        .fold(h, fold);
+    }
+    SplitMix64::new(h)
 }
 
 impl MncSketch {
@@ -361,43 +416,47 @@ impl MncSketch {
     }
 
     /// Derives the output sketch of `op` applied to `inputs` with the
-    /// default configuration, a rounding generator seeded from it and a
-    /// fresh scratch arena — the op-driven face of the `propagate_*`
-    /// kernels.
+    /// default configuration and a fresh scratch arena — the op-driven face
+    /// of the `propagate_*` kernels.
     pub fn propagate(op: &OpKind, inputs: &[&MncSketch]) -> Result<MncSketch> {
-        let cfg = MncConfig::default();
-        let mut rng = SplitMix64::new(cfg.seed);
-        Self::propagate_in(op, inputs, &cfg, &mut rng, &mut ScratchArena::new())
+        Self::propagate_in(op, inputs, &MncConfig::default(), &mut ScratchArena::new())
     }
 
-    /// [`MncSketch::propagate`] under an explicit configuration, rounding
-    /// generator and scratch arena. Callers that propagate repeatedly
-    /// thread one generator through for deterministic, unbiased rounding.
-    /// Every output count vector and extended-count temporary is leased
-    /// from `arena`; callers with no arena of their own pass
-    /// `&mut ScratchArena::new()`, and a caller that recycles retired
-    /// intermediates into its arena ([`MncSketch::recycle_into`]) reaches
-    /// an allocation-free steady state. The arena's contents never change
-    /// the result.
+    /// [`MncSketch::propagate`] under an explicit configuration and scratch
+    /// arena. The result is a pure function of `(cfg, op, inputs)`: the
+    /// rounding generator is seeded from them (see the module docs), and
+    /// the arena's contents never change it. Every output count vector and
+    /// extended-count temporary is leased from `arena`; callers with no
+    /// arena of their own pass `&mut ScratchArena::new()`, and a caller
+    /// that recycles retired intermediates into its arena
+    /// ([`MncSketch::recycle_into`]) reaches an allocation-free steady
+    /// state.
     pub fn propagate_in(
         op: &OpKind,
         inputs: &[&MncSketch],
         cfg: &MncConfig,
-        rng: &mut SplitMix64,
         arena: &mut ScratchArena,
     ) -> Result<MncSketch> {
         validate(op, inputs)?;
         let a = inputs[0];
+        // One tag per rounding kernel: ops that share a kernel share its
+        // draws, so `max`/`min` propagate exactly like `+`/`⊙`.
+        let rng = |kernel: &[u64]| rounding_rng(cfg, kernel, inputs);
         Ok(match op {
-            OpKind::MatMul => propagate_matmul_in(a, inputs[1], cfg, rng, arena),
-            OpKind::EwAdd | OpKind::EwMax => propagate_ew_add_in(a, inputs[1], cfg, rng, arena),
-            OpKind::EwMul | OpKind::EwMin => propagate_ew_mul_in(a, inputs[1], cfg, rng, arena),
+            OpKind::MatMul => propagate_matmul_in(a, inputs[1], cfg, &mut rng(&[1]), arena),
+            OpKind::EwAdd | OpKind::EwMax => {
+                propagate_ew_add_in(a, inputs[1], cfg, &mut rng(&[2]), arena)
+            }
+            OpKind::EwMul | OpKind::EwMin => {
+                propagate_ew_mul_in(a, inputs[1], cfg, &mut rng(&[3]), arena)
+            }
             OpKind::Transpose => propagate_transpose(a),
             OpKind::Reshape { rows, cols } => {
-                propagate_reshape_in(a, *rows, *cols, cfg, rng, arena)
+                let tag = [4, *rows as u64, *cols as u64];
+                propagate_reshape_in(a, *rows, *cols, cfg, &mut rng(&tag), arena)
             }
             OpKind::DiagV2M => propagate_diag_v2m(a),
-            OpKind::DiagM2V => propagate_diag_extract_in(a, cfg, rng, arena),
+            OpKind::DiagM2V => propagate_diag_extract_in(a, cfg, &mut rng(&[5]), arena),
             OpKind::Rbind => propagate_rbind_in(a, inputs[1], arena),
             OpKind::Cbind => propagate_cbind_in(a, inputs[1], arena),
             OpKind::Neq0 => propagate_neq_zero(a),
@@ -526,24 +585,44 @@ mod tests {
         let b = gen::rand_uniform(&mut r, 16, 12, 0.25);
         let (ha, hb) = (MncSketch::build(&a), MncSketch::build(&b));
         let cfg = MncConfig::default();
-        let mut r1 = SplitMix64::new(cfg.seed);
-        let mut r2 = SplitMix64::new(cfg.seed);
-        let via_op = MncSketch::propagate_in(
-            &OpKind::MatMul,
-            &[&ha, &hb],
-            &cfg,
-            &mut r1,
-            &mut ScratchArena::new(),
-        )
-        .unwrap();
+        let via_op =
+            MncSketch::propagate_in(&OpKind::MatMul, &[&ha, &hb], &cfg, &mut ScratchArena::new())
+                .unwrap();
         let direct = crate::propagate::propagate_matmul_in(
             &ha,
             &hb,
             &cfg,
-            &mut r2,
+            &mut rounding_rng(&cfg, &[1], &[&ha, &hb]),
             &mut ScratchArena::new(),
         );
         assert_eq!(via_op, direct);
+        assert_eq!(
+            MncSketch::propagate(&OpKind::MatMul, &[&ha, &hb]).unwrap(),
+            direct
+        );
+    }
+
+    #[test]
+    fn rounding_seed_follows_config_kernel_and_inputs() {
+        let mut r = rng(3);
+        let a = MncSketch::build(&gen::rand_uniform(&mut r, 20, 16, 0.2));
+        let b = MncSketch::build(&gen::rand_uniform(&mut r, 20, 16, 0.3));
+        let cfg = MncConfig::default();
+        let seed = |cfg: &MncConfig, kernel: &[u64], ins: &[&MncSketch]| {
+            rounding_rng(cfg, kernel, ins).next_u64()
+        };
+        let base = seed(&cfg, &[2], &[&a, &b]);
+        let other_seed = MncConfig { seed: 1, ..cfg };
+        assert_ne!(base, seed(&other_seed, &[2], &[&a, &b]));
+        assert_ne!(base, seed(&cfg, &[3], &[&a, &b]));
+        assert_ne!(base, seed(&cfg, &[2], &[&b, &a]));
+        assert_ne!(
+            seed(&cfg, &[4, 40, 8], &[&a]),
+            seed(&cfg, &[4, 80, 4], &[&a])
+        );
+        // A decoded sketch recomputes its metadata, so it seeds alike.
+        let back = crate::serialize::from_bytes(&crate::serialize::to_bytes(&a)).unwrap();
+        assert_eq!(base, seed(&cfg, &[2], &[&back, &b]));
     }
 
     #[test]

@@ -6,10 +6,26 @@
 //! round `x` up with probability `x - floor(x)` — is unbiased with minimal
 //! variance.
 
+/// SplitMix64's state increment (the golden-ratio gamma).
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// One SplitMix64 step as a stateless hash: advances `x` by the gamma and
+/// applies the output finaliser, so `splitmix64(s)` is the first output of
+/// `SplitMix64::new(s)`. A bijection on `u64` with full avalanche, and
+/// stable across Rust versions (unlike `std`'s `DefaultHasher`).
+#[inline]
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// SplitMix64: a tiny, high-quality, dependency-free PRNG.
 ///
-/// Used only for rounding decisions, so estimator crates do not need to
-/// thread an external RNG through every propagation call.
+/// Used only for rounding decisions. Every propagation seeds a fresh one
+/// from its own inputs (`MncSketch::propagate_in`), so no generator state
+/// outlives a call.
 #[derive(Debug, Clone)]
 pub struct SplitMix64 {
     state: u64,
@@ -24,11 +40,9 @@ impl SplitMix64 {
     /// Next raw 64-bit output.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        let z = splitmix64(self.state);
+        self.state = self.state.wrapping_add(GAMMA);
+        z
     }
 
     /// Uniform `f64` in `[0, 1)` (53-bit mantissa construction).
@@ -111,6 +125,17 @@ mod tests {
         assert_eq!(round_count(&mut rng, 0.4, false), 0);
         assert_eq!(round_count(&mut rng, 0.6, false), 1);
         assert_eq!(round_count(&mut rng, 2.0, false), 2);
+    }
+
+    #[test]
+    fn stateless_hash_is_the_first_draw() {
+        for seed in [0, 1, 0xC0FFEE, u64::MAX] {
+            assert_eq!(splitmix64(seed), SplitMix64::new(seed).next_u64());
+        }
+        // The reference SplitMix64 sequence from seed 1234567.
+        let mut g = SplitMix64::new(1_234_567);
+        assert_eq!(g.next_u64(), 6_457_827_717_110_365_317);
+        assert_eq!(g.next_u64(), 3_203_168_211_198_807_973);
     }
 
     #[test]

@@ -23,7 +23,10 @@
 //! ```
 //!
 //! The summary metadata is *recomputed* on load (it is derived state), so
-//! a sketch round-trips bit-exactly through `to_bytes`/`from_bytes`.
+//! a sketch round-trips bit-exactly through `to_bytes`/`from_bytes`. Load
+//! also runs [`MncSketch::validate`], so well-framed but impossible counts
+//! (a row count above `ncols`, `h^er > h^r`, a diagonal flag on a full
+//! matrix) never enter the system.
 
 use crate::sketch::MncSketch;
 
@@ -46,6 +49,9 @@ pub enum DecodeError {
     UnknownFlags(u16),
     /// Declared sizes exceed the buffer.
     LengthMismatch,
+    /// Well-framed counts that no matrix can have — the invariant of
+    /// [`MncSketch::validate`] that failed.
+    InvalidCounts(&'static str),
 }
 
 impl std::fmt::Display for DecodeError {
@@ -56,6 +62,7 @@ impl std::fmt::Display for DecodeError {
             DecodeError::BadVersion(v) => write!(f, "unsupported version {v}"),
             DecodeError::UnknownFlags(x) => write!(f, "unknown flag bits 0x{x:04x}"),
             DecodeError::LengthMismatch => write!(f, "declared lengths exceed the buffer"),
+            DecodeError::InvalidCounts(why) => write!(f, "invalid counts: {why}"),
         }
     }
 }
@@ -104,7 +111,8 @@ pub fn to_bytes(sketch: &MncSketch) -> Vec<u8> {
     buf
 }
 
-/// Deserializes a sketch; the summary metadata is recomputed.
+/// Deserializes a sketch; the summary metadata is recomputed, and counts
+/// that fail [`MncSketch::validate`] are rejected.
 pub fn from_bytes(buf: &[u8]) -> Result<MncSketch, DecodeError> {
     if buf.len() < 24 {
         return Err(DecodeError::Truncated);
@@ -154,15 +162,9 @@ pub fn from_bytes(buf: &[u8]) -> Result<MncSketch, DecodeError> {
     let hc = read_counts(ncols);
     let her = (flags & FLAG_HER != 0).then(|| read_counts(nrows));
     let hec = (flags & FLAG_HEC != 0).then(|| read_counts(ncols));
-    Ok(MncSketch::from_vectors(
-        nrows,
-        ncols,
-        hr,
-        hc,
-        her,
-        hec,
-        flags & FLAG_DIAG != 0,
-    ))
+    let sketch = MncSketch::from_vectors(nrows, ncols, hr, hc, her, hec, flags & FLAG_DIAG != 0);
+    sketch.validate().map_err(DecodeError::InvalidCounts)?;
+    Ok(sketch)
 }
 
 #[cfg(test)]

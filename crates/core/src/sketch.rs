@@ -244,6 +244,38 @@ impl MncSketch {
         }
     }
 
+    /// Checks, in one `O(m + n)` pass, the count-level invariants that every
+    /// built and every propagated sketch satisfies, and names the first one
+    /// violated:
+    ///
+    /// * `h^r` and `h^er` have `nrows` entries, `h^c` and `h^ec` `ncols`;
+    /// * `h^r[i] ≤ ncols` and `h^c[j] ≤ nrows`;
+    /// * `h^er ≤ h^r` and `h^ec ≤ h^c`, entrywise;
+    /// * the diagonal flag is set only on a square sketch whose counts are
+    ///   all 1.
+    ///
+    /// `Σ h^r = Σ h^c` is not required: probabilistic rounding scales the
+    /// two vectors separately, so a propagated sketch need not satisfy it.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        let (m, n) = (self.nrows, self.ncols);
+        let capped = |v: &[u32], len, cap| v.len() == len && v.iter().all(|&c| c as usize <= cap);
+        if !capped(&self.hr, m, n) || !capped(&self.hc, n, m) {
+            return Err("a count vector's length or a count exceeds the shape");
+        }
+        let within = |ext: &Option<Vec<u32>>, counts: &[u32]| {
+            ext.as_ref().is_none_or(|ext| {
+                ext.len() == counts.len() && ext.iter().zip(counts).all(|(e, c)| e <= c)
+            })
+        };
+        if !within(&self.her, &self.hr) || !within(&self.hec, &self.hc) {
+            return Err("an extended count exceeds its base count");
+        }
+        if self.meta.fully_diagonal && (m != n || self.hr.iter().chain(&self.hc).any(|&c| c != 1)) {
+            return Err("diagonal flag on a sketch that is not square with all counts 1");
+        }
+        Ok(())
+    }
+
     /// Consumes the sketch, returning its count-vector buffers to `arena` so
     /// the next propagation step can lease them back. Chain drivers call this
     /// on each retired intermediate: once the pool holds one generation of

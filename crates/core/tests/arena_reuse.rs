@@ -1,27 +1,34 @@
-//! Scratch-arena reuse never changes a propagated sketch.
+//! Properties of every op's propagated sketch.
 //!
-//! `MncSketch::propagate_in` leases every output count vector and every
-//! Algorithm 1 temporary from the caller's [`ScratchArena`]. A caller that
-//! recycles retired intermediates (the chain optimizer's fold) hands those
-//! leases buffers of any length holding any contents, so every op must
-//! clear or overwrite what it leases. Each property below warms one arena
-//! with poisoned outputs of every op, then requires every op, run through
-//! that arena, to equal the same op run through a fresh arena bit for bit.
+//! **Scratch-arena reuse never changes it.** `MncSketch::propagate_in`
+//! leases every output count vector and every Algorithm 1 temporary from
+//! the caller's [`ScratchArena`]. A caller that recycles retired
+//! intermediates (the chain optimizer's fold) hands those leases buffers of
+//! any length holding any contents, so every op must clear or overwrite
+//! what it leases. The reuse properties warm one arena with poisoned
+//! outputs of every op, then require every op, run through that arena, to
+//! equal the same op run through a fresh arena bit for bit.
+//!
+//! **It passes [`MncSketch::validate`].** Sketch decoding rejects counts
+//! that fail it, so a root exported from an estimate must always pass, or
+//! it could not be ingested again.
 
 use proptest::prelude::*;
 use rand::SeedableRng;
 
-use mnc_core::{MncConfig, MncSketch, OpKind, ScratchArena, SplitMix64};
+use mnc_core::{MncConfig, MncSketch, OpKind, ScratchArena};
 use mnc_matrix::gen;
 
 /// Sketches shaped for every op: `a` and `b` are `m x n`, `c` is `n x m`,
-/// `s` is `m x m` and `v` is `m x 1`.
+/// `s` is `m x m`, `v` is `m x 1` and `ones` is the dense `m x 1` vector
+/// (its `diag` is fully diagonal).
 struct Inputs {
     a: MncSketch,
     b: MncSketch,
     c: MncSketch,
     s: MncSketch,
     v: MncSketch,
+    ones: MncSketch,
 }
 
 impl Inputs {
@@ -37,6 +44,7 @@ impl Inputs {
             c: build(n, m),
             s: build(m, m),
             v: build(m, 1),
+            ones: MncSketch::build_with(&gen::ones_vector(m), use_extended),
         }
     }
 
@@ -45,6 +53,7 @@ impl Inputs {
     /// wherever the shape allows them.
     fn cases(&self) -> Vec<(OpKind, Vec<&MncSketch>)> {
         let (a, b, c, s, v) = (&self.a, &self.b, &self.c, &self.s, &self.v);
+        let ones = &self.ones;
         let mut cases = vec![
             (OpKind::MatMul, vec![a, c]),
             (OpKind::MatMul, vec![s, a]),
@@ -54,6 +63,7 @@ impl Inputs {
             (OpKind::EwMin, vec![a, b]),
             (OpKind::Transpose, vec![a]),
             (OpKind::DiagV2M, vec![v]),
+            (OpKind::DiagV2M, vec![ones]),
             (OpKind::DiagM2V, vec![s]),
             (OpKind::Rbind, vec![a, b]),
             (OpKind::Cbind, vec![a, b]),
@@ -79,8 +89,8 @@ fn propagate(
     seed: u64,
     arena: &mut ScratchArena,
 ) -> MncSketch {
-    let mut rng = SplitMix64::new(seed);
-    MncSketch::propagate_in(op, ins, cfg, &mut rng, arena).expect("valid op")
+    let cfg = MncConfig { seed, ..*cfg };
+    MncSketch::propagate_in(op, ins, &cfg, arena).expect("valid op")
 }
 
 /// Overwrites every count of `out` with a value no op produces and returns
@@ -119,8 +129,40 @@ fn check_reuse(cfg: &MncConfig, m: usize, n: usize, density: f64, seed: u64) {
     }
 }
 
+/// Every input, every op's output, and what a transpose, `== 0`, and a
+/// product with its own transpose make of that output pass `validate`.
+fn check_valid(cfg: &MncConfig, m: usize, n: usize, density: f64, seed: u64) {
+    let inputs = Inputs::new(m, n, density, seed, cfg.use_extended);
+    let arena = &mut ScratchArena::new();
+    for (op, ins) in inputs.cases() {
+        for input in &ins {
+            assert_eq!(input.validate(), Ok(()), "a built sketch");
+        }
+        let out = propagate(&op, &ins, cfg, seed, arena);
+        assert_eq!(out.validate(), Ok(()), "{op:?}");
+        let t = propagate(&OpKind::Transpose, &[&out], cfg, seed, arena);
+        assert_eq!(t.validate(), Ok(()), "transpose of {op:?}");
+        let z = propagate(&OpKind::Eq0, &[&out], cfg, seed, arena);
+        assert_eq!(z.validate(), Ok(()), "== 0 of {op:?}");
+        let g = propagate(&OpKind::MatMul, &[&out, &t], cfg, seed, arena);
+        assert_eq!(g.validate(), Ok(()), "{op:?} times its transpose");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every built and propagated sketch passes `validate` under full MNC.
+    #[test]
+    fn propagated_sketches_are_valid((m, n, density, seed) in params()) {
+        check_valid(&MncConfig::default(), m, n, density, seed);
+    }
+
+    /// ... and under *MNC Basic*.
+    #[test]
+    fn basic_propagated_sketches_are_valid((m, n, density, seed) in params()) {
+        check_valid(&MncConfig::basic(), m, n, density, seed);
+    }
 
     /// Full MNC: extended count vectors and the Theorem 3.2 bounds, so
     /// Algorithm 1 leases its extended-count temporaries.

@@ -1,8 +1,8 @@
 //! Hostile-input coverage for the MNCS wire format. Serialized sketches are
 //! attacker-reachable through `mnc-served`'s `PUT /v1/matrices/{name}`
 //! endpoint, so `from_bytes` must reject — never panic on — truncated
-//! buffers, bad magic/version words, undefined flag bits, and length lies
-//! in the declared dimensions.
+//! buffers, bad magic/version words, undefined flag bits, length lies in
+//! the declared dimensions, and well-framed counts no matrix can have.
 
 use proptest::prelude::*;
 
@@ -16,6 +16,11 @@ fn make_bytes(rows: usize, cols: usize, s: f64, seed: u64) -> (MncSketch, Vec<u8
     let sketch = MncSketch::build(&gen::rand_uniform(&mut rng, rows, cols, s));
     let bytes = to_bytes(&sketch);
     (sketch, bytes)
+}
+
+/// Overwrites the little-endian count at byte `offset`.
+fn put_count(bytes: &mut [u8], offset: usize, count: u32) {
+    bytes[offset..offset + 4].copy_from_slice(&count.to_le_bytes());
 }
 
 fn sketch_params() -> impl Strategy<Value = (usize, usize, f64, u64)> {
@@ -81,15 +86,28 @@ proptest! {
     /// both ways.
     #[test]
     fn flag_corruption_rejected((m, n, s, seed) in sketch_params(), bit in 0u32..16) {
-        let (_, mut bytes) = make_bytes(m, n, s, seed);
+        let (sketch, mut bytes) = make_bytes(m, n, s, seed);
         let flags = u16::from_le_bytes([bytes[6], bytes[7]]);
         let flipped = flags ^ (1u16 << bit);
         bytes[6..8].copy_from_slice(&flipped.to_le_bytes());
         match bit {
             // h^er / h^ec presence: the payload no longer matches.
             0 | 1 => prop_assert_eq!(from_bytes(&bytes), Err(DecodeError::LengthMismatch)),
-            // The diagonal flag is semantic only; the buffer stays decodable.
-            2 => prop_assert!(from_bytes(&bytes).is_ok()),
+            // The diagonal flag needs no payload: clearing it always
+            // decodes, setting it decodes only on a square sketch whose
+            // counts are all 1.
+            2 => {
+                let permutation = m == n
+                    && sketch.hr.iter().chain(&sketch.hc).all(|&c| c == 1);
+                if flipped & (1 << 2) == 0 || permutation {
+                    prop_assert!(from_bytes(&bytes).is_ok());
+                } else {
+                    prop_assert!(matches!(
+                        from_bytes(&bytes),
+                        Err(DecodeError::InvalidCounts(_))
+                    ));
+                }
+            }
             _ => prop_assert!(matches!(
                 from_bytes(&bytes),
                 Err(DecodeError::UnknownFlags(_))
@@ -106,6 +124,43 @@ proptest! {
         if lie != sketch.nrows as u64 {
             bytes[8..16].copy_from_slice(&lie.to_le_bytes());
             prop_assert_eq!(from_bytes(&bytes), Err(DecodeError::LengthMismatch));
+        }
+    }
+
+    /// Raising one row count above `ncols`, or one column count above
+    /// `nrows`, leaves the framing intact but is `InvalidCounts`.
+    #[test]
+    fn count_above_the_opposite_dimension_rejected(
+        (m, n, s, seed) in sketch_params(),
+        column in any::<bool>(),
+        at in any::<usize>(),
+        excess in 1u32..1_000_000,
+    ) {
+        let (_, mut bytes) = make_bytes(m, n, s, seed);
+        let (offset, len, cap) = if column { (24 + 4 * m, n, m) } else { (24, m, n) };
+        put_count(&mut bytes, offset + 4 * (at % len), cap as u32 + excess);
+        prop_assert!(matches!(from_bytes(&bytes), Err(DecodeError::InvalidCounts(_))));
+    }
+
+    /// An extended count above its base count (`h^er > h^r` or
+    /// `h^ec > h^c`) is `InvalidCounts`.
+    #[test]
+    fn extended_count_above_its_base_rejected(
+        (m, n, s, seed) in sketch_params(),
+        column in any::<bool>(),
+        at in any::<usize>(),
+        excess in 1u32..1_000,
+    ) {
+        let (sketch, mut bytes) = make_bytes(m, n, s, seed);
+        if let (Some(_), Some(_)) = (&sketch.her, &sketch.hec) {
+            let (offset, base) = if column {
+                (24 + 4 * (2 * m + n), &sketch.hc)
+            } else {
+                (24 + 4 * (m + n), &sketch.hr)
+            };
+            let i = at % base.len();
+            put_count(&mut bytes, offset + 4 * i, base[i] + excess);
+            prop_assert!(matches!(from_bytes(&bytes), Err(DecodeError::InvalidCounts(_))));
         }
     }
 
@@ -138,4 +193,51 @@ fn dimension_overflow_is_rejected_not_panicking() {
     buf.extend_from_slice(&u64::MAX.to_le_bytes());
     buf.extend_from_slice(&u64::MAX.to_le_bytes());
     assert_eq!(from_bytes(&buf), Err(DecodeError::LengthMismatch));
+}
+
+/// A well-framed MNCS buffer with hand-written counts.
+fn mncs(flags: u16, nrows: u64, ncols: u64, counts: &[u32]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    buf.extend_from_slice(&mnc_core::serialize::MAGIC.to_le_bytes());
+    buf.extend_from_slice(&mnc_core::serialize::VERSION.to_le_bytes());
+    buf.extend_from_slice(&flags.to_le_bytes());
+    buf.extend_from_slice(&nrows.to_le_bytes());
+    buf.extend_from_slice(&ncols.to_le_bytes());
+    for c in counts {
+        buf.extend_from_slice(&c.to_le_bytes());
+    }
+    buf
+}
+
+#[test]
+fn count_level_lies_are_rejected() {
+    // A 56-byte 4x4 sketch claiming four billion non-zeros in row 0: its
+    // sparsity would read 250000001.6875.
+    let huge_row = mncs(0, 4, 4, &[4_000_000_000, 9, 9, 9, 4, 4, 4, 4]);
+    assert_eq!(huge_row.len(), 56);
+    let lies = [
+        huge_row,
+        // A column count above nrows.
+        mncs(0, 2, 3, &[1, 1, 3, 0, 0]),
+        // h^er above h^r (flag bit 0 carries h^er).
+        mncs(1, 2, 2, &[1, 1, 1, 1, 2, 0]),
+        // h^ec above h^c (flag bit 1 carries h^ec).
+        mncs(2, 2, 2, &[2, 2, 2, 2, 0, 3]),
+        // The diagonal flag on a full matrix.
+        mncs(4, 2, 2, &[2, 2, 2, 2]),
+        // The diagonal flag on a non-square sketch.
+        mncs(4, 1, 2, &[1, 1, 0]),
+    ];
+    for bytes in &lies {
+        assert!(
+            matches!(from_bytes(bytes), Err(DecodeError::InvalidCounts(_))),
+            "{:?}",
+            from_bytes(bytes)
+        );
+    }
+    // Unequal row and column sums stay legal: rounded roots may have them.
+    let sketch = from_bytes(&mncs(0, 2, 2, &[2, 1, 1, 0])).unwrap();
+    assert_eq!(sketch.meta.nnz, 3);
+    // A permutation may carry the diagonal flag; the counts cannot tell.
+    assert!(from_bytes(&mncs(4, 2, 2, &[1, 1, 1, 1])).is_ok());
 }

@@ -485,10 +485,6 @@ impl SparsityEstimator for BitsetEstimator {
         Ok(Synopsis::Bitset(self.apply(op, inputs)?))
     }
 
-    fn order_invariant(&self) -> bool {
-        true
-    }
-
     fn as_sync(&self) -> Option<&(dyn SparsityEstimator + Sync)> {
         Some(self)
     }

@@ -503,10 +503,6 @@ impl SparsityEstimator for DensityMapEstimator {
         Ok(Synopsis::DensityMap(self.apply(op, inputs)?))
     }
 
-    fn order_invariant(&self) -> bool {
-        true
-    }
-
     fn as_sync(&self) -> Option<&(dyn SparsityEstimator + Sync)> {
         Some(self)
     }

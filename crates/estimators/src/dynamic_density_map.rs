@@ -413,10 +413,6 @@ impl SparsityEstimator for DynamicDensityMapEstimator {
         false
     }
 
-    fn order_invariant(&self) -> bool {
-        true
-    }
-
     fn as_sync(&self) -> Option<&(dyn SparsityEstimator + Sync)> {
         Some(self)
     }

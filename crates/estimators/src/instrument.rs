@@ -129,10 +129,6 @@ impl<E: SparsityEstimator> SparsityEstimator for InstrumentedEstimator<E> {
         self.inner.supports_chains()
     }
 
-    fn order_invariant(&self) -> bool {
-        self.inner.order_invariant()
-    }
-
     // `as_sync` keeps its `None` default: the blanket impl cannot promise
     // `Sync` for an arbitrary `E`, so instrumented estimators always take
     // the sequential walk (instrumentation targets measurement runs, where

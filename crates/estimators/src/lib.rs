@@ -184,21 +184,13 @@ pub trait SparsityEstimator {
         true
     }
 
-    /// Whether `build`/`estimate`/`propagate` results are pure functions of
-    /// their arguments — independent of the order in which calls interleave
-    /// across expression nodes. Estimators that draw from a shared
-    /// sequential generator (e.g. MNC with probabilistic rounding) are *not*
-    /// order-invariant: re-ordering the DAG walk re-orders their draws.
-    /// Parallel walks are gated on this returning `true`, so the
-    /// conservative default keeps unknown estimators sequential.
-    fn order_invariant(&self) -> bool {
-        false
-    }
-
     /// A [`Sync`] view of this estimator for sharing across worker threads,
     /// or `None` (the default) if it must stay on one thread. Split from
     /// the trait's lack of a `Sync` supertrait so single-threaded estimator
-    /// implementations never pay for thread safety.
+    /// implementations never pay for thread safety. Returning `Some`
+    /// promises that `build`/`estimate`/`propagate` are pure functions of
+    /// their arguments, whatever order calls interleave in: parallel DAG
+    /// walks run on exactly the estimators that return `Some`.
     fn as_sync(&self) -> Option<&(dyn SparsityEstimator + Sync)> {
         None
     }
@@ -228,9 +220,6 @@ impl<E: SparsityEstimator + ?Sized> SparsityEstimator for Box<E> {
     }
     fn supports_chains(&self) -> bool {
         (**self).supports_chains()
-    }
-    fn order_invariant(&self) -> bool {
-        (**self).order_invariant()
     }
     fn as_sync(&self) -> Option<&(dyn SparsityEstimator + Sync)> {
         (**self).as_sync()

@@ -185,10 +185,6 @@ impl SparsityEstimator for MetaAcEstimator {
         propagate(self.name(), Variant::AverageCase, op, inputs)
     }
 
-    fn order_invariant(&self) -> bool {
-        true
-    }
-
     fn as_sync(&self) -> Option<&(dyn SparsityEstimator + Sync)> {
         Some(self)
     }
@@ -209,10 +205,6 @@ impl SparsityEstimator for MetaWcEstimator {
 
     fn propagate(&self, op: &OpKind, inputs: &[&Synopsis]) -> Result<Synopsis> {
         propagate(self.name(), Variant::WorstCase, op, inputs)
-    }
-
-    fn order_invariant(&self) -> bool {
-        true
     }
 
     fn as_sync(&self) -> Option<&(dyn SparsityEstimator + Sync)> {

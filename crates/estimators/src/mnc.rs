@@ -1,9 +1,9 @@
 //! Adapter exposing the MNC sketch (the [`mnc_core`] crate) through the
 //! common [`SparsityEstimator`] trait, including the *MNC Basic* ablation.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use mnc_core::{MncConfig, MncSketch, ScratchArena, SplitMix64};
+use mnc_core::{MncConfig, MncSketch, ScratchArena};
 use mnc_matrix::CsrMatrix;
 
 use crate::{OpKind, Result, SparsityEstimator, Synopsis};
@@ -16,6 +16,11 @@ pub struct MncSynopsis {
 }
 
 /// The MNC estimator (Sections 3–4 of the paper).
+///
+/// Stateless beyond its configuration: every propagation seeds its rounding
+/// from its own inputs ([`MncSketch::propagate_in`]), so one estimator can
+/// serve any number of walks, threads and callers, and answers the same
+/// bits as a fresh one.
 #[derive(Debug)]
 pub struct MncEstimator {
     name: &'static str,
@@ -25,12 +30,6 @@ pub struct MncEstimator {
     /// to the sequential one, so the thread count must not perturb cache
     /// keys or results.
     build_threads: usize,
-    /// Internal generator for probabilistic rounding during propagation;
-    /// deterministic given the configured seed and call sequence. Behind a
-    /// [`Mutex`] (not a `RefCell`) so the estimator is [`Sync`] and can be
-    /// shared by parallel DAG walks — which are only enabled when rounding
-    /// is deterministic, so the lock is never contended on hot paths.
-    rng: Mutex<SplitMix64>,
 }
 
 impl Default for MncEstimator {
@@ -56,7 +55,6 @@ impl MncEstimator {
             name,
             cfg,
             build_threads: 1,
-            rng: Mutex::new(SplitMix64::new(cfg.seed)),
         }
     }
 
@@ -102,27 +100,8 @@ impl SparsityEstimator for MncEstimator {
 
     fn propagate(&self, op: &OpKind, inputs: &[&Synopsis]) -> Result<Synopsis> {
         let sketches = self.sketches(inputs)?;
-        let arena = &mut ScratchArena::new();
-        let sketch = if self.cfg.probabilistic_rounding {
-            // Rounding draws must keep their global call sequence, so the
-            // shared generator stays locked across the whole propagation.
-            let rng = &mut *self.rng.lock().expect("rng lock");
-            MncSketch::propagate_in(op, &sketches, &self.cfg, rng, arena)?
-        } else {
-            // Deterministic rounding never draws (`round_count` is the only
-            // consumer), so a fresh seeded generator is indistinguishable
-            // from the shared one and parallel propagates skip the lock.
-            let mut rng = SplitMix64::new(self.cfg.seed);
-            MncSketch::propagate_in(op, &sketches, &self.cfg, &mut rng, arena)?
-        };
+        let sketch = MncSketch::propagate_in(op, &sketches, &self.cfg, &mut ScratchArena::new())?;
         Ok(Synopsis::Mnc(MncSynopsis { sketch }))
-    }
-
-    fn order_invariant(&self) -> bool {
-        // With probabilistic rounding off, propagation is a pure function
-        // of its inputs; with it on, results depend on the shared
-        // generator's draw sequence and the walk order must stay fixed.
-        !self.cfg.probabilistic_rounding
     }
 
     fn as_sync(&self) -> Option<&(dyn SparsityEstimator + Sync)> {

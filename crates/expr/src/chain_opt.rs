@@ -12,12 +12,17 @@
 //! [`random_plan`] enumerates uniformly random parenthesizations and
 //! [`plan_cost_sketched`] / [`chain_flops_exact`] cost arbitrary plans —
 //! together they regenerate the Figure 16 experiment.
+//!
+//! Both sketch paths propagate through [`MncSketch::propagate_in`], whose
+//! rounding is seeded from each product's own inputs. A subchain's sketch
+//! is therefore the same whichever path or fill order reaches it, and the
+//! DP's optimal cost equals [`plan_cost_sketched`] of its own plan bit for
+//! bit.
 
 use std::fmt;
 use std::sync::Arc;
 
-use mnc_core::propagate::propagate_matmul_in;
-use mnc_core::{MncConfig, MncSketch, ScratchArena, SplitMix64};
+use mnc_core::{MncConfig, MncSketch, OpKind, ScratchArena, SplitMix64};
 use mnc_matrix::{ops, CsrMatrix};
 
 /// A binary parenthesization of a matrix chain; leaves are chain positions.
@@ -92,11 +97,11 @@ pub fn dense_chain_order(dims: &[usize]) -> (f64, PlanTree) {
 /// Sparsity-aware matrix-chain DP (Appendix C, Eq. 17): the cost of joining
 /// two optimal subchains is the estimated sparse multiplication count
 /// `h^c · h^r`; subchain sketches are memoized in `E` and propagated with
-/// the MNC rules. Returns `(optimal estimated FLOPs, plan)`.
+/// the MNC rules. Returns `(optimal estimated FLOPs, plan)`; the cost is
+/// [`plan_cost_sketched`] of the plan, bit for bit.
 pub fn sparse_chain_order(sketches: &[MncSketch], cfg: &MncConfig) -> (f64, PlanTree) {
     let n = sketches.len();
     assert!(n >= 1, "need at least one matrix");
-    let mut rng = SplitMix64::new(cfg.seed ^ 0xC4A1_0000);
     let mut arena = ScratchArena::new();
     let mut cost = vec![vec![0.0f64; n]; n];
     let mut split = vec![vec![0usize; n]; n];
@@ -125,7 +130,7 @@ pub fn sparse_chain_order(sketches: &[MncSketch], cfg: &MncConfig) -> (f64, Plan
             let out = {
                 let left = sketch[i][best_k].as_ref().expect("filled");
                 let right = sketch[best_k + 1][j].as_ref().expect("filled");
-                propagate_matmul_in(left, right, cfg, &mut rng, &mut arena)
+                product(left, right, cfg, &mut arena)
             };
             sketch[i][j] = Some(out);
         }
@@ -186,22 +191,19 @@ fn extract_plan(split: &[Vec<usize>], i: usize, j: usize) -> PlanTree {
 /// Estimated total FLOPs of an arbitrary plan via MNC sketch propagation
 /// (used to score the Figure 16 random plans without executing them).
 pub fn plan_cost_sketched(sketches: &[MncSketch], plan: &PlanTree, cfg: &MncConfig) -> f64 {
-    let mut rng = SplitMix64::new(cfg.seed ^ 0x9A9A_0001);
-    let mut arena = ScratchArena::new();
     fn go(
         sketches: &[MncSketch],
         plan: &PlanTree,
         cfg: &MncConfig,
-        rng: &mut SplitMix64,
         arena: &mut ScratchArena,
     ) -> (MncSketch, f64) {
         match plan {
             PlanTree::Leaf(i) => (sketches[*i].clone(), 0.0),
             PlanTree::Node(l, r) => {
-                let (sl, cl) = go(sketches, l, cfg, rng, arena);
-                let (sr, cr) = go(sketches, r, cfg, rng, arena);
+                let (sl, cl) = go(sketches, l, cfg, arena);
+                let (sr, cr) = go(sketches, r, cfg, arena);
                 let cost = cl + cr + sketch_dot(&sl, &sr);
-                let out = propagate_matmul_in(&sl, &sr, cfg, rng, arena);
+                let out = product(&sl, &sr, cfg, arena);
                 // The consumed operands refill the arena, so deep plans
                 // reach a zero-allocation steady state.
                 sl.recycle_into(arena);
@@ -210,7 +212,12 @@ pub fn plan_cost_sketched(sketches: &[MncSketch], plan: &PlanTree, cfg: &MncConf
             }
         }
     }
-    go(sketches, plan, cfg, &mut rng, &mut arena).1
+    go(sketches, plan, cfg, &mut ScratchArena::new()).1
+}
+
+/// The propagated sketch of `a · b`, its buffers leased from `arena`.
+fn product(a: &MncSketch, b: &MncSketch, cfg: &MncConfig, arena: &mut ScratchArena) -> MncSketch {
+    MncSketch::propagate_in(&OpKind::MatMul, &[a, b], cfg, arena).expect("chain shapes agree")
 }
 
 /// Exact total multiplication count of a plan, materializing every

@@ -17,11 +17,10 @@
 //! DAG estimation runs the one [`Walk`] with the context as its synopsis
 //! store: the cache answers the walk's probes, and every build, propagate,
 //! and estimate feeds the statistics, spans, and cache.
-//! `mnc-served` drives the same walk without a cache, so on a cold cache
-//! the context performs *exactly* the service's build/propagate sequence
-//! (depth-first, inputs in order), and estimators with internal RNG
-//! streams (probabilistic rounding in MNC) produce identical results
-//! either way — asserted by the property tests.
+//! `mnc-served` drives the same walk without a cache. Every estimator call
+//! is a pure function of its arguments (MNC seeds each rounding from the
+//! propagation's own inputs), so on a cold cache the context answers the
+//! service's bits — asserted by the property tests.
 //!
 //! [`cache_key`]: SparsityEstimator::cache_key
 
@@ -129,8 +128,8 @@ pub struct EstimationContext {
     memo: Vec<Option<Arc<Synopsis>>>,
     /// Worker pool for DAG-wavefront materialization (1 thread = the plain
     /// sequential walk). Parallel walks are additionally gated on the
-    /// estimator being order-invariant and `Sync`, so results stay
-    /// bit-identical regardless of this knob.
+    /// estimator having a `Sync` view; results are bit-identical regardless
+    /// of this knob.
     pool: WorkerPool,
     rec: Recorder,
     // Metric handles are resolved once per context (registry lookups take a
@@ -227,10 +226,10 @@ impl EstimationContext {
 
     /// Materializes independent DAG nodes on up to `threads` pool workers
     /// (topological wavefronts; default 1 = sequential). The parallel walk
-    /// only engages for estimators that are order-invariant and expose a
-    /// [`Sync`] view ([`SparsityEstimator::order_invariant`] /
-    /// [`SparsityEstimator::as_sync`]); every other estimator keeps the
-    /// exact sequential schedule. Either way results are bit-identical to
+    /// engages for every estimator with a [`Sync`] view
+    /// ([`SparsityEstimator::as_sync`]) — default MNC included, since its
+    /// rounding is seeded from each propagation's inputs — and the others
+    /// keep the sequential walk. Either way results are bit-identical to
     /// `threads == 1`, and partial results merge in fixed node order.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.pool = WorkerPool::new(threads);
@@ -346,7 +345,7 @@ impl EstimationContext {
         if let ExprNode::Leaf { matrix, .. } = dag.node(root) {
             return Ok(matrix.sparsity());
         }
-        self.walk(est, dag, |w| w.estimate_root(root, false))
+        self.walk(est, dag, |w| w.estimate_root(root))
     }
 
     /// Estimates the sparsity of every operation node in the DAG, in
@@ -702,15 +701,10 @@ mod tests {
     fn recorder_attached_session_traces_without_changing_results() {
         let (dag, root) = chain_dag(10);
 
-        // Fresh estimator per walk: MNC's probabilistic rounding stream
-        // advances per propagate, so sharing one instance would diverge for
-        // reasons unrelated to tracing.
-        let mut plain = EstimationContext::new();
-        let baseline = plain
-            .estimate_root(&MncEstimator::new(), &dag, root)
-            .unwrap();
-
         let est = MncEstimator::new();
+        let mut plain = EstimationContext::new();
+        let baseline = plain.estimate_root(&est, &dag, root).unwrap();
+
         let rec = Recorder::enabled();
         let mut traced = EstimationContext::new().with_recorder(rec.clone());
         let s = traced.estimate_root(&est, &dag, root).unwrap();
@@ -900,6 +894,7 @@ mod tests {
             (cold, cold_stats, warm, warm_hits)
         };
         let estimators: Vec<Box<dyn SparsityEstimator>> = vec![
+            Box::new(MncEstimator::new()),
             Box::new(deterministic_mnc()),
             Box::new(mnc_estimators::DensityMapEstimator::default()),
             // DynDMap omitted: it does not support MatMul *propagation*
@@ -909,7 +904,7 @@ mod tests {
             Box::new(mnc_estimators::MetaAcEstimator),
         ];
         for est in &estimators {
-            assert!(est.order_invariant() && est.as_sync().is_some());
+            assert!(est.as_sync().is_some());
             let baseline = run(1, est.as_ref());
             for threads in [2, 8] {
                 let par = run(threads, est.as_ref());
@@ -926,23 +921,83 @@ mod tests {
         }
     }
 
+    /// Default MNC, recording the threads its propagations run on.
+    struct ThreadSpy {
+        inner: MncEstimator,
+        threads: std::sync::Mutex<Vec<std::thread::ThreadId>>,
+    }
+
+    impl SparsityEstimator for ThreadSpy {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn build(&self, m: &Arc<CsrMatrix>) -> Result<Synopsis> {
+            self.inner.build(m)
+        }
+        fn estimate(&self, op: &OpKind, inputs: &[&Synopsis]) -> Result<f64> {
+            self.inner.estimate(op, inputs)
+        }
+        fn propagate(&self, op: &OpKind, inputs: &[&Synopsis]) -> Result<Synopsis> {
+            let id = std::thread::current().id();
+            self.threads.lock().unwrap().push(id);
+            self.inner.propagate(op, inputs)
+        }
+        fn as_sync(&self) -> Option<&(dyn SparsityEstimator + Sync)> {
+            self.inner.as_sync().map(|_| self as _)
+        }
+    }
+
     #[test]
-    fn probabilistic_mnc_keeps_the_sequential_schedule() {
-        // Default MNC draws from an internal RNG stream per propagate, so it
-        // reports order-sensitivity and the wavefront must stay off — the
-        // estimate under threads=8 matches threads=1 because both take the
-        // same sequential path.
+    fn default_mnc_takes_the_wavefront_bit_identically() {
+        // Probabilistic rounding seeds from each propagation's inputs, so
+        // default MNC runs the parallel wavefront and still answers the
+        // sequential walk's bits.
         let (dag, root) = wide_dag(21);
-        let est = MncEstimator::new();
-        assert!(!est.order_invariant());
+        let spy = ThreadSpy {
+            inner: MncEstimator::new(),
+            threads: Default::default(),
+        };
         let seq = EstimationContext::new()
             .estimate_root(&MncEstimator::new(), &dag, root)
             .unwrap();
-        let par = EstimationContext::new()
-            .with_threads(8)
-            .estimate_root(&est, &dag, root)
-            .unwrap();
+        let mut ctx = EstimationContext::new().with_threads(8);
+        let par = ctx.estimate_root(&spy, &dag, root).unwrap();
         assert_eq!(seq.to_bits(), par.to_bits());
+        let here = std::thread::current().id();
+        let off_caller = spy.threads.lock().unwrap().iter().any(|&t| t != here);
+        assert!(off_caller, "no propagation ran on a pool worker");
+        let all = ctx.materialize_all(&spy, &dag).unwrap();
+        let seq_all = EstimationContext::new()
+            .materialize_all(&MncEstimator::new(), &dag)
+            .unwrap();
+        for (p, s) in all.iter().zip(&seq_all) {
+            assert_eq!(p.sparsity().to_bits(), s.sparsity().to_bits());
+        }
+    }
+
+    #[test]
+    fn a_shared_mnc_estimator_answers_like_fresh_ones() {
+        // No state outlives a call: interleaving walks of different DAGs
+        // through one estimator never moves an answer.
+        let dags: Vec<_> = (30..34).map(wide_dag).collect();
+        let fresh: Vec<u64> = dags
+            .iter()
+            .map(|(dag, root)| {
+                let est = MncEstimator::new();
+                let mut ctx = EstimationContext::new();
+                ctx.estimate_root(&est, dag, *root).unwrap().to_bits()
+            })
+            .collect();
+        let shared = MncEstimator::new();
+        for order in [[0, 1, 2, 3], [3, 1, 0, 2], [2, 2, 0, 3]] {
+            for i in order {
+                let (dag, root) = &dags[i];
+                let got = EstimationContext::new()
+                    .estimate_root(&shared, dag, *root)
+                    .unwrap();
+                assert_eq!(got.to_bits(), fresh[i], "dag {i} in order {order:?}");
+            }
+        }
     }
 
     #[test]

@@ -11,18 +11,18 @@
 //! statistics, and spans; `mnc-served` walks a request DAG whose leaf
 //! synopses it resolved beforehand, with no store at all.
 //!
-//! The walk order is a contract, because estimators with an internal RNG
-//! stream (probabilistic rounding in MNC) draw from it per propagation:
+//! Estimator calls are pure (MNC seeds each rounding from the
+//! propagation's own inputs), so the order of the work never changes a
+//! result. What the walk fixes is the order its store sees:
 //!
 //! * store probes run in pre-order: an op is probed before its inputs,
 //!   inputs left to right; shared nodes are probed and computed once;
-//! * propagation is depth-first, inputs in order; the root is estimated,
-//!   never propagated;
+//! * the root is estimated, never propagated;
 //! * the wavefront computes missed nodes level by level on a parallel
-//!   [`WorkerPool`], but only for order-invariant estimators with a
-//!   [`Sync`] view. Workers compute pure `(synopsis, ns)` pairs; store
-//!   hooks run afterwards in ascending node order, so results, hit/miss
-//!   counts, and span counts equal the sequential walk's.
+//!   [`WorkerPool`], for every estimator with a [`Sync`] view. Workers
+//!   compute `(synopsis, ns)` pairs; store hooks run afterwards in
+//!   ascending node order, so hit/miss and span counts equal the
+//!   sequential walk's.
 
 use std::sync::Arc;
 
@@ -163,16 +163,13 @@ where
     }
 
     /// Estimates the sparsity of `root`: an op root directly from its
-    /// inputs, a leaf root as its synopsis' sparsity. With `keep_root`, a
-    /// wavefront also computes the root synopsis (pure estimators do not
-    /// care whether it propagates before or after the estimate), so a
-    /// following [`synopsis`](Self::synopsis) of the root is a memo hit.
-    pub fn estimate_root(&mut self, root: NodeId, keep_root: bool) -> Result<f64> {
+    /// inputs, a leaf root as its synopsis' sparsity.
+    pub fn estimate_root(&mut self, root: NodeId) -> Result<f64> {
         let dag = self.dag;
         let Node::Op { op, inputs } = dag.node(root) else {
             return Ok(self.materialize(root)?.sparsity());
         };
-        self.prefill(inputs.iter().copied().chain(keep_root.then_some(root)))?;
+        self.prefill(inputs.iter().copied())?;
         for &i in inputs {
             self.materialize(i)?;
         }
@@ -230,18 +227,15 @@ where
     /// Computes every node reachable from `roots` that neither the memo
     /// nor the store has, in wavefronts of the nodes whose inputs are all
     /// memoized. A no-op unless the pool is parallel **and** the estimator
-    /// is [`order_invariant`](SparsityEstimator::order_invariant) **and**
     /// has a [`Sync`] view ([`as_sync`](SparsityEstimator::as_sync)).
     fn prefill<I>(&mut self, roots: I) -> Result<()>
     where
         I: IntoIterator<Item = NodeId>,
         I::IntoIter: DoubleEndedIterator,
     {
-        if !self.pool.is_parallel() || !self.est.order_invariant() {
-            return Ok(());
-        }
-        let Some(est) = self.est.as_sync() else {
-            return Ok(());
+        let est = match self.est.as_sync() {
+            Some(est) if self.pool.is_parallel() => est,
+            _ => return Ok(()),
         };
         let dag = self.dag;
 

@@ -35,8 +35,7 @@ fn make(rows: usize, cols: usize, s: f64, seed: u64) -> Arc<CsrMatrix> {
     Arc::new(gen::rand_uniform(&mut rng, rows, cols, s))
 }
 
-/// MNC with deterministic rounding — order-invariant, so the session walk
-/// may schedule it across the pool.
+/// MNC with deterministic rounding.
 fn det_mnc() -> MncEstimator {
     MncEstimator::with_config(
         "MNC",
@@ -71,6 +70,7 @@ proptest! {
     fn session_walk_is_thread_count_invariant(seed in any::<u64>(), d in 24usize..72) {
         let (dag, root) = wide_dag(seed, d);
         let ests: Vec<Box<dyn SparsityEstimator>> = vec![
+            Box::new(MncEstimator::new()),
             Box::new(det_mnc()),
             Box::new(DensityMapEstimator::default()),
             Box::new(BitsetEstimator::default()),

@@ -420,14 +420,19 @@ mod tests {
         let good_bytes = fs::read(dir.join("good.mncs")).unwrap();
         fs::write(dir.join("cut.mncs"), &good_bytes[..good_bytes.len() / 2]).unwrap();
         fs::write(dir.join("junk.mncs"), b"not a sketch at all").unwrap();
+        // A well-framed sketch whose first row count exceeds its columns.
+        let mut lie = good_bytes.clone();
+        lie[24..28].copy_from_slice(&u32::MAX.to_le_bytes());
+        fs::write(dir.join("lie.mncs"), &lie).unwrap();
         let cat = SynopsisCatalog::open(&dir).unwrap();
         assert_eq!(cat.len(), 1);
         assert!(cat.get("good").is_some());
         let mut q = cat.quarantined().to_vec();
         q.sort();
-        assert_eq!(q, ["cut", "junk"]);
+        assert_eq!(q, ["cut", "junk", "lie"]);
         assert!(dir.join("cut.mncs.corrupt").exists());
         assert!(dir.join("junk.mncs.corrupt").exists());
+        assert!(dir.join("lie.mncs.corrupt").exists());
         // Quarantined files do not resurrect on the next open.
         let again = SynopsisCatalog::open(&dir).unwrap();
         assert_eq!(again.len(), 1);

@@ -131,6 +131,10 @@ struct Counters {
 /// The versioned estimation service. Mount with
 /// [`mnc_obsd::serve_with`].
 pub struct EstimationService {
+    /// The one estimator behind every ingest build and every walk. MNC
+    /// propagation is a pure function of its inputs, so sharing it across
+    /// requests never couples their answers.
+    est: MncEstimator,
     catalog: Mutex<SynopsisCatalog>,
     gate: AdmissionGate,
     daemon: ObsDaemon,
@@ -166,6 +170,7 @@ impl EstimationService {
         let trace = TracePlane::new(&cfg, &daemon)?;
         let shadow = ShadowPlane::new(&cfg, &daemon);
         Ok(Arc::new(EstimationService {
+            est: MncEstimator::new(),
             catalog: Mutex::new(catalog),
             gate: AdmissionGate::new(cfg.workers, cfg.queue),
             daemon,
@@ -333,8 +338,7 @@ impl EstimationService {
             let permit = self.admit()?;
             ctx.set_queue_wait(permit.queue_wait_ns());
             let t = ctx.transition(t, "build");
-            let est = MncEstimator::new();
-            let syn = est.build(&matrix)?;
+            let syn = self.est.build(&matrix)?;
             ctx.exit(t);
             drop(permit);
             let Synopsis::Mnc(s) = syn else {
@@ -415,16 +419,11 @@ impl EstimationService {
             }
         }
 
-        // Fresh estimator per request: propagation consumes its RNG, and a
-        // fresh sequence per walk makes answers independent of request
-        // interleaving — and bit-identical to a cold in-process context.
-        let est = MncEstimator::new();
-
         let t = ctx.transition(t, "catalog");
         let leaves = self.resolve_leaves(&req.dag)?;
         // The walk itself runs without any service lock.
         let t = ctx.transition(t, "walk");
-        let out = walk::estimate_dag(&est, &req.dag, &leaves, req.include_sketch)?;
+        let out = walk::estimate_dag(&self.est, &req.dag, &leaves, req.include_sketch)?;
         self.counters.estimates.fetch_add(1, Ordering::Relaxed);
         let t = ctx.transition(t, "serialize");
         let resp = Response::json(200, proto::estimate_json(&out));

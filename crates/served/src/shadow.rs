@@ -22,7 +22,7 @@
 //!   never delays a response;
 //! * primary responses are byte-identical with shadowing on vs off: the
 //!   plane re-runs alternates against its *own* estimator instances and
-//!   never touches the request's estimator or its RNG.
+//!   never touches the request's estimator.
 //!
 //! Results flow three ways:
 //!
@@ -45,7 +45,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use mnc_core::OpKind;
+use mnc_core::{splitmix64, OpKind};
 use mnc_estimators::meta::MetaSynopsis;
 use mnc_estimators::{BitsetEstimator, DensityMapEstimator, MetaAcEstimator, Synopsis};
 use mnc_matrix::{ops, CsrMatrix};
@@ -108,14 +108,6 @@ fn op_index(dag: &DagSpec) -> usize {
             OpKind::Eq0 => 12,
         },
     }
-}
-
-/// SplitMix64 finalizer — the sampling hash. Pure arithmetic, no state.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// One sampled request, cloned off the hot path for background re-runs.

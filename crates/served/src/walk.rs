@@ -7,9 +7,9 @@
 //! linking the crates directly. Leaves resolve to catalog synopses before
 //! the walk (built by deterministic
 //! [`MncSketch::build`](mnc_core::MncSketch::build), so loading equals
-//! building); the walk itself has no cache and holds no service lock. Each
-//! request runs against a fresh estimator, which pins the RNG sequence to
-//! the walk and makes responses independent of request ordering under
+//! building); the walk itself has no cache and holds no service lock. MNC
+//! propagation is a pure function of its inputs, so one estimator serves
+//! every request, and responses are independent of request ordering under
 //! concurrency.
 
 use std::sync::Arc;
@@ -164,7 +164,7 @@ pub fn estimate_dag<E: SparsityEstimator + ?Sized>(
         .collect::<Result<_, _>>()?;
     let pool = WorkerPool::new(1);
     let mut walk = Walk::new(est, dag, &pool, (), memo);
-    let sparsity = walk.estimate_root(dag.root, want_sketch)?;
+    let sparsity = walk.estimate_root(dag.root)?;
     let shape_of = |i: usize| {
         walk.memoized(i)
             .expect("materialized by the estimate")
@@ -178,8 +178,8 @@ pub fn estimate_dag<E: SparsityEstimator + ?Sized>(
     };
     let nnz = (sparsity * shape.0 as f64 * shape.1 as f64).round() as u64;
 
-    // The optional root sketch is propagated only after the estimate so the
-    // extra RNG consumption cannot perturb the reported sparsity.
+    // The optional root sketch is propagated after the estimate, from the
+    // inputs the estimate already materialized.
     let sketch_bytes = if want_sketch {
         match &*walk.synopsis(dag.root)? {
             Synopsis::Mnc(s) => Some(to_bytes(&s.sketch)),
@@ -295,9 +295,8 @@ mod tests {
 
     #[test]
     fn shared_nodes_propagate_once() {
-        // (A B) + (A B): the product must be propagated once, like the
-        // context memo does — double propagation would double-advance the
-        // RNG and diverge from the library answer.
+        // (A B) + (A B): the shared product is one memo entry, like the
+        // context's, and the answer is the library's.
         let mut r = rand::rngs::StdRng::seed_from_u64(7);
         let a = Arc::new(gen::rand_uniform(&mut r, 30, 30, 0.1));
         let b = Arc::new(gen::rand_uniform(&mut r, 30, 30, 0.1));

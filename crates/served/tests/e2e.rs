@@ -308,6 +308,51 @@ fn sketch_ingest_and_export_roundtrip() {
 }
 
 #[test]
+fn impossible_sketch_counts_are_a_400_and_never_persisted() {
+    let dir = tmpdir("badcounts");
+    let (_svc, _handle, addr) = start(ServedConfig::new(&dir));
+    // A 56-byte MNCS sketch, 4x4, claiming 4e9 non-zeros in row 0; a leaf
+    // estimate over it would answer a sparsity of 2.5e8.
+    let mut lie = Vec::new();
+    lie.extend_from_slice(&mnc_core::serialize::MAGIC.to_le_bytes());
+    lie.extend_from_slice(&mnc_core::serialize::VERSION.to_le_bytes());
+    lie.extend_from_slice(&0u16.to_le_bytes());
+    lie.extend_from_slice(&4u64.to_le_bytes());
+    lie.extend_from_slice(&4u64.to_le_bytes());
+    for count in [4_000_000_000u32, 9, 9, 9, 4, 4, 4, 4] {
+        lie.extend_from_slice(&count.to_le_bytes());
+    }
+    assert_eq!(lie.len(), 56);
+    let octets = Some("application/octet-stream");
+    let (status, _, body) = http(&addr, "PUT", "/v1/matrices/E", octets, &lie);
+    assert_eq!(status, 400, "{}", String::from_utf8_lossy(&body));
+    let estimate = br#"{"dag":[{"leaf":"E"}]}"#;
+    assert_eq!(http(&addr, "POST", "/v1/estimate", None, estimate).0, 404);
+    assert_eq!(http(&addr, "GET", "/v1/matrices/E", None, b"").0, 404);
+    assert!(
+        !dir.join("E.mncs").exists(),
+        "a rejected sketch was persisted"
+    );
+
+    // A propagated root exported by an estimate always validates, so it
+    // can be ingested again.
+    let (a, b, c) = chain_matrices();
+    put_chain(&addr, &a, &b, &c);
+    let chain = br#"{"dag":[{"leaf":"A"},{"leaf":"B"},{"leaf":"C"},{"op":"matmul","inputs":[0,1]},{"op":"matmul","inputs":[3,2]}],"include_sketch":true}"#;
+    let (status, _, body) = http(&addr, "POST", "/v1/estimate", None, chain);
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
+    let v = json_body(&body);
+    let hex = v.get("sketch_hex").and_then(|s| s.as_str()).unwrap();
+    let root: Vec<u8> = (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+        .collect();
+    let (status, _, body) = http(&addr, "PUT", "/v1/matrices/R", octets, &root);
+    assert_eq!(status, 201, "{}", String::from_utf8_lossy(&body));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn saturation_sheds_load_with_429_and_retry_after() {
     let dir = tmpdir("saturate");
     let mut cfg = ServedConfig::new(&dir);

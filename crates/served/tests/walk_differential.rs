@@ -53,8 +53,7 @@ fn thread_counts() -> Vec<usize> {
     counts
 }
 
-/// MNC with deterministic rounding — order-invariant, so the walk may run
-/// it in wavefronts.
+/// MNC with deterministic rounding.
 fn det_mnc() -> MncEstimator {
     MncEstimator::with_config(
         "MNC",
@@ -65,15 +64,15 @@ fn det_mnc() -> MncEstimator {
     )
 }
 
-/// Fresh-estimator factories: probabilistic MNC advances an internal RNG
-/// per propagation, so every walk gets its own instance.
-fn estimators() -> [fn() -> Box<dyn SparsityEstimator>; 5] {
+/// The estimators under test. Each instance serves every walk of a case,
+/// as the service's one estimator serves every request.
+fn estimators() -> [Box<dyn SparsityEstimator>; 5] {
     [
-        || Box::new(MncEstimator::new()),
-        || Box::new(det_mnc()),
-        || Box::new(DensityMapEstimator::default()),
-        || Box::new(BitsetEstimator::default()),
-        || Box::new(MetaAcEstimator),
+        Box::new(MncEstimator::new()),
+        Box::new(det_mnc()),
+        Box::new(DensityMapEstimator::default()),
+        Box::new(BitsetEstimator::default()),
+        Box::new(MetaAcEstimator),
     ]
 }
 
@@ -143,11 +142,10 @@ fn random_case(seed: u64) -> Case {
 /// every worker count, with and without the root sketch.
 fn check_case(case: &Case) {
     let root = case.spec.root;
-    for make in estimators() {
-        let name = make().name();
+    for est in estimators() {
+        let name = est.name();
         // The reference: a cold sequential context, then (for the sketch)
         // the root synopsis propagated after the estimate.
-        let est = make();
         let mut ctx = EstimationContext::new();
         let exact = ctx.estimate_root(&*est, &case.dag, root).unwrap();
         let root_syn = ctx.node_synopsis(&*est, &case.dag, root).unwrap();
@@ -171,19 +169,17 @@ fn check_case(case: &Case) {
             _ => exact,
         };
 
-        // Catalog leaves come from a separate instance: building draws
-        // nothing from the estimator's RNG.
-        let builder = make();
+        // Catalog leaves, built as the service's ingest builds them.
         let leaves: Vec<Option<Arc<Synopsis>>> = case
             .leaf_mats
             .iter()
-            .map(|m| m.as_ref().map(|m| Arc::new(builder.build(m).unwrap())))
+            .map(|m| m.as_ref().map(|m| Arc::new(est.build(m).unwrap())))
             .collect();
 
         let at = format!("{name}, root={root}, dag={:?}", case.spec);
         for threads in thread_counts() {
             let mut par = EstimationContext::new().with_threads(threads);
-            let cold = par.estimate_root(&*make(), &case.dag, root).unwrap();
+            let cold = par.estimate_root(&*est, &case.dag, root).unwrap();
             assert_eq!(
                 cold.to_bits(),
                 exact.to_bits(),
@@ -191,11 +187,11 @@ fn check_case(case: &Case) {
             );
         }
 
-        let plain = estimate_dag(&*make(), &case.spec, &leaves, false).unwrap();
+        let plain = estimate_dag(&*est, &case.spec, &leaves, false).unwrap();
         assert_eq!(plain.sparsity.to_bits(), expected.to_bits(), "served: {at}");
         assert_eq!(plain.shape, case.dag.shape(root), "shape: {at}");
 
-        let sketched = estimate_dag(&*make(), &case.spec, &leaves, true);
+        let sketched = estimate_dag(&*est, &case.spec, &leaves, true);
         match (&expected_sketch, sketched) {
             (Some(bytes), Ok(out)) => {
                 assert_eq!(out.sparsity.to_bits(), expected.to_bits(), "sketched: {at}");

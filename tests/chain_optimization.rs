@@ -9,6 +9,7 @@ use mnc::expr::{
     PlanTree,
 };
 use mnc::matrix::{gen, CsrMatrix};
+use proptest::prelude::*;
 use rand::SeedableRng;
 
 fn chain(seed: u64, dims: &[usize], sparsities: &[f64]) -> Vec<Arc<CsrMatrix>> {
@@ -72,9 +73,9 @@ fn dense_plan_cost(dims: &[usize], plan: &PlanTree) -> f64 {
 #[test]
 fn sparse_dp_matches_exhaustive_enumeration_under_its_own_cost_model() {
     // The DP must find the cheapest plan under the sketched cost model.
-    // Note: the DP memoizes the sketch of the *optimal* subchain, while
-    // plan_cost_sketched propagates along the evaluated plan — for exact
-    // base sketches and deterministic rounding both agree.
+    // The DP memoizes the sketch of the *optimal* subchain, while
+    // plan_cost_sketched propagates along the evaluated plan; propagation
+    // is pure, so both derive the same sketches.
     let dims = [8usize, 30, 6, 25, 12];
     let sparsities = [0.2, 0.05, 0.3, 0.1];
     let mats = chain(5, &dims, &sparsities);
@@ -100,13 +101,41 @@ fn sparse_dp_matches_exhaustive_enumeration_under_its_own_cost_model() {
     );
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The DP's optimal cost is `plan_cost_sketched` of its own plan, bit
+    /// for bit, under default (probabilistic) rounding: every subchain
+    /// sketch is a pure function of its inputs, whichever path derives it.
+    #[test]
+    fn sparse_dp_cost_is_the_sketched_cost_of_its_plan(seed in any::<u64>(), len in 3usize..8) {
+        let mut draw = SplitMix64::new(seed);
+        let dims: Vec<usize> = (0..=len).map(|_| 5 + draw.next_u64() as usize % 56).collect();
+        let sparsities: Vec<f64> = (0..len).map(|_| 0.01 + 0.4 * draw.next_f64()).collect();
+        let mats = chain(seed, &dims, &sparsities);
+        let sketches: Vec<MncSketch> = mats.iter().map(|m| MncSketch::build(m)).collect();
+        let cfg = MncConfig::default();
+        let (dp_cost, plan) = sparse_chain_order(&sketches, &cfg);
+        let replayed = plan_cost_sketched(&sketches, &plan, &cfg);
+        prop_assert_eq!(dp_cost.to_bits(), replayed.to_bits(), "plan {}", plan);
+    }
+}
+
 #[test]
 fn sparse_plan_beats_random_plans_in_actual_flops() {
     let dims = [30usize, 120, 15, 100, 25, 40];
     let sparsities = [0.05, 0.01, 0.3, 0.02, 0.2];
     let mats = chain(9, &dims, &sparsities);
     let sketches: Vec<MncSketch> = mats.iter().map(|m| MncSketch::build(m)).collect();
-    let (_, plan) = sparse_chain_order(&sketches, &MncConfig::default());
+    // One chain at one draw sequence: under probabilistic rounding the
+    // plan, chosen on estimated costs, can change with the draws, so this
+    // single chain would test the draws rather than the optimizer.
+    // Deterministic rounding makes the plan a property of the chain alone.
+    let cfg = MncConfig {
+        probabilistic_rounding: false,
+        ..MncConfig::default()
+    };
+    let (_, plan) = sparse_chain_order(&sketches, &cfg);
     let opt_flops = chain_flops_exact(&mats, &plan);
     let mut rng = SplitMix64::new(77);
     const TRIALS: usize = 30;
