@@ -3,12 +3,14 @@
 //! written to `BENCH_MNC.json`) so perf, memory, and accuracy can be
 //! tracked *as a trajectory* across commits instead of one-off figure runs.
 //!
-//! Five workloads, each enclosed in a `"workload"` span on a shared
+//! Seven workloads, each enclosed in a `"workload"` span on a shared
 //! [`Recorder`]:
 //!
 //! 1. **estimators** — per-estimator synopsis construction + single-op
 //!    estimation across sparsities and shapes (Figures 8/14 territory);
-//! 2. **chain** — sketch propagation down a product chain (Figure 12);
+//! 2. **chain** — sketch propagation down a product chain (Figure 12),
+//!    and the Appendix C chain optimizer's DPs and random-plan scoring
+//!    (`chain.*` metrics);
 //! 3. **kernels** — scalar-vs-kernel microbenchmarks of the `mnc-kernels`
 //!    hot paths (`kernel.*` metrics: latency-gated p50s plus informational
 //!    speedup ratios);
@@ -39,12 +41,16 @@ use std::time::Instant;
 
 use mnc_kernels::{scalar, ScratchArena};
 
+use mnc_core::{MncConfig, MncSketch, SplitMix64};
 use mnc_estimators::{
     BiasedSamplingEstimator, BitsetEstimator, DensityMapEstimator, DynamicDensityMapEstimator,
     HashEstimator, LayeredGraphEstimator, MetaAcEstimator, MncEstimator, OpKind, SparsityEstimator,
     Synopsis,
 };
-use mnc_expr::{estimate_root, EstimationContext, ExprDag, NodeId, Recorder};
+use mnc_expr::{
+    dense_chain_order, estimate_root, plan_cost_sketched, random_plan, sparse_chain_order,
+    EstimationContext, ExprDag, NodeId, PlanTree, Recorder,
+};
 use mnc_matrix::{gen, CsrMatrix};
 use mnc_obs::accuracy::{summarize, AccuracySummary};
 use mnc_obs::export::json_f64;
@@ -81,7 +87,10 @@ fn slug(name: &str) -> String {
     name.replace(' ', "_")
 }
 
-/// Nearest-rank quantile over an already-sorted sample.
+/// The element at the rounded linear index `round((n - 1) * q)` of an
+/// already-sorted sample. This is not nearest-rank (`ceil(n * q)`-th
+/// element): over `1..=99` at `q = 0.95` it takes 94 where nearest-rank
+/// takes 95.
 fn quantile_ns(sorted: &[u64], q: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
@@ -148,8 +157,11 @@ fn estimator_workload(rec: &Recorder, d: usize, reps: usize, metrics: &mut BTree
 }
 
 /// Workload 2: synopsis propagation down a 4-matrix product chain for the
-/// estimators that support chains natively.
-fn chain_workload(rec: &Recorder, d: usize, reps: usize) {
+/// estimators that support chains natively, then the Appendix C chain
+/// optimizer: the sparsity-aware and dense DPs over 5-, 10- and 20-matrix
+/// chains (`chain.{sparse,dense}_dp.n<k>.p50_ns`) and sketch-scoring 32
+/// random 10-matrix plans (`chain.plan_score.p50_ns`).
+fn chain_workload(rec: &Recorder, d: usize, reps: usize, metrics: &mut BTreeMap<String, f64>) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xC4A1);
     let mats: Vec<Arc<CsrMatrix>> = [0.01, 0.005, 0.02, 0.01]
         .iter()
@@ -180,6 +192,45 @@ fn chain_workload(rec: &Recorder, d: usize, reps: usize) {
             }
         }
     }
+
+    // The chain optimizer prices plans from leaf sketches alone, so it is
+    // timed on seeded 5%-dense sketches; each chain is a prefix of one
+    // 20-sketch sequence.
+    let _w = rec.span("workload").op("chain/optimizer");
+    let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+    let sketches: Vec<MncSketch> = (0..20)
+        .map(|_| MncSketch::build(&gen::rand_uniform(&mut rng, d, d, 0.05)))
+        .collect();
+    let cfg = MncConfig::default();
+    let samples = 2 * reps + 1;
+    for n in [5, 10, 20] {
+        metrics.insert(
+            format!("chain.sparse_dp.n{n}.p50_ns"),
+            batched_p50_ns(samples, 2, || {
+                black_box(sparse_chain_order(black_box(&sketches[..n]), &cfg));
+            }),
+        );
+        let dims = vec![d; n + 1];
+        metrics.insert(
+            format!("chain.dense_dp.n{n}.p50_ns"),
+            batched_p50_ns(samples, 64, || {
+                black_box(dense_chain_order(black_box(&dims)));
+            }),
+        );
+    }
+    let mut plan_rng = SplitMix64::new(5);
+    let plans: Vec<PlanTree> = (0..32).map(|_| random_plan(10, &mut plan_rng)).collect();
+    metrics.insert(
+        "chain.plan_score.p50_ns".into(),
+        batched_p50_ns(samples, 1, || {
+            black_box(
+                plans
+                    .iter()
+                    .map(|p| plan_cost_sketched(&sketches[..10], p, &cfg))
+                    .sum::<f64>(),
+            );
+        }),
+    );
 }
 
 /// Deterministic count vector for the kernel workload (no `rand`
@@ -212,12 +263,13 @@ fn batched_p50_ns(samples: usize, inner: usize, mut f: impl FnMut()) -> f64 {
     quantile_ns(&durs, 0.5)
 }
 
-/// Workload 5: scalar-vs-kernel microbenchmarks of the hot-path primitives
+/// Workload 3: scalar-vs-kernel microbenchmarks of the hot-path primitives
 /// introduced by `mnc-kernels` — the sketch dot product, the `bool_mm`
-/// four-row OR fold, and a chain-opt DP step (the sketch dot products that
-/// price every split of an eight-matrix chain plus one scaled propagation of
-/// the winning cell, with arena-leased, recycled outputs on the kernel
-/// side). Emits `kernel.<name>.{scalar_p50_ns, kernel_p50_ns}`
+/// four-row OR fold, bitset popcount, the fused `zip_add` and `scale_round`
+/// combinators, and a chain-opt DP step (the sketch dot products that price
+/// every split of an eight-matrix chain plus one scaled propagation of the
+/// winning cell, with arena-leased, recycled outputs on the kernel side).
+/// Emits `kernel.<name>.{scalar_p50_ns, kernel_p50_ns}`
 /// (latency-gated) and the ungated `kernel.<name>.speedup` ratio.
 fn kernel_workload(rec: &Recorder, scale: f64, metrics: &mut BTreeMap<String, f64>) {
     let _w = rec.span("workload").op("kernels");
@@ -322,7 +374,41 @@ fn kernel_workload(rec: &Recorder, scale: f64, metrics: &mut BTreeMap<String, f6
         scalar_pc / simd_pc.max(1.0),
     );
 
-    // Chain-opt DP probe: price every split of a six-sketch matmul chain
+    // The count-vector combinators behind ew_add and every count rescale:
+    // collect-then-rescan (allocating `scalar::zip_add` or
+    // `scalar::scale_round`, then `meta_scan`) against the fused `*_into`
+    // forms, which derive the same metadata in the one pass and write into
+    // an arena-leased buffer. Counts are bounded by 1000, so `half` is 500.
+    let round = |v: f64| v.round() as u64;
+    let mut arena = ScratchArena::new();
+    let mut out = arena.take_u32(len);
+    record(
+        metrics,
+        "zip_add",
+        batched_p50_ns(samples, inner, || {
+            let v = scalar::zip_add(black_box(&x), black_box(&y));
+            black_box(scalar::meta_scan(&v, 500));
+        }),
+        batched_p50_ns(samples, inner, || {
+            black_box(mnc_kernels::zip_add_into(&x, &y, 500, &mut out));
+        }),
+    );
+    record(
+        metrics,
+        "scale_round",
+        batched_p50_ns(samples, inner, || {
+            let v = scalar::scale_round(black_box(&x), 1e5, 1000, round);
+            black_box(scalar::meta_scan(&v, 500));
+        }),
+        batched_p50_ns(samples, inner, || {
+            black_box(mnc_kernels::scale_round_into(
+                &x, 1e5, 1000, 500, round, &mut out,
+            ));
+        }),
+    );
+    arena.put_u32(out);
+
+    // Chain-opt DP probe: price every split of an eight-sketch matmul chain
     // via sketch dot products, then propagate the winning cell once —
     // scale both count vectors and derive their metadata. The scalar side
     // is the pre-kernel shape: clone the two memoized sketches (the old
@@ -342,7 +428,6 @@ fn kernel_workload(rec: &Recorder, scale: f64, metrics: &mut BTreeMap<String, f6
         .collect();
     let half = (len / 2) as u32;
     let cap = len as u64;
-    let round = |v: f64| v.round() as u64;
     let n = vecs.len();
     let splits = ((n * n * n - n) / 6) as f64;
     let scalar_ns = batched_p50_ns(samples, inner.div_ceil(4), || {
@@ -365,7 +450,6 @@ fn kernel_workload(rec: &Recorder, scale: f64, metrics: &mut BTreeMap<String, f6
         let col_meta = scalar::meta_scan(&hc, half);
         black_box((acc, left, right, hr, hc, row_meta, col_meta));
     });
-    let mut arena = ScratchArena::new();
     let kernel_ns = batched_p50_ns(samples, inner.div_ceil(4), || {
         let mut acc = 0.0;
         for span in 2..=n {
@@ -424,7 +508,7 @@ pub fn probe_dag(mats: &[Arc<CsrMatrix>], probe: usize) -> (ExprDag, NodeId) {
     (dag, root)
 }
 
-/// Workload 3: the `EstimationContext` cache workload — repeated probes over
+/// Workload 4: the `EstimationContext` cache workload — repeated probes over
 /// shared leaves with a session vs without one.
 fn cache_workload(rec: &Recorder, d: usize, reps: usize, metrics: &mut BTreeMap<String, f64>) {
     let _w = rec.span("workload").op("cache");
@@ -461,7 +545,7 @@ fn cache_workload(rec: &Recorder, d: usize, reps: usize, metrics: &mut BTreeMap<
     metrics.insert("cache.misses".into(), stats.cache_misses as f64);
 }
 
-/// Workload 4: the SparsEst B1 accuracy sweep over the standard estimator
+/// Workload 5: the SparsEst B1 accuracy sweep over the standard estimator
 /// line-up, summarized per estimator.
 fn accuracy_workload(
     rec: &Recorder,
@@ -499,7 +583,7 @@ fn accuracy_workload(
 /// Workload 6: the `mnc-served` concurrent-client load — full HTTP round
 /// trips against an in-process service over a throwaway catalog. The
 /// latency quantiles are service-path end-to-end (routing + admission +
-/// session cache + walk), gated like every other `*_ns` metric.
+/// catalog leaf lookup + walk), gated like every other `*_ns` metric.
 fn served_workload(rec: &Recorder, scale: f64, reps: usize, metrics: &mut BTreeMap<String, f64>) {
     let _w = rec.span("workload").op("served/load");
     let clients = 4;
@@ -694,7 +778,7 @@ pub fn run_suite(scale: f64, reps: usize) -> (PerfReport, Recorder) {
     let d_est = ((600.0 * scale) as usize).max(40);
     let d_chain = ((400.0 * scale) as usize).max(40);
     estimator_workload(&rec, d_est, reps, &mut metrics);
-    chain_workload(&rec, d_chain, reps);
+    chain_workload(&rec, d_chain, reps, &mut metrics);
     kernel_workload(&rec, scale, &mut metrics);
     cache_workload(&rec, d_est, reps, &mut metrics);
     let accuracy = accuracy_workload(&rec, scale, &mut metrics);
@@ -1230,9 +1314,10 @@ mod tests {
     }
 
     #[test]
-    fn quantiles_use_nearest_rank() {
+    fn quantiles_take_the_rounded_linear_index() {
         let durs: Vec<u64> = (1..=99).collect();
         assert_eq!(quantile_ns(&durs, 0.5), 50.0);
+        assert_eq!(quantile_ns(&durs, 0.25), 26.0);
         assert_eq!(quantile_ns(&durs, 0.95), 94.0);
         assert_eq!(quantile_ns(&[], 0.5), 0.0);
     }
@@ -1250,12 +1335,27 @@ mod tests {
         }
         assert!(report.metrics.contains_key("build.MNC.p50_ns"));
         assert!(report.metrics.contains_key("cache.cached_total_ns"));
-        for name in ["dot", "bool_mm_or", "popcount", "propagation_chain"] {
+        for name in [
+            "dot",
+            "bool_mm_or",
+            "popcount",
+            "zip_add",
+            "scale_round",
+            "propagation_chain",
+        ] {
             for stat in ["scalar_p50_ns", "kernel_p50_ns", "speedup"] {
                 let key = format!("kernel.{name}.{stat}");
                 assert!(report.metrics.contains_key(&key), "missing {key}");
             }
         }
+        // The chain optimizer: both DPs by chain length, and plan scoring.
+        for dp in ["sparse_dp", "dense_dp"] {
+            for n in [5, 10, 20] {
+                let key = format!("chain.{dp}.n{n}.p50_ns");
+                assert!(report.metrics.contains_key(&key), "missing {key}");
+            }
+        }
+        assert!(report.metrics.contains_key("chain.plan_score.p50_ns"));
         // The dispatched (SIMD where available) lane is measured separately
         // from the portable kernel so the CI gate can watch it directly.
         for name in ["dot", "bool_mm_or", "popcount"] {
