@@ -107,16 +107,18 @@ fn ab_floor(
 /// no-op disabled recorder, an enabled recorder, and the no-op recorder
 /// wired into a live [`ObsDaemon`] (HTTP endpoint bound, ticker refreshing,
 /// flight ring allocated but idle — the production always-on
-/// configuration). Each sample times `inner` back-to-back loops: single
-/// loops finish in well under a millisecond, where scheduler jitter alone
-/// exceeds the 2% bound. One daemon is shared across the whole measurement,
-/// so the obsd variant pays exactly what a long-running service pays: an
-/// installed sink and background threads, not server start-up.
+/// configuration). Each sample times one loop, as the served planes time
+/// one request: scheduler jitter lands on some samples of hundreds, rarely
+/// on the fastest, so the floor of many short samples is stable where
+/// batched samples each absorb their share of jitter. One daemon is shared
+/// across the whole measurement, so the obsd variant pays exactly what a
+/// long-running service pays: an installed sink and background threads,
+/// not server start-up.
 fn measure_overhead(
     dags: &[(ExprDag, NodeId)],
     reps: usize,
-    rounds: usize,
-    inner: usize,
+    warmup: usize,
+    samples: usize,
 ) -> (Vec<Duration>, bool) {
     let daemon = ObsDaemon::new(ObsdConfig::default());
     let mut server = daemon
@@ -126,28 +128,22 @@ fn measure_overhead(
     let mut variants: Vec<_> = (0..4)
         .map(|variant| {
             move || {
-                let mut total = Duration::ZERO;
-                let mut sum = 0.0f64;
-                for _ in 0..inner {
-                    let rec = match variant {
-                        0 => None,
-                        1 => Some(Recorder::disabled()),
-                        2 => Some(Recorder::enabled()),
-                        _ => {
-                            let rec = Recorder::disabled();
-                            daemon.install(&rec);
-                            Some(rec)
-                        }
-                    };
-                    let (took, s, _ctx) = cached_loop(dags, reps, rec);
-                    total += took;
-                    sum += s;
-                }
-                (total, sum.to_bits().to_le_bytes().to_vec())
+                let rec = match variant {
+                    0 => None,
+                    1 => Some(Recorder::disabled()),
+                    2 => Some(Recorder::enabled()),
+                    _ => {
+                        let rec = Recorder::disabled();
+                        daemon.install(&rec);
+                        Some(rec)
+                    }
+                };
+                let (took, sum, _ctx) = cached_loop(dags, reps, rec);
+                (took, sum.to_bits().to_le_bytes().to_vec())
             }
         })
         .collect();
-    let out = ab_floor(&mut variants, 1, rounds);
+    let out = ab_floor(&mut variants, warmup, samples);
     server.shutdown();
     out
 }
@@ -284,7 +280,7 @@ fn main() -> ExitCode {
     let uncached = t.elapsed();
 
     // Cached: one session across all probes, recorder per the obs flags.
-    let (cached, cached_sum, mut ctx) = cached_loop(&dags, reps, Some(obs.recorder()));
+    let (cached, cached_sum, mut ctx) = cached_loop(&dags, reps, Some(obs.recorder(None)));
 
     // Planner re-costing rides the same session: plans hit warm synopses.
     let t = Instant::now();
@@ -359,7 +355,7 @@ fn main() -> ExitCode {
         let planes: [(&[&str], _, &[Ratio], &str); 4] = [
             (
                 &["plain_s", "noop_s", "traced_s", "obsd_s"],
-                measure_overhead(&dags, reps, 7, 10),
+                measure_overhead(&dags, reps, 16, 450),
                 &[
                     ("noop_ratio", 1, 0, LIMIT),
                     ("traced_ratio", 2, 0, None),

@@ -212,7 +212,7 @@ fn cmd_estimate(args: &[String]) -> Result<(), String> {
     let server = obs.serve()?;
     let mut ctx = EstimationContext::new()
         .with_threads(threads)
-        .with_recorder(obs.recorder());
+        .with_recorder(obs.recorder(server.as_ref()));
     if let Some(srv) = &server {
         srv.install(ctx.recorder());
     }

@@ -115,15 +115,16 @@ impl ObsArgs {
     }
 
     /// A recorder matching the flags: a full (unbounded) recorder when a
-    /// report output was requested, a **bounded** one when only
-    /// `--serve-obs` asked for live telemetry (service mode — span storage
-    /// must not grow without limit), and the zero-overhead disabled
-    /// recorder otherwise.
-    pub fn recorder(&self) -> Recorder {
+    /// report output was requested, the live endpoint's own **bounded**
+    /// recorder when only `--serve-obs` asked for live telemetry (service
+    /// mode — span storage must not grow without limit, and the daemon
+    /// keeps one source), and the zero-overhead disabled recorder
+    /// otherwise.
+    pub fn recorder(&self, server: Option<&ObsServer>) -> Recorder {
         if self.trace.is_some() || self.metrics.is_some() || self.format_explicit {
             Recorder::enabled()
-        } else if self.serve_obs.is_some() {
-            Recorder::enabled_with_capacity(self.flight_capacity)
+        } else if let Some(srv) = server {
+            srv.daemon.recorder().clone()
         } else {
             Recorder::disabled()
         }
@@ -250,7 +251,7 @@ mod tests {
         assert_eq!(obs.format, ObsFormat::Jsonl);
         assert!(obs.format_explicit);
         assert!(obs.enabled());
-        assert!(obs.recorder().is_enabled());
+        assert!(obs.recorder(None).is_enabled());
         assert_eq!(rest, s(&["a.mtx", "--op", "matmul"]));
     }
 
@@ -258,7 +259,7 @@ mod tests {
     fn no_flags_means_disabled_recorder() {
         let (obs, rest) = ObsArgs::parse(&s(&["x", "y"])).unwrap();
         assert!(!obs.enabled());
-        assert!(!obs.recorder().is_enabled());
+        assert!(!obs.recorder(None).is_enabled());
         assert_eq!(rest.len(), 2);
         // emit on a disabled recorder is a no-op.
         obs.emit(&Recorder::disabled()).unwrap();
@@ -275,7 +276,7 @@ mod tests {
     }
 
     #[test]
-    fn serve_flags_select_a_bounded_recorder_and_start_the_endpoint() {
+    fn serve_flags_attach_the_daemon_recorder_and_start_the_endpoint() {
         let (obs, rest) = ObsArgs::parse(&s(&[
             "a.mtx",
             "--serve-obs",
@@ -286,18 +287,34 @@ mod tests {
         .unwrap();
         assert_eq!(rest, s(&["a.mtx"]));
         assert!(obs.enabled());
-        // Service mode without report flags: bounded storage.
-        let rec = obs.recorder();
+        let server = obs.serve().unwrap().expect("flag set");
+        // Service mode without report flags: the daemon's own bounded
+        // recorder, already installed, so the daemon keeps one source.
+        let rec = obs.recorder(Some(&server));
+        assert!(rec.same_as(server.daemon().recorder()));
         assert_eq!(rec.ring_capacity(), Some(16));
+        assert!(!server.install(&rec));
+        assert_eq!(server.daemon().source_count(), 1);
+        // A session on it reaches the flight ring and `/metrics`.
+        let mut dag = mnc_expr::ExprDag::new();
+        let m = std::sync::Arc::new(mnc_matrix::CsrMatrix::identity(8));
+        let a = dag.leaf("A", m);
+        let root = dag.matmul(a, a).unwrap();
+        mnc_expr::EstimationContext::new()
+            .with_recorder(rec)
+            .estimate_root(&mnc_estimators::MncEstimator::new(), &dag, root)
+            .unwrap();
+        assert!(server.daemon().flight().span_len() > 0);
+        let text = server.daemon().metrics_text();
+        assert!(text.contains("mnc_session_build_ns_count"), "{text}");
+        assert!(text.contains("mnc_obsd_sources 1"), "{text}");
         // With a report flag too, the unbounded recorder wins.
         let (both, _) =
             ObsArgs::parse(&s(&["--serve-obs", "127.0.0.1:0", "--obs-format", "jsonl"])).unwrap();
-        assert_eq!(both.recorder().ring_capacity(), None);
-        assert!(both.recorder().is_enabled());
+        assert_eq!(both.recorder(Some(&server)).ring_capacity(), None);
+        assert!(both.recorder(Some(&server)).is_enabled());
 
-        // The endpoint comes up and answers /healthz.
-        let server = obs.serve().unwrap().expect("flag set");
-        assert!(server.install(&rec));
+        // The endpoint answers /healthz.
         let addr = server.local_addr();
         use std::io::{Read as _, Write as _};
         let mut c = std::net::TcpStream::connect(addr).unwrap();

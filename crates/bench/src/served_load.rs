@@ -216,13 +216,16 @@ pub fn run_load(scale: f64, clients: usize, requests: usize) -> LoadReport {
             .map(|h| h.join().expect("load client"))
             .collect()
     });
-    // Service-side latency split: the trace plane's RED histograms separate
-    // time queued at the admission gate from time actually serving.
+    // Both scoreboards live in the daemon recorder's registry. Service-side
+    // latency split: the trace plane's RED histograms separate time queued
+    // at the admission gate from time actually serving.
+    let registry = service
+        .daemon()
+        .recorder()
+        .registry()
+        .expect("the daemon recorder is always enabled");
     let (qw, sv) = {
-        let snap = service
-            .trace_plane()
-            .metrics_snapshot()
-            .expect("tracing is on by default");
+        let snap = registry.snapshot();
         let histo_quantiles = |name: &str| -> (f64, f64) {
             snap.histograms
                 .get(name)
@@ -241,16 +244,13 @@ pub fn run_load(scale: f64, clients: usize, requests: usize) -> LoadReport {
     shadow.drain();
     let (sh_sampled, sh_completed, sh_dropped) =
         (shadow.sampled(), shadow.completed(), shadow.dropped());
-    let sh_p99 = shadow
-        .metrics_snapshot()
-        .map(|snap| {
-            snap.histograms
-                .iter()
-                .filter(|(name, _)| name.starts_with("shadow.latency_ns"))
-                .map(|(_, h)| h.quantile(0.99))
-                .max()
-                .unwrap_or(0)
-        })
+    let sh_p99 = registry
+        .snapshot()
+        .histograms
+        .iter()
+        .filter(|(name, _)| name.starts_with("shadow.latency_ns"))
+        .map(|(_, h)| h.quantile(0.99))
+        .max()
         .unwrap_or(0) as f64;
     drop(service);
     drop(handle);

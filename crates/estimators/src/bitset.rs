@@ -484,10 +484,6 @@ impl SparsityEstimator for BitsetEstimator {
     fn propagate(&self, op: &OpKind, inputs: &[&Synopsis]) -> Result<Synopsis> {
         Ok(Synopsis::Bitset(self.apply(op, inputs)?))
     }
-
-    fn as_sync(&self) -> Option<&(dyn SparsityEstimator + Sync)> {
-        Some(self)
-    }
 }
 
 #[cfg(test)]

@@ -502,10 +502,6 @@ impl SparsityEstimator for DensityMapEstimator {
     fn propagate(&self, op: &OpKind, inputs: &[&Synopsis]) -> Result<Synopsis> {
         Ok(Synopsis::DensityMap(self.apply(op, inputs)?))
     }
-
-    fn as_sync(&self) -> Option<&(dyn SparsityEstimator + Sync)> {
-        Some(self)
-    }
 }
 
 #[cfg(test)]

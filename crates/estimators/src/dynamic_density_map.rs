@@ -412,10 +412,6 @@ impl SparsityEstimator for DynamicDensityMapEstimator {
     fn supports_chains(&self) -> bool {
         false
     }
-
-    fn as_sync(&self) -> Option<&(dyn SparsityEstimator + Sync)> {
-        Some(self)
-    }
 }
 
 /// Rebuilds a density map at exactly `block` (resample may have chosen a

@@ -129,11 +129,6 @@ impl<E: SparsityEstimator> SparsityEstimator for InstrumentedEstimator<E> {
         self.inner.supports_chains()
     }
 
-    // `as_sync` keeps its `None` default: the blanket impl cannot promise
-    // `Sync` for an arbitrary `E`, so instrumented estimators always take
-    // the sequential walk (instrumentation targets measurement runs, where
-    // a fixed schedule is a feature anyway).
-
     fn cache_key(&self) -> String {
         // Same key as the wrapped estimator: instrumentation never changes a
         // synopsis, so cached entries stay valid across wrapping.

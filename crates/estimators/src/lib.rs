@@ -164,7 +164,13 @@ impl Synopsis {
 ///
 /// The trait is object-safe: the expression layer and the benchmark runner
 /// hold estimators as `Box<dyn SparsityEstimator>`.
-pub trait SparsityEstimator {
+///
+/// `build`, `estimate` and `propagate` must be pure functions of their
+/// arguments (and the estimator's configuration), whatever order calls
+/// interleave in; estimators that draw random numbers reseed from their
+/// configuration on every call. With `Sync` that is what lets parallel DAG
+/// walks share one estimator across worker threads.
+pub trait SparsityEstimator: Sync {
     /// Short name used in result tables (matches the paper's legends).
     fn name(&self) -> &'static str;
 
@@ -182,17 +188,6 @@ pub trait SparsityEstimator {
     /// of Table 1).
     fn supports_chains(&self) -> bool {
         true
-    }
-
-    /// A [`Sync`] view of this estimator for sharing across worker threads,
-    /// or `None` (the default) if it must stay on one thread. Split from
-    /// the trait's lack of a `Sync` supertrait so single-threaded estimator
-    /// implementations never pay for thread safety. Returning `Some`
-    /// promises that `build`/`estimate`/`propagate` are pure functions of
-    /// their arguments, whatever order calls interleave in: parallel DAG
-    /// walks run on exactly the estimators that return `Some`.
-    fn as_sync(&self) -> Option<&(dyn SparsityEstimator + Sync)> {
-        None
     }
 
     /// Key distinguishing synopses this estimator builds from those of other
@@ -220,9 +215,6 @@ impl<E: SparsityEstimator + ?Sized> SparsityEstimator for Box<E> {
     }
     fn supports_chains(&self) -> bool {
         (**self).supports_chains()
-    }
-    fn as_sync(&self) -> Option<&(dyn SparsityEstimator + Sync)> {
-        (**self).as_sync()
     }
     fn cache_key(&self) -> String {
         (**self).cache_key()

@@ -184,10 +184,6 @@ impl SparsityEstimator for MetaAcEstimator {
     fn propagate(&self, op: &OpKind, inputs: &[&Synopsis]) -> Result<Synopsis> {
         propagate(self.name(), Variant::AverageCase, op, inputs)
     }
-
-    fn as_sync(&self) -> Option<&(dyn SparsityEstimator + Sync)> {
-        Some(self)
-    }
 }
 
 impl SparsityEstimator for MetaWcEstimator {
@@ -205,10 +201,6 @@ impl SparsityEstimator for MetaWcEstimator {
 
     fn propagate(&self, op: &OpKind, inputs: &[&Synopsis]) -> Result<Synopsis> {
         propagate(self.name(), Variant::WorstCase, op, inputs)
-    }
-
-    fn as_sync(&self) -> Option<&(dyn SparsityEstimator + Sync)> {
-        Some(self)
     }
 }
 

@@ -104,10 +104,6 @@ impl SparsityEstimator for MncEstimator {
         Ok(Synopsis::Mnc(MncSynopsis { sketch }))
     }
 
-    fn as_sync(&self) -> Option<&(dyn SparsityEstimator + Sync)> {
-        Some(self)
-    }
-
     fn cache_key(&self) -> String {
         // Synopsis content depends on the extension vectors; rounding knobs
         // and the seed affect propagated (cached intermediate) sketches.

@@ -46,7 +46,7 @@ pub use walk::{estimate_all, estimate_root, NodeEstimate};
 // (and read `mnc_expr::EstimationStats` off a context).
 pub use mnc_core::{EstimationStats, OpStat};
 pub use mnc_estimators::{OpKind, SparsityEstimator, Synopsis};
-// Observability: attach a `Recorder` via `EstimationContext::with_recorder`,
-// export with `Recorder::report()`.
+// Observability: attach a `Recorder` via `EstimationContext::with_recorder`
+// (a telemetry daemon's own, or one of the session's), export with
+// `Recorder::report()`.
 pub use mnc_obs::{ObsFormat, Recorder, Report};
-pub use mnc_obsd::{ObsDaemon, ObsdConfig};

@@ -200,37 +200,12 @@ impl EstimationContext {
         self
     }
 
-    /// Wires this session into a live telemetry daemon (`mnc-obsd`): the
-    /// session recorder's span and accuracy streams feed the daemon's
-    /// flight recorder and drift monitor, and its metrics registry joins
-    /// the `/metrics` aggregation (snapshotted periodically by the
-    /// daemon's server ticker, freshly on every scrape).
-    ///
-    /// A session without a recorder attaches the daemon's one shared
-    /// [`session_recorder`](mnc_obsd::ObsDaemon::session_recorder), which
-    /// is bounded (ring capacity = the daemon's flight capacity) and
-    /// already installed — so wiring a session allocates no rings and
-    /// adds no source, however many sessions a long-running service
-    /// creates and drops. Call [`with_recorder`](Self::with_recorder) first
-    /// to choose a different recorder (e.g. an unbounded one for a batch
-    /// run that also wants live scrapes); that recorder is installed as a
-    /// source of its own.
-    pub fn with_obsd(self, daemon: &mnc_obsd::ObsDaemon) -> Self {
-        if self.rec.is_enabled() {
-            daemon.install(&self.rec);
-            self
-        } else {
-            self.with_recorder(daemon.session_recorder().clone())
-        }
-    }
-
     /// Materializes independent DAG nodes on up to `threads` pool workers
-    /// (topological wavefronts; default 1 = sequential). The parallel walk
-    /// engages for every estimator with a [`Sync`] view
-    /// ([`SparsityEstimator::as_sync`]) — default MNC included, since its
-    /// rounding is seeded from each propagation's inputs — and the others
-    /// keep the sequential walk. Either way results are bit-identical to
-    /// `threads == 1`, and partial results merge in fixed node order.
+    /// (topological wavefronts; default 1 = sequential). Every estimator
+    /// takes the parallel walk — default MNC included, since its rounding
+    /// is seeded from each propagation's inputs — and results are
+    /// bit-identical to `threads == 1`: partial results merge in fixed node
+    /// order.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.pool = WorkerPool::new(threads);
         self
@@ -736,55 +711,6 @@ mod tests {
     }
 
     #[test]
-    fn with_obsd_wires_the_session_into_the_daemon() {
-        use mnc_obsd::{ObsDaemon, ObsdConfig};
-
-        let daemon = ObsDaemon::new(ObsdConfig {
-            flight_capacity: 32,
-            ..ObsdConfig::default()
-        });
-        // No recorder yet: with_obsd attaches the daemon's shared session
-        // recorder, bounded like the flight ring.
-        let mut ctx = EstimationContext::new().with_obsd(&daemon);
-        assert!(ctx.recorder().same_as(daemon.session_recorder()));
-        assert_eq!(ctx.recorder().ring_capacity(), Some(32));
-        assert!(ctx.recorder().has_sink());
-
-        let mut r = rng(11);
-        let mut dag = ExprDag::new();
-        let a = dag.leaf("A", Arc::new(gen::rand_uniform(&mut r, 16, 16, 0.2)));
-        let b = dag.leaf("B", Arc::new(gen::rand_uniform(&mut r, 16, 16, 0.2)));
-        let root = dag.matmul(a, b).unwrap();
-        ctx.estimate_root(&MncEstimator::new(), &dag, root).unwrap();
-
-        // The estimation spans landed in the daemon's flight ring and the
-        // session registry reached the aggregated metrics.
-        assert!(daemon.flight().span_len() > 0);
-        assert!(daemon.metrics_text().contains("mnc_session_build_ns_count"));
-
-        // A pre-attached recorder is reused, not replaced.
-        let rec = Recorder::enabled();
-        let ctx2 = EstimationContext::new()
-            .with_recorder(rec.clone())
-            .with_obsd(&daemon);
-        assert!(ctx2.recorder().same_as(&rec));
-        assert_eq!(ctx2.recorder().ring_capacity(), None);
-        assert_eq!(daemon.source_count(), 2);
-    }
-
-    #[test]
-    fn session_churn_adds_no_daemon_sources() {
-        use mnc_obsd::{ObsDaemon, ObsdConfig};
-
-        let daemon = ObsDaemon::new(ObsdConfig::default());
-        for _ in 0..100 {
-            let ctx = EstimationContext::new().with_obsd(&daemon);
-            assert!(ctx.recorder().same_as(daemon.session_recorder()));
-        }
-        assert_eq!(daemon.source_count(), 1);
-    }
-
-    #[test]
     fn resident_gauge_sums_the_live_contexts_on_a_shared_recorder() {
         let (dag, root) = chain_dag(10);
         let rec = Recorder::enabled();
@@ -904,7 +830,6 @@ mod tests {
             Box::new(mnc_estimators::MetaAcEstimator),
         ];
         for est in &estimators {
-            assert!(est.as_sync().is_some());
             let baseline = run(1, est.as_ref());
             for threads in [2, 8] {
                 let par = run(threads, est.as_ref());
@@ -941,9 +866,6 @@ mod tests {
             let id = std::thread::current().id();
             self.threads.lock().unwrap().push(id);
             self.inner.propagate(op, inputs)
-        }
-        fn as_sync(&self) -> Option<&(dyn SparsityEstimator + Sync)> {
-            self.inner.as_sync().map(|_| self as _)
         }
     }
 

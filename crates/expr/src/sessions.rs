@@ -105,8 +105,9 @@ impl SessionPool {
     }
 
     /// [`Self::session_at`] with a decoration hook applied to **newly
-    /// created** contexts only — services use it to wire each session into
-    /// their telemetry daemon (`EstimationContext::with_obsd`).
+    /// created** contexts only — services use it to attach each session to
+    /// their telemetry daemon's recorder
+    /// (`EstimationContext::with_recorder`).
     pub fn session_init_at(
         &mut self,
         client: &str,

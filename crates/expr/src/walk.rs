@@ -226,18 +226,16 @@ where
 
     /// Computes every node reachable from `roots` that neither the memo
     /// nor the store has, in wavefronts of the nodes whose inputs are all
-    /// memoized. A no-op unless the pool is parallel **and** the estimator
-    /// has a [`Sync`] view ([`as_sync`](SparsityEstimator::as_sync)).
+    /// memoized. A no-op unless the pool is parallel.
     fn prefill<I>(&mut self, roots: I) -> Result<()>
     where
         I: IntoIterator<Item = NodeId>,
         I::IntoIter: DoubleEndedIterator,
     {
-        let est = match self.est.as_sync() {
-            Some(est) if self.pool.is_parallel() => est,
-            _ => return Ok(()),
-        };
-        let dag = self.dag;
+        if !self.pool.is_parallel() {
+            return Ok(());
+        }
+        let (est, dag) = (self.est, self.dag);
 
         // Discovery replays the sequential walk's pre-order probes, so
         // hit/miss counts match it exactly.

@@ -12,8 +12,9 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 
 use mnc_estimators::{
-    BitsetEstimator, DensityMapEstimator, DynamicDensityMapEstimator, MetaAcEstimator,
-    MncEstimator, OpKind, SparsityEstimator,
+    BiasedSamplingEstimator, BitsetEstimator, DensityMapEstimator, DynamicDensityMapEstimator,
+    HashEstimator, InstrumentedEstimator, LayeredGraphEstimator, MetaAcEstimator, MncEstimator,
+    OpKind, SparsityEstimator,
 };
 use mnc_expr::{EstimationContext, ExprDag, NodeId};
 use mnc_matrix::{gen, CsrMatrix};
@@ -46,18 +47,41 @@ fn det_mnc() -> MncEstimator {
     )
 }
 
+/// A DAG and its root.
+type Dag = (ExprDag, NodeId);
+
 /// A wide DAG with genuine level-parallelism: two independent products
-/// joined by an add, then transposed.
-fn wide_dag(seed: u64, d: usize) -> (ExprDag, NodeId) {
+/// joined by an add, then transposed. With `products` false the products
+/// become element-wise multiplies, for estimators that cannot propagate a
+/// product (Sample).
+fn wide_dag(seed: u64, d: usize, products: bool) -> Dag {
     let mut dag = ExprDag::new();
     let a = dag.leaf("A", make(d, d, 0.05, seed));
     let b = dag.leaf("B", make(d, d, 0.03, seed ^ 1));
     let c = dag.leaf("C", make(d, d, 0.04, seed ^ 2));
     let e = dag.leaf("E", make(d, d, 0.02, seed ^ 3));
-    let left = dag.matmul(a, b).expect("square");
-    let right = dag.matmul(c, e).expect("square");
-    let sum = dag.ew_add(left, right).expect("same shape");
+    let (left, right) = if products {
+        (dag.matmul(a, b), dag.matmul(c, e))
+    } else {
+        (dag.ew_mul(a, b), dag.ew_mul(c, e))
+    };
+    let sum = dag
+        .ew_add(left.expect("square"), right.expect("square"))
+        .expect("same shape");
     let root = dag.transpose(sum).expect("unary");
+    (dag, root)
+}
+
+/// A left-deep product chain over `len` leaves: every right operand is a
+/// leaf, the shape LGraph propagates, and at `len` 2 a single product,
+/// which is all Hash estimates.
+fn chain_dag(seed: u64, d: usize, len: u64) -> Dag {
+    let mut dag = ExprDag::new();
+    let mut root = dag.leaf("M0", make(d, d, 0.05, seed));
+    for k in 1..len {
+        let next = dag.leaf(format!("M{k}"), make(d, d, 0.04, seed ^ k));
+        root = dag.matmul(root, next).expect("square");
+    }
     (dag, root)
 }
 
@@ -65,21 +89,30 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The session wavefront walk: estimates and cache statistics are
-    /// bit-identical at every worker count, cold and warm.
+    /// bit-identical at every worker count, cold and warm, for every
+    /// estimator over a DAG within the ops it supports.
     #[test]
     fn session_walk_is_thread_count_invariant(seed in any::<u64>(), d in 24usize..72) {
-        let (dag, root) = wide_dag(seed, d);
-        let ests: Vec<Box<dyn SparsityEstimator>> = vec![
-            Box::new(MncEstimator::new()),
-            Box::new(det_mnc()),
-            Box::new(DensityMapEstimator::default()),
-            Box::new(BitsetEstimator::default()),
-            Box::new(MetaAcEstimator),
+        let wide = wide_dag(seed, d, true);
+        let ew = wide_dag(seed, d, false);
+        let (chain2, chain3) = (chain_dag(seed, d, 2), chain_dag(seed, d, 3));
+        let instrumented = InstrumentedEstimator::new(MncEstimator::new(), mnc_obs::Recorder::enabled());
+        let ests: Vec<(Box<dyn SparsityEstimator>, &Dag)> = vec![
+            (Box::new(MncEstimator::new()), &wide),
+            (Box::new(det_mnc()), &wide),
+            (Box::new(DensityMapEstimator::default()), &wide),
+            (Box::new(BitsetEstimator::default()), &wide),
+            (Box::new(MetaAcEstimator), &wide),
+            (Box::new(BiasedSamplingEstimator::default()), &ew),
+            (Box::new(LayeredGraphEstimator::default()), &chain3),
+            (Box::new(HashEstimator::default()), &chain2),
+            (Box::new(instrumented), &wide),
         ];
-        for est in &ests {
+        for (est, (dag, root)) in &ests {
+            let (dag, root) = (dag, *root);
             let mut seq = EstimationContext::new();
-            let cold = seq.estimate_root(est.as_ref(), &dag, root).expect("estimate");
-            let warm = seq.estimate_root(est.as_ref(), &dag, root).expect("estimate");
+            let cold = seq.estimate_root(est.as_ref(), dag, root).expect("estimate");
+            let warm = seq.estimate_root(est.as_ref(), dag, root).expect("estimate");
             let seq_stats = (
                 seq.stats().builds,
                 seq.stats().cache_hits,
@@ -87,8 +120,8 @@ proptest! {
             );
             for t in thread_counts() {
                 let mut par = EstimationContext::new().with_threads(t);
-                let p_cold = par.estimate_root(est.as_ref(), &dag, root).expect("estimate");
-                let p_warm = par.estimate_root(est.as_ref(), &dag, root).expect("estimate");
+                let p_cold = par.estimate_root(est.as_ref(), dag, root).expect("estimate");
+                let p_warm = par.estimate_root(est.as_ref(), dag, root).expect("estimate");
                 prop_assert_eq!(cold.to_bits(), p_cold.to_bits(), "cold estimate drifted at {} threads", t);
                 prop_assert_eq!(warm.to_bits(), p_warm.to_bits(), "warm estimate drifted at {} threads", t);
                 let par_stats = (

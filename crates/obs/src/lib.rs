@@ -48,6 +48,7 @@ pub mod accuracy;
 pub mod alloc;
 pub mod attribution;
 pub mod export;
+pub mod family;
 pub mod json;
 pub mod metrics;
 pub mod prometheus;
@@ -59,6 +60,7 @@ pub use accuracy::AccuracyRecord;
 pub use alloc::{AllocDelta, AllocScope, AllocSnapshot};
 pub use attribution::{attribute, render_attribution, AttributionRow};
 pub use export::{ObsFormat, Report};
+pub use family::MetricFamily;
 pub use metrics::{Counter, Gauge, Histogram, LatencyHisto, MetricSnapshot, MetricsRegistry};
 pub use prometheus::render_prometheus;
 pub use request::{parse_traceparent, RequestContext, RequestSpan, TraceId};

@@ -18,13 +18,19 @@
 //!   `GET /metrics` (Prometheus text), `/healthz` (drift-aware
 //!   OK/DEGRADED), `/flight` (JSONL ring dump), and `/attribution`.
 //!
+//!
+//! The daemon owns one bounded [`Recorder`] ([`ObsDaemon::recorder`]),
+//! created and installed with it: every plane of a service records into
+//! that one recorder, so a daemon has one source however many planes and
+//! sessions it serves. Other recorders (an unbounded batch recorder, say)
+//! join as sources of their own through [`ObsDaemon::install`].
+//!
 //! ```no_run
-//! use mnc_obs::Recorder;
 //! use mnc_obsd::{ObsDaemon, ObsdConfig};
 //!
 //! let daemon = ObsDaemon::new(ObsdConfig::default());
-//! let rec = Recorder::enabled_with_capacity(4096);
-//! daemon.install(&rec);                       // live span/accuracy tap
+//! let rec = daemon.recorder().clone();        // already installed
+//! rec.counter("cache.hit").incr();
 //! let server = daemon.serve("127.0.0.1:0").unwrap();
 //! println!("scrape http://{}/metrics", server.local_addr());
 //! ```
@@ -53,7 +59,8 @@ use mnc_obs::{
 /// Configuration for one daemon.
 #[derive(Debug, Clone)]
 pub struct ObsdConfig {
-    /// Per-stream flight-ring capacity (spans and accuracy records each).
+    /// Per-stream flight-ring capacity (spans and accuracy records each),
+    /// also the ring capacity of the daemon's [`recorder`](ObsDaemon::recorder).
     pub flight_capacity: usize,
     /// Drift-monitor thresholds.
     pub drift: DriftConfig,
@@ -88,9 +95,9 @@ struct DaemonShared {
     /// clones keeps the registries alive for scrapes that outlive the
     /// session.
     sources: Mutex<Vec<Recorder>>,
-    /// The one bounded recorder every telemetry-wired session shares
-    /// (see [`ObsDaemon::session_recorder`]); installed at construction.
-    session: Recorder,
+    /// The daemon's own bounded recorder (see [`ObsDaemon::recorder`]);
+    /// installed at construction.
+    recorder: Recorder,
     /// The latest merged snapshot (refreshed periodically by the HTTP
     /// ticker and on every scrape) — also what a panic dump would see.
     cached: Mutex<MetricSnapshot>,
@@ -116,9 +123,9 @@ pub struct ObsDaemon {
 }
 
 impl ObsDaemon {
-    /// A daemon with the given configuration. Its only source is the
-    /// shared [`session_recorder`](ObsDaemon::session_recorder); other
-    /// recorders are observed once [`install`](ObsDaemon::install)ed.
+    /// A daemon with the given configuration. Its only source is its own
+    /// [`recorder`](ObsDaemon::recorder); other recorders are observed
+    /// once [`install`](ObsDaemon::install)ed.
     pub fn new(config: ObsdConfig) -> Self {
         let daemon = ObsDaemon {
             shared: Arc::new(DaemonShared {
@@ -128,11 +135,11 @@ impl ObsDaemon {
                 }),
                 timeline: Timeline::new(config.timeline),
                 sources: Mutex::new(Vec::new()),
-                session: Recorder::enabled_with_capacity(config.flight_capacity),
+                recorder: Recorder::enabled_with_capacity(config.flight_capacity),
                 cached: Mutex::new(MetricSnapshot::default()),
             }),
         };
-        daemon.install(daemon.session_recorder());
+        daemon.install(daemon.recorder());
         daemon
     }
 
@@ -140,12 +147,12 @@ impl ObsDaemon {
     /// `/metrics` aggregation and its span/accuracy streams feed the
     /// flight recorder and drift monitor via the recorder's
     /// [`RecordSink`] tap. Installing the same recorder twice is a no-op
-    /// (sources are deduplicated by identity), so `--serve-obs` wiring and
-    /// `EstimationContext::with_obsd` compose without double counting.
+    /// (sources are deduplicated by identity), so re-installing the
+    /// daemon's own recorder adds nothing.
     ///
     /// Every source is kept for the daemon's lifetime, so install
-    /// long-lived recorders only. Sessions that come and go share the one
-    /// [`session_recorder`](ObsDaemon::session_recorder) instead of
+    /// long-lived recorders only. Planes and sessions that come and go
+    /// share the daemon's [`recorder`](ObsDaemon::recorder) instead of
     /// installing their own.
     ///
     /// Returns whether the live tap was installed — `false` for a disabled
@@ -162,11 +169,12 @@ impl ObsDaemon {
     }
 
     /// The bounded recorder (ring capacity = the flight capacity) created
-    /// and installed with the daemon, which every session wired through
-    /// `EstimationContext::with_obsd` shares. Attaching it costs no
-    /// allocation and adds no source, however many sessions come and go.
-    pub fn session_recorder(&self) -> &Recorder {
-        &self.shared.session
+    /// and installed with the daemon. Services record every plane into it,
+    /// and a library session attaches it with
+    /// `EstimationContext::with_recorder(daemon.recorder().clone())`:
+    /// cloning it costs no allocation and adds no source.
+    pub fn recorder(&self) -> &Recorder {
+        &self.shared.recorder
     }
 
     /// The flight recorder.
@@ -270,7 +278,8 @@ impl ObsDaemon {
     /// HTTP server's ticker (so the cache stays near-current even when
     /// nobody scrapes). The merged snapshot is also tailed into the
     /// timeline plane (at most one frame per second) and any SLO alert
-    /// edges that produces are stamped into the flight recorder.
+    /// edges that produces are stamped into the flight recorder, on the
+    /// daemon recorder's clock so they sort among the spans they explain.
     pub fn refresh(&self) {
         let mut merged = self.service_snapshot();
         {
@@ -300,7 +309,7 @@ impl ObsDaemon {
                     if edge.fired { "fire" } else { "recover" }
                 )),
                 thread: 0,
-                start_ns: now_s.saturating_mul(1_000_000_000),
+                start_ns: self.shared.recorder.elapsed_ns(),
                 dur_ns: 0,
                 nnz_in: None,
                 nnz_out: None,
@@ -414,19 +423,58 @@ mod tests {
     }
 
     #[test]
-    fn session_recorder_is_the_one_source_of_a_new_daemon() {
+    fn the_daemon_recorder_is_the_one_source_of_a_new_daemon() {
         let daemon = ObsDaemon::new(small());
-        let session = daemon.session_recorder();
+        let rec = daemon.recorder();
         assert_eq!(daemon.source_count(), 1);
-        assert_eq!(session.ring_capacity(), Some(8));
-        assert!(session.has_sink());
-        // Re-installing it (as a pre-wired batch context would) is a no-op.
-        assert!(!daemon.install(session));
+        assert_eq!(rec.ring_capacity(), Some(8));
+        assert!(rec.has_sink());
+        // Re-installing it is a no-op.
+        assert!(!daemon.install(rec));
         assert_eq!(daemon.source_count(), 1);
         {
-            let _g = span!(session, "estimate");
+            let _g = span!(rec, "estimate");
         }
         assert_eq!(daemon.flight().span_len(), 1);
+    }
+
+    #[test]
+    fn slo_alert_spans_run_on_the_daemon_recorder_clock() {
+        // Every request fails: the availability objective fires on the
+        // first sampled second.
+        let daemon = ObsDaemon::new(ObsdConfig {
+            timeline: TimelineConfig {
+                slo: SloConfig {
+                    availability_target: 0.99,
+                    fast_window_s: 1,
+                    slow_window_s: 1,
+                    min_events: 1,
+                    ..SloConfig::default()
+                },
+                ..TimelineConfig::default()
+            },
+            ..small()
+        });
+        daemon
+            .recorder()
+            .counter("served.requests{endpoint=/v1/estimate,method=POST,status=503}")
+            .add(100);
+        let before = daemon.recorder().elapsed_ns();
+        daemon.refresh();
+        let after = daemon.recorder().elapsed_ns();
+        let alerts: Vec<SpanRecord> = daemon
+            .flight()
+            .spans()
+            .into_iter()
+            .filter(|s| s.name == "slo_alert")
+            .collect();
+        assert_eq!(alerts.len(), 1, "one availability edge");
+        assert_eq!(alerts[0].op.as_deref(), Some("availability:fire"));
+        assert!(
+            (before..=after).contains(&alerts[0].start_ns),
+            "alert at {} ns, outside the recorder clock's {before}..={after}",
+            alerts[0].start_ns
+        );
     }
 
     #[test]
@@ -435,7 +483,7 @@ mod tests {
         let rec = Recorder::enabled();
         assert!(daemon.install(&rec));
         // Second install: already the sink, already a source (beside the
-        // session recorder).
+        // daemon recorder).
         assert!(!daemon.install(&rec.clone()));
         assert_eq!(daemon.source_count(), 2);
         // A disabled recorder contributes nothing.

@@ -75,8 +75,7 @@ fn metrics_body_is_golden() {
     assert_eq!(status, 200);
     // The exact exposition body for this state: one session counter merged
     // with the daemon's deterministic service metrics, sorted by name. The
-    // two sources are `rec` and the daemon's own (still empty) session
-    // recorder.
+    // two sources are `rec` and the daemon's own (still empty) recorder.
     let expected = "\
 # TYPE mnc_cache_hit_total counter
 mnc_cache_hit_total 7

@@ -26,12 +26,12 @@
 //!
 //! Results flow three ways:
 //!
-//! 1. [`AccuracyRecord`]s into the plane's recorder, whose daemon sink
-//!    feeds the flight ring **and the [`DriftMonitor`]** — the live drift
-//!    series the ROADMAP's adaptive-routing item needs;
-//! 2. a `shadow.*` scoreboard on `/metrics` (runs/errors per estimator,
-//!    log₂ divergence histograms per `(estimator, op)`, shadow latency,
-//!    live queue depth);
+//! 1. [`AccuracyRecord`]s into the daemon's recorder, whose sink feeds the
+//!    flight ring **and the [`DriftMonitor`]** — the live drift series the
+//!    ROADMAP's adaptive-routing item needs;
+//! 2. a `shadow.*` scoreboard on `/metrics`, in the same recorder's
+//!    registry (runs/errors per estimator, log₂ divergence histograms per
+//!    `(estimator, op)`, shadow latency, live queue depth);
 //! 3. a bounded worst-divergence exemplar ring behind
 //!    `GET /v1/debug/shadow` (JSONL, worst first).
 //!
@@ -41,7 +41,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -51,7 +51,7 @@ use mnc_estimators::{BitsetEstimator, DensityMapEstimator, MetaAcEstimator, Syno
 use mnc_matrix::{ops, CsrMatrix};
 use mnc_obs::accuracy::symmetric_relative_error;
 use mnc_obs::export::json_escape;
-use mnc_obs::{AccuracyRecord, Counter, Gauge, Histogram, MetricSnapshot, Recorder};
+use mnc_obs::{AccuracyRecord, Counter, Gauge, Histogram, MetricFamily, Recorder};
 use mnc_obsd::{ObsDaemon, Response};
 
 use crate::service::ServedConfig;
@@ -79,6 +79,9 @@ const OPS: [&str; 14] = [
     "eq0",
     "leaf",
 ];
+
+/// The estimator label of the shadow scoreboard's series.
+const ESTIMATOR: mnc_obs::family::Label = ("estimator", &SHADOW_ESTIMATORS);
 
 /// Bounded shadow-job queue: submissions beyond it are dropped (and
 /// counted), never blocked on.
@@ -181,73 +184,19 @@ fn fmt_f64(v: f64) -> String {
     }
 }
 
-/// Pre-registered metric handles, one slot per label combination —
-/// the `RedMetrics` discipline: first hit allocates the series name, every
-/// later hit is one atomic.
-struct ShadowMetrics {
-    /// `[estimator]` completed alternate runs.
-    runs: Box<[OnceLock<Counter>]>,
-    /// `[estimator]` failed alternate runs.
-    errors: Box<[OnceLock<Counter>]>,
-    /// `[estimator]` shadow-run latency (log₂ ns buckets).
-    latency: Box<[OnceLock<Histogram>]>,
-    /// `[estimator][op]` symmetric divergence in milli-units (log₂ buckets;
-    /// perfect agreement = 1000).
-    divergence: Box<[OnceLock<Histogram>]>,
-}
-
-impl ShadowMetrics {
-    fn new() -> ShadowMetrics {
-        let n = SHADOW_ESTIMATORS.len();
-        ShadowMetrics {
-            runs: (0..n).map(|_| OnceLock::new()).collect(),
-            errors: (0..n).map(|_| OnceLock::new()).collect(),
-            latency: (0..n).map(|_| OnceLock::new()).collect(),
-            divergence: (0..n * OPS.len()).map(|_| OnceLock::new()).collect(),
-        }
-    }
-
-    fn runs(&self, rec: &Recorder, ei: usize) -> &Counter {
-        self.runs[ei].get_or_init(|| {
-            rec.counter(&format!(
-                "shadow.runs{{estimator={}}}",
-                SHADOW_ESTIMATORS[ei]
-            ))
-        })
-    }
-
-    fn errors(&self, rec: &Recorder, ei: usize) -> &Counter {
-        self.errors[ei].get_or_init(|| {
-            rec.counter(&format!(
-                "shadow.errors{{estimator={}}}",
-                SHADOW_ESTIMATORS[ei]
-            ))
-        })
-    }
-
-    fn latency(&self, rec: &Recorder, ei: usize) -> &Histogram {
-        self.latency[ei].get_or_init(|| {
-            rec.histogram(&format!(
-                "shadow.latency_ns{{estimator={}}}",
-                SHADOW_ESTIMATORS[ei]
-            ))
-        })
-    }
-
-    fn divergence(&self, rec: &Recorder, ei: usize, oi: usize) -> &Histogram {
-        self.divergence[ei * OPS.len() + oi].get_or_init(|| {
-            rec.histogram(&format!(
-                "shadow.divergence_milli{{estimator={},op={}}}",
-                SHADOW_ESTIMATORS[ei], OPS[oi]
-            ))
-        })
-    }
-}
-
 /// State shared between the submitting side and the workers.
 struct ShadowShared {
+    /// The daemon's recorder when enabled, the disabled one otherwise.
     recorder: Recorder,
-    metrics: ShadowMetrics,
+    /// Completed alternate runs, by estimator.
+    runs: MetricFamily<Counter, 1>,
+    /// Failed alternate runs, by estimator.
+    errors: MetricFamily<Counter, 1>,
+    /// Shadow-run latency (log₂ ns buckets), by estimator.
+    latency: MetricFamily<Histogram, 1>,
+    /// Symmetric divergence in milli-units (log₂ buckets; perfect
+    /// agreement = 1000), by estimator and op.
+    divergence: MetricFamily<Histogram, 2>,
     sampled: Counter,
     completed: Counter,
     dropped: Counter,
@@ -274,15 +223,14 @@ pub struct ShadowPlane {
 }
 
 impl ShadowPlane {
-    /// Assembles the plane per `cfg`. At rate 0 the plane is fully inert:
-    /// no recorder, no workers, and the sampling decision is one branch.
+    /// Assembles the plane per `cfg`, recording into `daemon`'s recorder.
+    /// At rate 0 the plane is fully inert: a disabled recorder, no
+    /// workers, and the sampling decision is one branch.
     pub fn new(cfg: &ServedConfig, daemon: &ObsDaemon) -> ShadowPlane {
         let rate = cfg.shadow_rate.clamp(0.0, 1.0);
         let enabled = rate > 0.0;
         let recorder = if enabled {
-            let rec = Recorder::enabled_with_capacity(cfg.flight_capacity.max(1));
-            daemon.install(&rec);
-            rec
+            daemon.recorder().clone()
         } else {
             Recorder::disabled()
         };
@@ -298,8 +246,15 @@ impl ShadowPlane {
             completed: recorder.counter("shadow.completed"),
             dropped: recorder.counter("shadow.dropped"),
             queue_gauge: recorder.gauge("shadow.queue_depth"),
+            runs: MetricFamily::counters(&recorder, "shadow.runs", [ESTIMATOR]),
+            errors: MetricFamily::counters(&recorder, "shadow.errors", [ESTIMATOR]),
+            latency: MetricFamily::histograms(&recorder, "shadow.latency_ns", [ESTIMATOR]),
+            divergence: MetricFamily::histograms(
+                &recorder,
+                "shadow.divergence_milli",
+                [ESTIMATOR, ("op", &OPS)],
+            ),
             recorder,
-            metrics: ShadowMetrics::new(),
             depth: AtomicU64::new(0),
             sampled_n: AtomicU64::new(0),
             completed_n: AtomicU64::new(0),
@@ -418,13 +373,6 @@ impl ShadowPlane {
             .clone()
     }
 
-    /// Snapshot of the plane's own metric registry (the `shadow.*` series) —
-    /// the bench harness reads shadow latency quantiles from here. `None`
-    /// when the plane is disabled (rate 0).
-    pub fn metrics_snapshot(&self) -> Option<MetricSnapshot> {
-        self.shared.recorder.registry().map(|r| r.snapshot())
-    }
-
     /// `GET /v1/debug/shadow`: the exemplar ring as JSONL, worst first.
     pub fn debug_shadow(&self) -> Response {
         let mut body = String::new();
@@ -501,12 +449,12 @@ fn process(shared: &ShadowShared, job: ShadowJob) {
         let elapsed = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         match outcome {
             Ok(out) => {
-                shared.metrics.runs(&shared.recorder, ei).incr();
-                shared.metrics.latency(&shared.recorder, ei).record(elapsed);
+                shared.runs.get([ei]).incr();
+                shared.latency.get([ei]).record(elapsed);
                 let div = symmetric_relative_error(job.primary, out.sparsity);
                 shared
-                    .metrics
-                    .divergence(&shared.recorder, ei, oi)
+                    .divergence
+                    .get([ei, oi])
                     .record(divergence_milli(div));
                 worst = worst.max(div);
                 estimates.push((name, out.sparsity));
@@ -531,7 +479,7 @@ fn process(shared: &ShadowShared, job: ShadowJob) {
                 }
             }
             Err(_) => {
-                shared.metrics.errors(&shared.recorder, ei).incr();
+                shared.errors.get([ei]).incr();
             }
         }
     }

@@ -9,12 +9,12 @@
 //!   (proven under `alloc-track` in `tests/trace_alloc.rs`);
 //! * **RED metrics** — per-`(endpoint, method, status)` request counters and
 //!   per-endpoint log₂ latency histograms split into `queue_wait_ns` vs
-//!   `service_ns`, recorded into a dedicated [`Recorder`] registry that the
-//!   embedded `ObsDaemon` aggregates onto `/metrics` (series labels ride in
-//!   the registry name, `served.requests{endpoint=...,method=...,status=...}`,
-//!   decoded by the Prometheus renderer). Handles live in lazily-initialized
-//!   `OnceLock` grids: the first request to a series allocates its name, every
-//!   later hit is one atomic;
+//!   `service_ns`, recorded into the embedded `ObsDaemon`'s own recorder,
+//!   whose registry `/metrics` renders (series labels ride in the registry
+//!   name, `served.requests{endpoint=...,method=...,status=...}`, decoded by
+//!   the Prometheus renderer). Handles live in [`MetricFamily`] grids: the
+//!   first request to a series allocates its name, every later hit is one
+//!   atomic;
 //! * **tail-based capture** — requests slower than the configured threshold,
 //!   or failing server-side (status ≥ 500), get their full stage tree pushed
 //!   into the flight recorder, retained in a bounded ring served by
@@ -31,11 +31,13 @@
 use std::fs::OpenOptions;
 use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 use mnc_obs::export::{json_escape, span_json};
 use mnc_obs::ring::Ring;
-use mnc_obs::{Counter, Histogram, MetricSnapshot, Recorder, RequestContext, SpanRecord};
+use mnc_obs::{
+    Counter, Histogram, MetricFamily, MetricSnapshot, Recorder, RequestContext, SpanRecord,
+};
 use mnc_obsd::{ObsDaemon, Response};
 
 use crate::error::ServiceError;
@@ -57,6 +59,9 @@ const ENDPOINTS: [&str; 12] = [
     "/attribution",
     "other",
 ];
+
+/// The endpoint label of the RED series.
+const ENDPOINT: mnc_obs::family::Label = ("endpoint", &ENDPOINTS);
 
 const METHODS: [&str; 5] = ["GET", "PUT", "POST", "DELETE", "other"];
 
@@ -121,62 +126,11 @@ pub fn retry_after_from_p99(p99_ns: u64) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// RED metric grids
-// ---------------------------------------------------------------------------
-
-/// Lazily-registered metric handles, one slot per label combination. The
-/// registry itself is behind a mutex, so the grids exist to keep the hot
-/// path at one `OnceLock` load + one atomic instead of a name lookup under
-/// a lock (and to keep it allocation-free after first use).
-struct RedMetrics {
-    /// `[endpoint][method][status]`, flattened.
-    requests: Box<[OnceLock<Counter>]>,
-    queue_wait: Box<[OnceLock<Histogram>]>,
-    service: Box<[OnceLock<Histogram>]>,
-}
-
-impl RedMetrics {
-    fn new() -> RedMetrics {
-        let cells = ENDPOINTS.len() * METHODS.len() * STATUSES.len();
-        RedMetrics {
-            requests: (0..cells).map(|_| OnceLock::new()).collect(),
-            queue_wait: (0..ENDPOINTS.len()).map(|_| OnceLock::new()).collect(),
-            service: (0..ENDPOINTS.len()).map(|_| OnceLock::new()).collect(),
-        }
-    }
-
-    fn request_counter(&self, rec: &Recorder, ei: usize, mi: usize, si: usize) -> &Counter {
-        let slot = &self.requests[(ei * METHODS.len() + mi) * STATUSES.len() + si];
-        slot.get_or_init(|| {
-            rec.counter(&format!(
-                "served.requests{{endpoint={},method={},status={}}}",
-                ENDPOINTS[ei], METHODS[mi], STATUSES[si]
-            ))
-        })
-    }
-
-    fn queue_wait_histo(&self, rec: &Recorder, ei: usize) -> &Histogram {
-        self.queue_wait[ei].get_or_init(|| {
-            rec.histogram(&format!(
-                "served.queue_wait_ns{{endpoint={}}}",
-                ENDPOINTS[ei]
-            ))
-        })
-    }
-
-    fn service_histo(&self, rec: &Recorder, ei: usize) -> &Histogram {
-        self.service[ei].get_or_init(|| {
-            rec.histogram(&format!("served.service_ns{{endpoint={}}}", ENDPOINTS[ei]))
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Tail capture
 // ---------------------------------------------------------------------------
 
 /// One tail-sampled request: summary plus its full span tree (already
-/// converted to [`SpanRecord`]s on the plane recorder's clock).
+/// converted to [`SpanRecord`]s on the daemon recorder's clock).
 #[derive(Debug, Clone)]
 pub struct CapturedRequest {
     /// 32-hex trace ID.
@@ -330,9 +284,14 @@ const SPAN_CAP: usize = 64;
 pub struct TracePlane {
     enabled: bool,
     slow_threshold_ns: u64,
+    /// The daemon's recorder when enabled, the disabled one otherwise.
     recorder: Recorder,
     daemon: ObsDaemon,
-    metrics: RedMetrics,
+    /// `served.requests`, by endpoint, method and status.
+    requests: MetricFamily<Counter, 3>,
+    /// `served.queue_wait_ns` and `served.service_ns`, by endpoint.
+    queue_wait: MetricFamily<Histogram, 1>,
+    service: MetricFamily<Histogram, 1>,
     pool: Mutex<Vec<RequestContext>>,
     captured: Mutex<Ring<CapturedRequest>>,
     access_log: Option<RotatingLog>,
@@ -346,16 +305,12 @@ pub struct TracePlane {
 }
 
 impl TracePlane {
-    /// Assembles the plane per `cfg` and wires its metrics registry into
-    /// `daemon` so the RED series ride the existing `/metrics` exposition.
+    /// Assembles the plane per `cfg`, recording into `daemon`'s recorder
+    /// so the RED series ride the existing `/metrics` exposition.
     pub fn new(cfg: &ServedConfig, daemon: &ObsDaemon) -> Result<TracePlane, ServiceError> {
         let enabled = cfg.tracing;
         let recorder = if enabled {
-            // Bounded storage: the plane only uses the registry, but a
-            // bounded ring keeps any stray span usage O(1) forever.
-            let rec = Recorder::enabled_with_capacity(cfg.flight_capacity.max(1));
-            daemon.install(&rec);
-            rec
+            daemon.recorder().clone()
         } else {
             Recorder::disabled()
         };
@@ -375,9 +330,15 @@ impl TracePlane {
         Ok(TracePlane {
             enabled,
             slow_threshold_ns: u64::try_from(cfg.slow_threshold.as_nanos()).unwrap_or(u64::MAX),
+            requests: MetricFamily::counters(
+                &recorder,
+                "served.requests",
+                [ENDPOINT, ("method", &METHODS), ("status", &STATUSES)],
+            ),
+            queue_wait: MetricFamily::histograms(&recorder, "served.queue_wait_ns", [ENDPOINT]),
+            service: MetricFamily::histograms(&recorder, "served.service_ns", [ENDPOINT]),
             recorder,
             daemon: daemon.clone(),
-            metrics: RedMetrics::new(),
             pool: Mutex::new(Vec::with_capacity(POOL_CAP)),
             captured: Mutex::new(Ring::new(cfg.capture_capacity)),
             access_log,
@@ -440,17 +401,11 @@ impl TracePlane {
         let (ei, ep) = endpoint;
         let mi = method_index(method);
         let si = status_index(status);
-        self.metrics
-            .request_counter(&self.recorder, ei, mi, si)
-            .incr();
+        self.requests.get([ei, mi, si]).incr();
         let queue_wait_ns = ctx.queue_wait_ns();
         let service_ns = total_ns.saturating_sub(queue_wait_ns);
-        self.metrics
-            .queue_wait_histo(&self.recorder, ei)
-            .record(queue_wait_ns);
-        self.metrics
-            .service_histo(&self.recorder, ei)
-            .record(service_ns);
+        self.queue_wait.get([ei]).record(queue_wait_ns);
+        self.service.get([ei]).record(service_ns);
         if status >= 500 || total_ns > self.slow_threshold_ns {
             self.capture(ctx, method, ep, status, total_ns, queue_wait_ns, service_ns);
         }
@@ -472,8 +427,8 @@ impl TracePlane {
     ) {
         let n_spans = ctx.spans().len() as u64 + 1;
         let first_id = self.span_ids.fetch_add(n_spans, Ordering::Relaxed);
-        // Land the tree on the plane recorder's clock so flight-dump
-        // ordering interleaves correctly with session spans.
+        // Land the tree on the daemon recorder's clock so flight-dump
+        // ordering interleaves correctly with session spans and alerts.
         let epoch_offset = self.recorder.elapsed_ns().saturating_sub(total_ns);
         let spans = ctx.to_span_records(first_id, epoch_offset, endpoint);
         for s in &spans {
@@ -567,18 +522,12 @@ impl TracePlane {
             .gauge("served.active")
             .set(i64::try_from(gate.active()).unwrap_or(i64::MAX));
         let p99 = self
-            .metrics
-            .service_histo(&self.recorder, 0) // endpoint 0 = /v1/estimate
+            .service
+            .get([0]) // endpoint 0 = /v1/estimate
             .snapshot()
             .quantile(0.99);
         self.retry_after
             .store(retry_after_from_p99(p99), Ordering::Relaxed);
-    }
-
-    /// Snapshot of the plane's own metric registry (RED series, gauges) —
-    /// the bench harness reads queue-wait/service quantiles from here.
-    pub fn metrics_snapshot(&self) -> Option<MetricSnapshot> {
-        self.recorder.registry().map(|r| r.snapshot())
     }
 }
 

@@ -871,28 +871,38 @@ fn metric_value(body: &[u8], name: &str) -> Option<i64> {
 
 #[test]
 fn ingest_churn_leaks_no_telemetry_sources() {
-    let dir = tmpdir("churn");
-    let (_svc, _handle, addr) = start(ServedConfig::new(&dir));
-    let mut r = rand::rngs::StdRng::seed_from_u64(0xC4A);
-    let x = gen::rand_uniform(&mut r, 30, 30, 0.1).to_indicator();
-    let put = csr_json(&x);
-    let est = br#"{"op":"matmul","inputs":["X","X"]}"#;
+    // Every plane records into the daemon's one recorder, so the daemon
+    // has exactly one source whichever planes run.
+    for (tag, shadow_rate, tracing) in [
+        ("churn-default", 0.0, true),
+        ("churn-shadow", 1.0, true),
+        ("churn-untraced", 0.0, false),
+    ] {
+        let dir = tmpdir(tag);
+        let mut cfg = ServedConfig::new(&dir);
+        cfg.shadow_rate = shadow_rate;
+        cfg.tracing = tracing;
+        let (_svc, _handle, addr) = start(cfg);
+        let mut r = rand::rngs::StdRng::seed_from_u64(0xC4A);
+        let x = gen::rand_uniform(&mut r, 30, 30, 0.1).to_indicator();
+        let put = csr_json(&x);
+        let est = br#"{"op":"matmul","inputs":["X","X"]}"#;
 
-    // Every PUT rebinds X and the next estimate reads the new binding; the
-    // telemetry source count must not move.
-    let mut sources_after_first = None;
-    for _ in 0..50 {
-        assert_eq!(
-            http(&addr, "PUT", "/v1/matrices/X", None, put.as_bytes()).0,
-            201
-        );
-        let (status, _, body) = http(&addr, "POST", "/v1/estimate", None, est);
-        assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
-        let (_, _, metrics) = http(&addr, "GET", "/metrics", None, b"");
-        let sources = metric_value(&metrics, "mnc_obsd_sources").expect("sources gauge");
-        assert_eq!(*sources_after_first.get_or_insert(sources), sources);
+        // Every PUT rebinds X and the next estimate reads the new binding;
+        // the telemetry source count must not move.
+        for _ in 0..50 {
+            assert_eq!(
+                http(&addr, "PUT", "/v1/matrices/X", None, put.as_bytes()).0,
+                201
+            );
+            let (status, _, body) = http(&addr, "POST", "/v1/estimate", None, est);
+            assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
+            let (_, _, metrics) = http(&addr, "GET", "/metrics", None, b"");
+            let sources = metric_value(&metrics, "mnc_obsd_sources").expect("sources gauge");
+            assert_eq!(sources, 1, "{tag}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `X·X` through a cold in-process context.
