@@ -11,9 +11,12 @@
 //!
 //! Durability discipline:
 //!
-//! * writes go to `<name>.mncs.tmp` and are renamed into place — a crash
-//!   mid-write leaves a `.tmp` that the next `open` deletes, never a
-//!   half-written `.mncs`;
+//! * writes go to a tmp file unique to the write (`<name>.mncs.<seq>.tmp`)
+//!   and are renamed into place — a crash mid-write leaves a `.tmp` that
+//!   the next `open` deletes, never a half-written `.mncs`. The encode and
+//!   the write ([`SynopsisCatalog::stage`]) need no catalog borrow; only
+//!   the renames and the index swap ([`SynopsisCatalog::commit`]) do, so
+//!   the daemon holds its catalog lock for no write;
 //! * files that fail to decode on `open` are quarantined (renamed to
 //!   `<name>.mncs.corrupt`) and reported, not silently dropped and never a
 //!   panic — a damaged catalog serves what survives;
@@ -25,6 +28,7 @@
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use mnc_core::serialize::{from_bytes, to_bytes};
@@ -43,6 +47,9 @@ const SIDECAR_EXT: &str = "mncx";
 const TMP_SUFFIX: &str = ".tmp";
 /// Extension suffix for quarantined (undecodable) entries.
 const CORRUPT_SUFFIX: &str = ".corrupt";
+
+/// Sequence number making every staged tmp file name unique.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Maximum accepted matrix-name length.
 pub const MAX_NAME_LEN: usize = 128;
@@ -74,8 +81,9 @@ pub struct CatalogEntry {
     /// Serialized size on disk in bytes.
     pub file_bytes: u64,
     /// Shadow sidecar (alternate synopses + optional retained CSR), present
-    /// only for entries ingested from raw CSR data. Octet-stream ingests
-    /// have no raw data, so they carry none.
+    /// only for entries ingested from raw CSR data by a daemon that shadows
+    /// or retains CSR. Octet-stream ingests have no raw data, so they carry
+    /// none.
     pub shadow: Option<Arc<ShadowSidecar>>,
 }
 
@@ -95,6 +103,18 @@ impl CatalogEntry {
             _ => unreachable!("catalog entries hold MNC synopses only"),
         }
     }
+}
+
+/// A write encoded and written to tmp files by [`SynopsisCatalog::stage`],
+/// waiting for [`SynopsisCatalog::commit`] to rename it into place.
+#[derive(Debug)]
+pub struct StagedPut {
+    name: String,
+    sketch: MncSketch,
+    built: bool,
+    file_bytes: u64,
+    sketch_tmp: PathBuf,
+    shadow: Option<(ShadowSidecar, PathBuf)>,
 }
 
 /// A directory of named, persistent MNC sketches with an in-memory index.
@@ -200,55 +220,127 @@ impl SynopsisCatalog {
         &self.dir
     }
 
-    /// Stores `sketch` under `name`, persisting it atomically
-    /// (tmp + rename). `built` says whether the sketch was constructed from
-    /// raw matrix data just now (true increments the rebuild counter) or
-    /// arrived pre-serialized. Replaces any existing entry. The sketch is
-    /// taken over without a copy unless the caller still shares it.
+    /// Stores `sketch` under `name`: [`Self::stage`] then [`Self::commit`].
+    /// `built` says whether the sketch was constructed from raw matrix data
+    /// just now (true increments the rebuild counter) or arrived
+    /// pre-serialized. Replaces any existing entry and drops its sidecar.
     pub fn put(
         &mut self,
         name: &str,
         sketch: Arc<MncSketch>,
         built: bool,
     ) -> Result<&CatalogEntry, ServiceError> {
-        validate_name(name)?;
-        let bytes = to_bytes(&sketch);
-        let final_path = self.entry_path(name);
-        let tmp_path = self.dir.join(format!("{name}.{EXT}{TMP_SUFFIX}"));
-        fs::write(&tmp_path, &bytes)
-            .and_then(|()| fs::rename(&tmp_path, &final_path))
-            .map_err(|e| ServiceError::Degraded(format!("persist {name}: {e}")))?;
-        if built {
-            self.rebuilds += 1;
-        }
-        // The new sketch replaces whatever was there; a sidecar built from
-        // the *old* raw data would silently describe the wrong matrix.
-        let _ = fs::remove_file(self.sidecar_path(name));
-        let sketch = Arc::try_unwrap(sketch).unwrap_or_else(|s| (*s).clone());
-        let entry = CatalogEntry::new(sketch, bytes.len() as u64);
-        self.entries.insert(name.to_string(), entry);
-        Ok(&self.entries[name])
+        let staged = Self::stage(&self.dir, name, sketch, built, None)?;
+        self.commit(staged)
     }
 
     /// Stores `name` like [`Self::put`] (raw-data build, so `built == true`)
-    /// and persists the shadow sidecar next to it with the same tmp + rename
-    /// discipline, so a restart restores both without rebuilding either.
+    /// with its shadow sidecar persisted next to it, so a restart restores
+    /// both without rebuilding either.
     pub fn put_with_shadow(
         &mut self,
         name: &str,
         sketch: Arc<MncSketch>,
         shadow: ShadowSidecar,
     ) -> Result<&CatalogEntry, ServiceError> {
-        self.put(name, sketch, true)?;
-        let bytes = sidecar::encode(&shadow);
-        let final_path = self.sidecar_path(name);
-        let tmp_path = self.dir.join(format!("{name}.{SIDECAR_EXT}{TMP_SUFFIX}"));
-        fs::write(&tmp_path, &bytes)
-            .and_then(|()| fs::rename(&tmp_path, &final_path))
-            .map_err(|e| ServiceError::Degraded(format!("persist {name} sidecar: {e}")))?;
-        let entry = self.entries.get_mut(name).expect("just inserted");
-        entry.shadow = Some(Arc::new(shadow));
-        Ok(&self.entries[name])
+        let staged = Self::stage(&self.dir, name, sketch, true, Some(shadow))?;
+        self.commit(staged)
+    }
+
+    /// The lock-free half of a write into the catalog at `dir`: encodes
+    /// the sketch (and the sidecar, if any) and writes each to a tmp file
+    /// named `<name>.<ext>.<seq>.tmp`, unique per stage so two concurrent
+    /// stages of one name never share a file. Needs no catalog borrow, so
+    /// a daemon runs it outside its catalog lock. A stage that is never
+    /// committed leaves tmp files that the next [`Self::open`] sweeps.
+    pub fn stage(
+        dir: &Path,
+        name: &str,
+        sketch: Arc<MncSketch>,
+        built: bool,
+        shadow: Option<ShadowSidecar>,
+    ) -> Result<StagedPut, ServiceError> {
+        validate_name(name)?;
+        let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+        let bytes = to_bytes(&sketch);
+        let sketch_tmp = dir.join(format!("{name}.{EXT}.{seq}{TMP_SUFFIX}"));
+        fs::write(&sketch_tmp, &bytes).map_err(|e| {
+            let _ = fs::remove_file(&sketch_tmp);
+            ServiceError::Degraded(format!("persist {name}: {e}"))
+        })?;
+        let shadow = match shadow {
+            Some(sc) => {
+                let tmp = dir.join(format!("{name}.{SIDECAR_EXT}.{seq}{TMP_SUFFIX}"));
+                if let Err(e) = fs::write(&tmp, sidecar::encode(&sc)) {
+                    let _ = fs::remove_file(&tmp);
+                    let _ = fs::remove_file(&sketch_tmp);
+                    return Err(ServiceError::Degraded(format!(
+                        "persist {name} sidecar: {e}"
+                    )));
+                }
+                Some((sc, tmp))
+            }
+            None => None,
+        };
+        Ok(StagedPut {
+            name: name.to_string(),
+            sketch: Arc::try_unwrap(sketch).unwrap_or_else(|s| (*s).clone()),
+            built,
+            file_bytes: bytes.len() as u64,
+            sketch_tmp,
+            shadow,
+        })
+    }
+
+    /// The short half of a write, run under the daemon's catalog lock:
+    /// removes the old sidecar, renames the staged sketch into place, then
+    /// the staged sidecar, then swaps the in-memory entry. In that order a
+    /// crash never leaves a sketch next to another matrix's sidecar, and
+    /// disk and memory agree on the last commit. On error the staged tmp
+    /// files are removed.
+    pub fn commit(&mut self, staged: StagedPut) -> Result<&CatalogEntry, ServiceError> {
+        let StagedPut {
+            name,
+            sketch,
+            built,
+            file_bytes,
+            sketch_tmp,
+            shadow,
+        } = staged;
+        let sidecar_path = self.sidecar_path(&name);
+        let placed = match fs::remove_file(&sidecar_path) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e),
+            _ => fs::rename(&sketch_tmp, self.entry_path(&name)),
+        };
+        if let Err(e) = placed {
+            let _ = fs::remove_file(&sketch_tmp);
+            if let Some((_, tmp)) = &shadow {
+                let _ = fs::remove_file(tmp);
+            }
+            // The old sidecar may already be gone from disk.
+            if let Some(old) = self.entries.get_mut(&name) {
+                old.shadow = None;
+            }
+            return Err(ServiceError::Degraded(format!("persist {name}: {e}")));
+        }
+        if built {
+            self.rebuilds += 1;
+        }
+        let mut entry = CatalogEntry::new(sketch, file_bytes);
+        let mut sidecar_placed = Ok(());
+        if let Some((sc, tmp)) = shadow {
+            match fs::rename(&tmp, &sidecar_path) {
+                Ok(()) => entry.shadow = Some(Arc::new(sc)),
+                Err(e) => {
+                    let _ = fs::remove_file(&tmp);
+                    sidecar_placed = Err(ServiceError::Degraded(format!(
+                        "persist {name} sidecar: {e}"
+                    )));
+                }
+            }
+        }
+        self.entries.insert(name.clone(), entry);
+        sidecar_placed.map(|()| &self.entries[&name])
     }
 
     /// The shadow sidecar under `name`, if one was ingested or restored.
@@ -277,12 +369,6 @@ impl SynopsisCatalog {
     /// estimates hand to the walk.
     pub fn synopsis(&self, name: &str) -> Option<Arc<Synopsis>> {
         self.entries.get(name).map(|e| Arc::clone(&e.synopsis))
-    }
-
-    /// Serialized bytes for `name` (re-encoded from the resident sketch —
-    /// bit-identical to the file contents by the round-trip guarantee).
-    pub fn bytes(&self, name: &str) -> Option<Vec<u8>> {
-        self.entries.get(name).map(|e| to_bytes(e.sketch()))
     }
 
     /// Removes `name` from the index and disk. Returns whether it existed.
@@ -396,17 +482,37 @@ mod tests {
     #[test]
     fn partial_tmp_files_are_swept_on_open() {
         let dir = tmpdir("tmpsweep");
+        let mut r = rand::rngs::StdRng::seed_from_u64(45);
+        let m = Arc::new(gen::rand_uniform(&mut r, 20, 20, 0.2));
         {
             let mut cat = SynopsisCatalog::open(&dir).unwrap();
             cat.put("A", sketch(4), false).unwrap();
+            // A crash between stage and commit: the tmp files stay behind.
+            let sc = Some(ShadowSidecar::build(&m, false));
+            let staged = SynopsisCatalog::stage(&dir, "B", sketch(9), true, sc).unwrap();
+            assert_eq!(
+                tmp_files(&dir).len(),
+                2,
+                "stage writes a sketch and a sidecar"
+            );
+            drop(staged);
         }
-        // Simulate a crash mid-write: a half-written tmp next to a good file.
-        fs::write(dir.join("B.mncs.tmp"), b"partial").unwrap();
+        // A crash mid-write: half-written tmps next to a good file.
+        fs::write(dir.join("C.mncs.tmp"), b"partial").unwrap();
+        fs::write(dir.join("C.mncs.7.tmp"), b"partial").unwrap();
         let cat = SynopsisCatalog::open(&dir).unwrap();
         assert_eq!(cat.len(), 1);
         assert!(cat.get("A").is_some());
-        assert!(!dir.join("B.mncs.tmp").exists(), "tmp must be swept");
+        assert!(tmp_files(&dir).is_empty(), "tmps must be swept");
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    fn tmp_files(dir: &Path) -> Vec<String> {
+        fs::read_dir(dir)
+            .unwrap()
+            .filter_map(|e| e.ok()?.file_name().into_string().ok())
+            .filter(|n| n.ends_with(TMP_SUFFIX))
+            .collect()
     }
 
     #[test]

@@ -22,7 +22,8 @@
 //!   split into queue wait vs service time, and tail-sampled slow-request
 //!   capture behind `GET /v1/debug/requests`;
 //! * [`sidecar`] + [`shadow`] — the **shadow estimation plane**: alternate
-//!   synopses (DMap, Bitset) persisted next to each catalog entry, and a
+//!   synopses (DMap, Bitset) persisted next to each raw-CSR catalog entry
+//!   ingested while shadowing or retaining CSR, and a
 //!   bounded background worker that re-runs a sampled fraction of estimates
 //!   through the alternate estimators, recording cross-estimator divergence
 //!   (and true error where retained CSR gives exact ground truth) into the
@@ -60,7 +61,7 @@ pub mod sidecar;
 pub mod trace;
 pub mod walk;
 
-pub use catalog::{validate_name, CatalogEntry, SynopsisCatalog};
+pub use catalog::{validate_name, CatalogEntry, StagedPut, SynopsisCatalog};
 pub use error::ServiceError;
 pub use gate::AdmissionGate;
 pub use proto::EstimateRequest;

@@ -14,14 +14,17 @@
 //! only to resolve its leaves as `Arc` clones of the resident synopses; the
 //! (expensive) walk runs lock-free under its admission permit. A PUT or
 //! DELETE swaps the catalog's `Arc`, so a walk already running keeps the
-//! synopsis it resolved and every later request sees the new binding.
+//! synopsis it resolved and every later request sees the new binding. A
+//! PUT encodes and writes its files before taking the lock and holds it
+//! only to rename them into place and swap the entry; an export holds it
+//! only to clone the entry's `Arc`s. No encode or file write runs under it.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use mnc_core::serialize::from_bytes;
+use mnc_core::serialize::{from_bytes, to_bytes};
 use mnc_estimators::{MncEstimator, SparsityEstimator, Synopsis};
 use mnc_obs::RequestContext;
 use mnc_obsd::{
@@ -61,10 +64,17 @@ pub struct ServedConfig {
     pub access_log: Option<PathBuf>,
     /// Fraction of `POST /v1/estimate` requests re-run through the
     /// alternate estimators on the shadow plane (0.0 disables the plane
-    /// entirely). Primary responses are byte-identical at any rate.
+    /// entirely). Primary responses are byte-identical at any rate. Above
+    /// 0, every raw-CSR ingest also builds and persists a shadow sidecar;
+    /// at 0 (without [`Self::retain_csr`]) it builds none. A catalog
+    /// ingested at rate 0 and reopened at a higher rate therefore shadows
+    /// its earlier entries with MetaAC alone; only entries ingested after
+    /// the restart get every alternate.
     pub shadow_rate: f64,
     /// Retain raw CSR data inside shadow sidecars, letting the shadow plane
-    /// compute exact ground truth for single-op estimates.
+    /// compute exact ground truth for single-op estimates. Also makes every
+    /// raw-CSR ingest build and persist its sidecar at any shadow rate:
+    /// ingesting with it at rate 0 prepares a catalog for later shadowing.
     pub retain_csr: bool,
     /// Test hook: hold each admitted estimate's compute slot for this long
     /// before working, making saturation deterministic to provoke.
@@ -135,6 +145,9 @@ pub struct EstimationService {
     /// propagation is a pure function of its inputs, so sharing it across
     /// requests never couples their answers.
     est: MncEstimator,
+    /// The catalog's directory, where ingests stage their writes before
+    /// taking the lock.
+    catalog_dir: PathBuf,
     catalog: Mutex<SynopsisCatalog>,
     gate: AdmissionGate,
     daemon: ObsDaemon,
@@ -171,6 +184,7 @@ impl EstimationService {
         let shadow = ShadowPlane::new(&cfg, &daemon);
         Ok(Arc::new(EstimationService {
             est: MncEstimator::new(),
+            catalog_dir: cfg.catalog_dir.clone(),
             catalog: Mutex::new(catalog),
             gate: AdmissionGate::new(cfg.workers, cfg.queue),
             daemon,
@@ -325,42 +339,54 @@ impl EstimationService {
         let is_binary = req
             .header("content-type")
             .is_some_and(|ct| ct.starts_with("application/octet-stream"));
-        let (sketch, sidecar): (_, Option<ShadowSidecar>) = if is_binary {
+        let t = ctx.enter("parse");
+        let (sketch, sidecar, built, t) = if is_binary {
             // Pre-built sketch: decode, never build. No raw data means no
             // shadow sidecar — the shadow plane skips these leaves.
-            (Arc::new(from_bytes(&req.body)?), None)
+            (Arc::new(from_bytes(&req.body)?), None, false, t)
         } else {
             // Raw CSR: building a sketch is compute — it goes through the
             // admission gate like any estimate.
-            let t = ctx.enter("parse");
             let matrix = Arc::new(proto::parse_csr_body(&req.body)?);
             let t = ctx.transition(t, "admission");
             let permit = self.admit()?;
             ctx.set_queue_wait(permit.queue_wait_ns());
-            let t = ctx.transition(t, "build");
-            let syn = self.est.build(&matrix)?;
-            ctx.exit(t);
-            drop(permit);
-            let Synopsis::Mnc(s) = syn else {
+            let mut t = ctx.transition(t, "build");
+            let Synopsis::Mnc(s) = self.est.build(&matrix)? else {
                 return Err(ServiceError::Estimator(mnc_core::EstimatorError::Internal(
                     "MNC estimator built a foreign synopsis".into(),
                 )));
             };
-            // Alternate synopses are always built at ingest time —
-            // whatever today's shadow rate, a later restart with shadowing
-            // enabled must never rebuild them.
-            let sidecar = ShadowSidecar::build(&matrix, self.retain_csr);
-            (Arc::new(s.sketch), Some(sidecar))
-        };
-        let body = {
-            let mut cat = self.catalog.lock().expect("catalog poisoned");
-            let entry = match sidecar {
-                Some(sc) => cat.put_with_shadow(name, sketch, sc)?,
-                None => cat.put(name, sketch, false)?,
+            // Alternate synopses cost about three sketch builds, so they are
+            // built (under the same permit) only when something can read
+            // them: this daemon's shadow plane, or a later one restarted
+            // with shadowing on over a catalog ingested with
+            // `--retain-csr`. Entries ingested without them are shadowed
+            // by MetaAC alone, never rebuilt.
+            let sidecar = if self.shadow.enabled() || self.retain_csr {
+                t = ctx.transition(t, "sidecar");
+                Some(ShadowSidecar::build(&matrix, self.retain_csr))
+            } else {
+                None
             };
-            proto::matrix_meta_json(name, entry.sketch(), entry.file_bytes)
+            drop(permit);
+            (Arc::new(s.sketch), sidecar, true, t)
         };
-        Ok(Response::json(201, body))
+        // Encode and write off the lock; only the renames hold it.
+        let t = ctx.transition(t, "persist");
+        let staged = SynopsisCatalog::stage(&self.catalog_dir, name, sketch, built, sidecar)?;
+        let t = ctx.transition(t, "commit");
+        let entry = self
+            .catalog
+            .lock()
+            .expect("catalog poisoned")
+            .commit(staged)?
+            .clone();
+        ctx.exit(t);
+        Ok(Response::json(
+            201,
+            proto::matrix_meta_json(name, entry.sketch(), entry.file_bytes),
+        ))
     }
 
     fn get_matrix(&self, name: &str) -> Result<Response, ServiceError> {
@@ -375,15 +401,20 @@ impl EstimationService {
     }
 
     fn export_sketch(&self, name: &str) -> Result<Response, ServiceError> {
-        let cat = self.catalog.lock().expect("catalog poisoned");
-        let bytes = cat
-            .bytes(name)
+        // The lock covers only the entry's `Arc` clones; the encode runs
+        // after it is released.
+        let entry = self
+            .catalog
+            .lock()
+            .expect("catalog poisoned")
+            .get(name)
+            .cloned()
             .ok_or_else(|| ServiceError::UnknownMatrix(name.to_string()))?;
         Ok(Response {
             status: 200,
             content_type: "application/octet-stream",
             headers: Vec::new(),
-            body: bytes,
+            body: to_bytes(entry.sketch()),
         })
     }
 

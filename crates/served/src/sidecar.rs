@@ -8,6 +8,14 @@
 //! *exact* ground truth for single-op requests and turn cross-estimator
 //! divergence into true relative error.
 //!
+//! A sidecar costs several sketch builds and O(mn/64) words, so an ingest
+//! builds one only when something can read it: when the daemon shadows
+//! (`--shadow-rate` above 0) or runs with `--retain-csr`. A catalog
+//! ingested at rate 0 without `--retain-csr` has no sidecars; reopened with
+//! shadowing on, it shadows those entries with MetaAC alone and never
+//! rebuilds them. Ingesting with `--retain-csr` prepares a catalog for
+//! later shadowing.
+//!
 //! The format follows the MNCS discipline ([`mnc_core::serialize`]): a
 //! magic + version header, little-endian fixed-width integers, explicit
 //! lengths validated before allocation, and a hard "no trailing bytes"

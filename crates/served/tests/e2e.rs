@@ -807,7 +807,8 @@ fn shadow_sidecars_survive_restart_without_rebuilds() {
     let dir = tmpdir("shadowrestart");
     let (a, b, c) = chain_matrices();
     {
-        // Ingest with shadowing off: sidecars are built & persisted anyway.
+        // Ingest with shadowing off but CSR retained: that prepares the
+        // catalog for later shadowing, so sidecars are built & persisted.
         let mut cfg = ServedConfig::new(&dir);
         cfg.retain_csr = true;
         let (_svc, mut handle, addr) = start(cfg);
@@ -841,6 +842,169 @@ fn shadow_sidecars_survive_restart_without_rebuilds() {
     );
     assert_eq!(svc.rebuilds(), 0, "shadowing must never rebuild synopses");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn sidecars_are_built_only_when_shadowing_or_retaining_csr() {
+    let (a, b, c) = chain_matrices();
+    for (tag, rate, retain, sidecars) in [
+        ("sidecar-none", 0.0, false, 0),
+        ("sidecar-shadow", 1.0, false, 3),
+        ("sidecar-retain", 0.0, true, 3),
+    ] {
+        let dir = tmpdir(tag);
+        let mut cfg = ServedConfig::new(&dir);
+        cfg.shadow_rate = rate;
+        cfg.retain_csr = retain;
+        let (_svc, _handle, addr) = start(cfg);
+        put_chain(&addr, &a, &b, &c);
+        for name in ["A", "B", "C"] {
+            assert!(dir.join(format!("{name}.mncs")).exists(), "{tag}: {name}");
+            assert_eq!(
+                dir.join(format!("{name}.mncx")).exists(),
+                sidecars > 0,
+                "{tag}: {name}.mncx"
+            );
+        }
+        let (_, _, status_body) = http(&addr, "GET", "/v1/status", None, b"");
+        let v = json_body(&status_body);
+        let shadow = v.get("shadow").expect("status must embed shadow block");
+        assert_eq!(
+            shadow.get("sidecars").and_then(|x| x.as_f64()),
+            Some(f64::from(sidecars)),
+            "{tag}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn rate_zero_catalog_reopened_with_shadowing_answers_identically() {
+    let dir = tmpdir("ratezeroreopen");
+    let (a, b, c) = chain_matrices();
+    let before = {
+        let (_svc, mut handle, addr) = start(ServedConfig::new(&dir));
+        put_chain(&addr, &a, &b, &c);
+        let (status, _, body) = http(&addr, "POST", "/v1/estimate", None, CHAIN_DAG.as_bytes());
+        assert_eq!(status, 200);
+        handle.shutdown();
+        body
+    };
+    let mut cfg = ServedConfig::new(&dir);
+    cfg.shadow_rate = 1.0;
+    let (svc, _handle, addr) = start(cfg);
+    let (status, _, after) = http(&addr, "POST", "/v1/estimate", None, CHAIN_DAG.as_bytes());
+    assert_eq!(status, 200);
+    assert_eq!(
+        after, before,
+        "the reopened catalog must answer byte-identically"
+    );
+    svc.shadow_plane().drain();
+    let ex = svc.shadow_plane().exemplars();
+    assert_eq!(ex.len(), 1);
+    let names: Vec<&str> = ex[0].estimates.iter().map(|(n, _)| *n).collect();
+    assert_eq!(
+        names,
+        ["MetaAC"],
+        "leaves ingested at rate 0 carry no sidecar: MetaAC alone shadows them"
+    );
+    assert_eq!(svc.rebuilds(), 0, "shadowing must never rebuild synopses");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn concurrent_puts_of_one_name_leave_disk_and_memory_agreeing() {
+    let dir = tmpdir("putrace");
+    let mut cfg = ServedConfig::new(&dir);
+    cfg.retain_csr = true; // the sidecars race too
+    let (_svc, mut handle, addr) = start(cfg);
+    // Two matrices of different nnz, so a sketch or sidecar on disk names
+    // the PUT it came from.
+    let mut r = rand::rngs::StdRng::seed_from_u64(0x9A7);
+    let bodies: Vec<String> = [0.05, 0.2]
+        .map(|d| csr_json(&gen::rand_uniform(&mut r, 40, 40, d).to_indicator()))
+        .to_vec();
+    std::thread::scope(|s| {
+        for body in &bodies {
+            let addr = addr.as_str();
+            s.spawn(move || {
+                for _ in 0..25 {
+                    let (status, _, resp) =
+                        http(addr, "PUT", "/v1/matrices/X", None, body.as_bytes());
+                    assert_eq!(status, 201, "{}", String::from_utf8_lossy(&resp));
+                }
+            });
+        }
+    });
+    let (status, _, exported) = http(&addr, "GET", "/v1/matrices/X/sketch", None, b"");
+    assert_eq!(status, 200);
+    handle.shutdown();
+    assert_eq!(
+        std::fs::read(dir.join("X.mncs")).unwrap(),
+        exported,
+        "the file must hold the resident sketch"
+    );
+    let tmps: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|n| n.ends_with(".tmp"))
+        .collect();
+    assert!(tmps.is_empty(), "no tmp file may outlive its PUT: {tmps:?}");
+    let cat = mnc_served::SynopsisCatalog::open(&dir).unwrap();
+    let sketch = cat.get("X").expect("reopened entry").sketch();
+    assert_eq!(mnc_core::serialize::to_bytes(sketch), exported);
+    let shadow = cat.shadow("X").expect("reopened sidecar");
+    assert_eq!(
+        shadow.bitset.count_ones(),
+        sketch.meta.nnz,
+        "the sidecar must describe the same matrix as the sketch"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn traced_csr_put_records_its_ingest_stages() {
+    let (a, _, _) = chain_matrices();
+    for (tag, rate, sidecar) in [
+        ("putstages-shadow", 1.0, true),
+        ("putstages-plain", 0.0, false),
+    ] {
+        let dir = tmpdir(tag);
+        let mut cfg = ServedConfig::new(&dir);
+        cfg.shadow_rate = rate;
+        cfg.slow_threshold = Duration::ZERO; // capture every request
+        let (_svc, _handle, addr) = start(cfg);
+        let (status, headers, _) = http(
+            &addr,
+            "PUT",
+            "/v1/matrices/A",
+            None,
+            csr_json(&a).as_bytes(),
+        );
+        assert_eq!(status, 201);
+        let trace_id = assert_trace_id(&headers, "CSR PUT");
+        let (_, _, body) = http(&addr, "GET", "/v1/debug/requests", None, b"");
+        let text = String::from_utf8(body).unwrap();
+        let line = text
+            .lines()
+            .find(|l| l.contains(&trace_id))
+            .unwrap_or_else(|| panic!("{tag}: PUT {trace_id} not captured in:\n{text}"));
+        let v = mnc_obs::json::parse(line).expect("captured line is json");
+        let mnc_obs::json::JsonValue::Array(spans) = v.get("spans").unwrap() else {
+            panic!("captured request must embed its span tree");
+        };
+        let names: Vec<&str> = spans[1..]
+            .iter()
+            .map(|s| s.get("name").and_then(|n| n.as_str()).unwrap())
+            .collect();
+        let mut want = vec!["parse", "admission", "build"];
+        if sidecar {
+            want.push("sidecar");
+        }
+        want.extend(["persist", "commit"]);
+        assert_eq!(names, want, "{tag}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
