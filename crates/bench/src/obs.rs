@@ -304,7 +304,7 @@ mod tests {
             .with_recorder(rec)
             .estimate_root(&mnc_estimators::MncEstimator::new(), &dag, root)
             .unwrap();
-        assert!(server.daemon().flight().span_len() > 0);
+        assert!(server.daemon().recorder().span_count() > 0);
         let text = server.daemon().metrics_text();
         assert!(text.contains("mnc_session_build_ns_count"), "{text}");
         assert!(text.contains("mnc_obsd_sources 1"), "{text}");

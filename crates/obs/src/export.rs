@@ -100,9 +100,10 @@ pub fn json_f64(v: f64) -> String {
 }
 
 /// The one `SpanRecord → JSON` serializer: every exporter of span events —
-/// [`Report::to_jsonl`] here, the `mnc-obsd` flight-recorder dump — renders
-/// through this function, so a new span payload field can never silently
-/// diverge between exporters. Returns one `{"type":"span",...}` object
+/// [`Report::to_jsonl`] here (which also renders the `mnc-obsd` flight
+/// dump) and the served request capture — renders through this function,
+/// so a new span payload field can never silently diverge between
+/// exporters. Returns one `{"type":"span",...}` object
 /// without a trailing newline.
 pub fn span_json(s: &SpanRecord) -> String {
     format!(

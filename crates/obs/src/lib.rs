@@ -64,7 +64,7 @@ pub use family::MetricFamily;
 pub use metrics::{Counter, Gauge, Histogram, LatencyHisto, MetricSnapshot, MetricsRegistry};
 pub use prometheus::render_prometheus;
 pub use request::{parse_traceparent, RequestContext, RequestSpan, TraceId};
-pub use ring::{RecordRing, Ring};
+pub use ring::{RecordRing, Ring, RingStats};
 pub use span::{SpanGuard, SpanRecord};
 
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
@@ -74,7 +74,7 @@ use std::time::Instant;
 /// A live tap on the record streams of an enabled [`Recorder`]: every
 /// finished span and every accuracy record is offered to the sink *before*
 /// it reaches the recorder's own storage. This is the feed for always-on
-/// telemetry services (`mnc-obsd`'s flight recorder and accuracy-drift
+/// telemetry services (`mnc-obsd`'s flight store and accuracy-drift
 /// monitor) — implementations must be cheap and non-blocking, they run on
 /// the estimation hot path.
 pub trait RecordSink: Send + Sync + 'static {
@@ -218,6 +218,17 @@ impl<T: Clone + Send> RecordStore<T> {
             RecordStore::Bounded(ring) => ring.len(),
         }
     }
+
+    fn ring_stats(&self) -> Option<RingStats> {
+        match self {
+            RecordStore::Unbounded(_) => None,
+            RecordStore::Bounded(ring) => Some(RingStats {
+                pushed: ring.pushed(),
+                dropped: ring.dropped(),
+                retained: ring.len(),
+            }),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -239,6 +250,16 @@ pub(crate) struct RecorderShared {
     pub(crate) capacity: Option<usize>,
     /// Optional live tap, set once (see [`Recorder::set_sink`]).
     pub(crate) sink: OnceLock<Arc<dyn RecordSink>>,
+}
+
+impl RecorderShared {
+    /// Offers a finished span to the sink, then stores it.
+    pub(crate) fn record_span(&self, span: SpanRecord) {
+        if let Some(sink) = self.sink.get() {
+            sink.on_span(&span);
+        }
+        self.spans.push(span);
+    }
 }
 
 /// The entry point: a cheap, cloneable handle that is either enabled (shared
@@ -338,6 +359,16 @@ impl Recorder {
         })
     }
 
+    /// Records one finished span built elsewhere — a forwarded span, a
+    /// tail-captured request tree, an alert marker (no-op when disabled).
+    /// Like a closing [`SpanGuard`], it offers the span to an installed
+    /// [`RecordSink`] before storage.
+    pub fn record_span(&self, span: SpanRecord) {
+        if let Some(shared) = &self.inner {
+            shared.record_span(span);
+        }
+    }
+
     /// Records one accuracy observation (no-op when disabled). The record's
     /// `ts_ns` is stamped with the recorder clock if left at 0, and an
     /// installed [`RecordSink`] sees the record before storage.
@@ -398,6 +429,13 @@ impl Recorder {
     /// Number of retained finished spans (cheap-ish; walks the list).
     pub fn span_count(&self) -> usize {
         self.inner.as_ref().map_or(0, |s| s.spans.len())
+    }
+
+    /// The `(spans, accuracy)` ring counters of a bounded recorder;
+    /// `None` when unbounded or disabled.
+    pub fn ring_stats(&self) -> Option<(RingStats, RingStats)> {
+        let s = self.inner.as_ref()?;
+        Some((s.spans.ring_stats()?, s.accuracy.ring_stats()?))
     }
 
     /// All retained accuracy records, in emission order.
@@ -579,9 +617,17 @@ mod tests {
         let acc = rec.accuracy();
         assert_eq!(acc.len(), 8);
         assert_eq!(acc.last().unwrap().case, "c19", "newest records retained");
-        // Unbounded recorders report no capacity.
+        let stats = |pushed, retained| RingStats {
+            pushed,
+            dropped: 0,
+            retained,
+        };
+        assert_eq!(rec.ring_stats(), Some((stats(100, 8), stats(20, 8))));
+        // Unbounded recorders report no capacity and no ring counters.
         assert_eq!(Recorder::enabled().ring_capacity(), None);
         assert_eq!(Recorder::disabled().ring_capacity(), None);
+        assert_eq!(Recorder::enabled().ring_stats(), None);
+        assert_eq!(Recorder::disabled().ring_stats(), None);
     }
 
     #[test]
@@ -616,10 +662,13 @@ mod tests {
             let _b = rec.span("build");
         }
         rec.record_accuracy(AccuracyRecord::new("B1.1", "matmul", "MNC", 0.5, 0.25));
-        assert_eq!(sink.spans.load(Ordering::Relaxed), 2);
+        // A span built elsewhere takes the same path as a closing guard.
+        let built = rec.spans()[0].clone();
+        rec.record_span(built);
+        assert_eq!(sink.spans.load(Ordering::Relaxed), 3);
         assert_eq!(sink.accuracy.load(Ordering::Relaxed), 1);
         // The recorder's own storage still has everything.
-        assert_eq!(rec.spans().len(), 2);
+        assert_eq!(rec.spans().len(), 3);
         assert_eq!(rec.accuracy().len(), 1);
         // A disabled recorder rejects sinks.
         assert!(!Recorder::disabled().set_sink(Arc::new(CountingSink::default())));

@@ -157,6 +157,19 @@ impl<T> RecordRing<T> {
     }
 }
 
+/// The counters of one [`RecordRing`] (see
+/// [`Recorder::ring_stats`](crate::Recorder::ring_stats)).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RingStats {
+    /// Records ever pushed, overwritten and dropped ones included.
+    pub pushed: u64,
+    /// Pushes abandoned because a concurrent writer or reader held the
+    /// target slot (expected 0).
+    pub dropped: u64,
+    /// Records retained now.
+    pub retained: usize,
+}
+
 impl<T> std::fmt::Debug for RecordRing<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(

@@ -194,10 +194,7 @@ impl Drop for SpanGuard {
             record.alloc_net = Some(delta.net_bytes);
             record.alloc_bytes = Some(delta.gross_bytes);
         }
-        if let Some(sink) = shared.sink.get() {
-            sink.on_span(&record);
-        }
-        shared.spans.push(record);
+        shared.record_span(record);
     }
 }
 

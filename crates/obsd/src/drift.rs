@@ -38,7 +38,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use mnc_obs::ring::Ring;
-use mnc_obs::AccuracyRecord;
+use mnc_obs::{AccuracyRecord, RecordSink};
 
 /// Thresholds and smoothing parameters for the drift monitor.
 #[derive(Debug, Clone)]
@@ -272,6 +272,14 @@ impl DriftMonitor {
 impl Default for DriftMonitor {
     fn default() -> Self {
         Self::new(DriftConfig::default())
+    }
+}
+
+/// The daemon recorder's sink: every accuracy record it stores, its own or
+/// one forwarded from an installed recorder, is observed here once.
+impl RecordSink for DriftMonitor {
+    fn on_accuracy(&self, rec: &AccuracyRecord) {
+        self.observe(rec);
     }
 }
 

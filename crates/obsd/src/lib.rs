@@ -5,10 +5,10 @@
 //! production telemetry with three always-on, low-overhead subsystems
 //! behind one handle, [`ObsDaemon`]:
 //!
-//! * **flight recorder** ([`flight`]) — the most recent N spans and
-//!   accuracy records in O(N) memory, fed live from the recorder's
-//!   [`RecordSink`] tap, dumpable on demand and automatically from a panic
-//!   hook for postmortems;
+//! * **flight store** — the most recent N spans and accuracy records in
+//!   O(N) memory: the rings of the daemon's own bounded [`Recorder`],
+//!   dumpable on demand and automatically from a panic hook for
+//!   postmortems;
 //! * **accuracy-drift monitor** ([`drift`]) — per-`(estimator, op)` online
 //!   EWMA + windowed quantiles of the symmetric relative error, tripping a
 //!   degraded-health state and a `drift_alerts_total` counter when error
@@ -20,10 +20,14 @@
 //!
 //!
 //! The daemon owns one bounded [`Recorder`] ([`ObsDaemon::recorder`]),
-//! created and installed with it: every plane of a service records into
-//! that one recorder, so a daemon has one source however many planes and
-//! sessions it serves. Other recorders (an unbounded batch recorder, say)
-//! join as sources of their own through [`ObsDaemon::install`].
+//! created with it: every plane of a service records into that one
+//! recorder, so a daemon has one source however many planes and sessions
+//! it serves, and its two [`RecordRing`](mnc_obs::RecordRing)s (spans,
+//! accuracy records) are the flight store. Other recorders (an unbounded
+//! batch recorder, say) join as sources of their own through
+//! [`ObsDaemon::install`], whose [`RecordSink`] forwards each of their
+//! records into the daemon recorder: every record reaching a daemon is
+//! stored in exactly one ring and seen once by the drift monitor.
 //!
 //! ```no_run
 //! use mnc_obsd::{ObsDaemon, ObsdConfig};
@@ -36,13 +40,11 @@
 //! ```
 
 pub mod drift;
-pub mod flight;
 pub mod http;
 pub mod slo;
 pub mod timeline;
 
 pub use drift::{DriftConfig, DriftMonitor, Health, SeriesStats};
-pub use flight::FlightRecorder;
 pub use http::{
     serve_with, telemetry_response, Handler, Request, Response, ServeOptions, ServerHandle,
 };
@@ -53,14 +55,15 @@ use std::sync::{Arc, Mutex};
 
 use mnc_obs::{
     render_attribution, render_prometheus, AccuracyRecord, MetricSnapshot, RecordSink, Recorder,
-    SpanRecord,
+    Report, SpanRecord,
 };
 
 /// Configuration for one daemon.
 #[derive(Debug, Clone)]
 pub struct ObsdConfig {
-    /// Per-stream flight-ring capacity (spans and accuracy records each),
-    /// also the ring capacity of the daemon's [`recorder`](ObsDaemon::recorder).
+    /// Ring capacity of the daemon's [`recorder`](ObsDaemon::recorder),
+    /// per stream (spans and accuracy records each): the flight store
+    /// keeps the newest this many of each.
     pub flight_capacity: usize,
     /// Drift-monitor thresholds.
     pub drift: DriftConfig,
@@ -78,45 +81,43 @@ impl Default for ObsdConfig {
     }
 }
 
-/// The [`RecordSink`] installed on source recorders (both callbacks run on
-/// the estimation hot path and do one ring push / one short-mutex fold
-/// each). Kept apart from [`DaemonShared`] so a source's sink never points
-/// back at the `sources` list holding that source: no reference cycle.
-struct Tap {
-    flight: FlightRecorder,
-    drift: DriftMonitor,
+/// The [`RecordSink`] [`ObsDaemon::install`] puts on every other recorder:
+/// it forwards each span and accuracy record into the daemon recorder,
+/// whose rings are the flight store and whose own sink is the drift
+/// monitor. It holds the daemon recorder only, never [`DaemonShared`]
+/// (whose `sources` list holds the recorder this sink sits on), so no
+/// reference cycle forms.
+struct Forward(Recorder);
+
+impl RecordSink for Forward {
+    fn on_span(&self, span: &SpanRecord) {
+        self.0.record_span(span.clone());
+    }
+
+    fn on_accuracy(&self, rec: &AccuracyRecord) {
+        self.0.record_accuracy(rec.clone());
+    }
 }
 
 /// Shared daemon state.
 struct DaemonShared {
-    tap: Arc<Tap>,
-    timeline: Timeline,
-    /// Source recorders whose registries `/metrics` aggregates. Holding
-    /// clones keeps the registries alive for scrapes that outlive the
-    /// session.
-    sources: Mutex<Vec<Recorder>>,
-    /// The daemon's own bounded recorder (see [`ObsDaemon::recorder`]);
-    /// installed at construction.
+    /// The daemon's own bounded recorder (see [`ObsDaemon::recorder`]): its
+    /// rings are the flight store, its sink is `drift`.
     recorder: Recorder,
+    drift: Arc<DriftMonitor>,
+    timeline: Timeline,
+    /// Source recorders whose registries `/metrics` aggregates, the daemon
+    /// recorder first. Holding clones keeps the registries alive for
+    /// scrapes that outlive the session.
+    sources: Mutex<Vec<Recorder>>,
     /// The latest merged snapshot (refreshed periodically by the HTTP
     /// ticker and on every scrape) — also what a panic dump would see.
     cached: Mutex<MetricSnapshot>,
 }
 
-impl RecordSink for Tap {
-    fn on_span(&self, span: &SpanRecord) {
-        self.flight.record_span(span);
-    }
-
-    fn on_accuracy(&self, rec: &AccuracyRecord) {
-        self.flight.record_accuracy(rec);
-        self.drift.observe(rec);
-    }
-}
-
-/// The live-telemetry daemon: a cheap, cloneable handle over the flight
-/// recorder, drift monitor, and metric aggregation. Serve it over HTTP
-/// with [`ObsDaemon::serve`].
+/// The live-telemetry daemon: a cheap, cloneable handle over the daemon
+/// recorder (the flight store), drift monitor, and metric aggregation.
+/// Serve it over HTTP with [`ObsDaemon::serve`].
 #[derive(Clone)]
 pub struct ObsDaemon {
     shared: Arc<DaemonShared>,
@@ -127,28 +128,26 @@ impl ObsDaemon {
     /// [`recorder`](ObsDaemon::recorder); other recorders are observed
     /// once [`install`](ObsDaemon::install)ed.
     pub fn new(config: ObsdConfig) -> Self {
-        let daemon = ObsDaemon {
+        let recorder = Recorder::enabled_with_capacity(config.flight_capacity);
+        let drift = Arc::new(DriftMonitor::new(config.drift));
+        recorder.set_sink(Arc::clone(&drift) as Arc<dyn RecordSink>);
+        ObsDaemon {
             shared: Arc::new(DaemonShared {
-                tap: Arc::new(Tap {
-                    flight: FlightRecorder::new(config.flight_capacity),
-                    drift: DriftMonitor::new(config.drift),
-                }),
+                sources: Mutex::new(vec![recorder.clone()]),
+                recorder,
+                drift,
                 timeline: Timeline::new(config.timeline),
-                sources: Mutex::new(Vec::new()),
-                recorder: Recorder::enabled_with_capacity(config.flight_capacity),
                 cached: Mutex::new(MetricSnapshot::default()),
             }),
-        };
-        daemon.install(daemon.recorder());
-        daemon
+        }
     }
 
     /// Wires a recorder into the daemon: its metrics registry joins the
-    /// `/metrics` aggregation and its span/accuracy streams feed the
-    /// flight recorder and drift monitor via the recorder's
-    /// [`RecordSink`] tap. Installing the same recorder twice is a no-op
-    /// (sources are deduplicated by identity), so re-installing the
-    /// daemon's own recorder adds nothing.
+    /// `/metrics` aggregation and its [`RecordSink`] tap forwards its
+    /// span/accuracy streams into the daemon recorder (the flight store,
+    /// which feeds the drift monitor). Installing the same recorder twice
+    /// is a no-op (sources are deduplicated by identity), so re-installing
+    /// the daemon's own recorder adds nothing.
     ///
     /// Every source is kept for the daemon's lifetime, so install
     /// long-lived recorders only. Planes and sessions that come and go
@@ -165,26 +164,22 @@ impl ObsDaemon {
                 sources.push(rec.clone());
             }
         }
-        rec.set_sink(Arc::clone(&self.shared.tap) as Arc<dyn RecordSink>)
+        rec.set_sink(Arc::new(Forward(self.shared.recorder.clone())))
     }
 
     /// The bounded recorder (ring capacity = the flight capacity) created
-    /// and installed with the daemon. Services record every plane into it,
-    /// and a library session attaches it with
+    /// with the daemon as its first source. Its rings are the flight store
+    /// behind `/flight`, `/attribution` and the panic dump. Services record
+    /// every plane into it, and a library session attaches it with
     /// `EstimationContext::with_recorder(daemon.recorder().clone())`:
     /// cloning it costs no allocation and adds no source.
     pub fn recorder(&self) -> &Recorder {
         &self.shared.recorder
     }
 
-    /// The flight recorder.
-    pub fn flight(&self) -> &FlightRecorder {
-        &self.shared.tap.flight
-    }
-
     /// The drift monitor.
     pub fn drift(&self) -> &DriftMonitor {
-        &self.shared.tap.drift
+        &self.shared.drift
     }
 
     /// The timeline plane (history rings + SLO engine).
@@ -195,7 +190,7 @@ impl ObsDaemon {
     /// The health verdict (`/healthz`): drift-monitor reasons merged with
     /// any firing SLO burn-rate alerts.
     pub fn health(&self) -> Health {
-        let mut reasons = match self.shared.tap.drift.status() {
+        let mut reasons = match self.shared.drift.status() {
             Health::Ok => Vec::new(),
             Health::Degraded(r) => r,
         };
@@ -218,37 +213,32 @@ impl ObsDaemon {
     fn service_snapshot(&self) -> MetricSnapshot {
         let mut snap = MetricSnapshot::default();
         snap.counters
-            .insert("obsd.drift_alerts".into(), self.shared.tap.drift.alerts());
-        snap.counters.insert(
-            "obsd.flight.spans_pushed".into(),
-            self.shared.tap.flight.spans_pushed(),
-        );
-        snap.counters.insert(
-            "obsd.flight.accuracy_pushed".into(),
-            self.shared.tap.flight.accuracy_pushed(),
-        );
+            .insert("obsd.drift_alerts".into(), self.shared.drift.alerts());
+        let (spans, accuracy) = self.shared.recorder.ring_stats().unwrap_or_default();
+        snap.counters
+            .insert("obsd.flight.spans_pushed".into(), spans.pushed);
+        snap.counters
+            .insert("obsd.flight.accuracy_pushed".into(), accuracy.pushed);
         snap.counters.insert(
             "obsd.flight.dropped".into(),
-            self.shared.tap.flight.dropped(),
+            spans.dropped + accuracy.dropped,
         );
-        snap.gauges.insert(
-            "obsd.flight.spans_retained".into(),
-            self.shared.tap.flight.span_len() as i64,
-        );
+        snap.gauges
+            .insert("obsd.flight.spans_retained".into(), spans.retained as i64);
         snap.gauges.insert(
             "obsd.flight.accuracy_retained".into(),
-            self.shared.tap.flight.accuracy_len() as i64,
+            accuracy.retained as i64,
         );
         snap.gauges.insert(
             "obsd.degraded".into(),
-            i64::from(self.shared.tap.drift.is_degraded()),
+            i64::from(self.shared.drift.is_degraded()),
         );
         snap.gauges
             .insert("obsd.sources".into(), self.source_count() as i64);
         // The drift monitor's live per-(estimator, op) statistics, exported
         // as labeled gauges (milli-scaled: a geo-EWMA of 1.234 reads 1234).
         // Cardinality is bounded by the estimator × op vocabulary.
-        for s in self.shared.tap.drift.stats() {
+        for s in self.shared.drift.stats() {
             let milli = |v: f64| (v * 1000.0).min(i64::MAX as f64) as i64;
             let labels = format!("{{estimator={},op={}}}", s.estimator, s.op);
             snap.gauges.insert(
@@ -278,8 +268,8 @@ impl ObsDaemon {
     /// HTTP server's ticker (so the cache stays near-current even when
     /// nobody scrapes). The merged snapshot is also tailed into the
     /// timeline plane (at most one frame per second) and any SLO alert
-    /// edges that produces are stamped into the flight recorder, on the
-    /// daemon recorder's clock so they sort among the spans they explain.
+    /// edges that produces are recorded as spans on the daemon recorder,
+    /// on its clock so they sort among the spans they explain.
     pub fn refresh(&self) {
         let mut merged = self.service_snapshot();
         {
@@ -294,12 +284,12 @@ impl ObsDaemon {
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_secs())
             .unwrap_or(0);
-        let edges =
-            self.shared
-                .timeline
-                .sample_at(now_s, &merged, self.shared.tap.drift.is_degraded());
+        let edges = self
+            .shared
+            .timeline
+            .sample_at(now_s, &merged, self.shared.drift.is_degraded());
         for edge in edges.into_iter().flatten() {
-            self.shared.tap.flight.record_span(&SpanRecord {
+            self.shared.recorder.record_span(SpanRecord {
                 id: 0,
                 parent: 0,
                 name: "slo_alert",
@@ -335,15 +325,24 @@ impl ObsDaemon {
         render_prometheus(&snap, "mnc_", &[])
     }
 
-    /// The `/flight` body: the flight recorder's JSONL dump.
+    /// The `/flight` body: every span the daemon recorder retains (start
+    /// order), then every accuracy record it retains (push order), one
+    /// JSON object per line, rendered by the shared serializers of
+    /// [`Report::to_jsonl`].
     pub fn flight_jsonl(&self) -> String {
-        self.shared.tap.flight.dump_jsonl()
+        let rec = &self.shared.recorder;
+        Report {
+            spans: rec.spans(),
+            metrics: MetricSnapshot::default(),
+            accuracy: rec.accuracy(),
+        }
+        .to_jsonl()
     }
 
     /// The `/attribution` body: per-phase self-time attribution over the
     /// retained flight spans.
     pub fn attribution_text(&self) -> String {
-        render_attribution(&self.shared.tap.flight.spans())
+        render_attribution(&self.shared.recorder.spans())
     }
 
     /// Writes the flight dump to `path` (postmortems; see
@@ -379,9 +378,9 @@ impl std::fmt::Debug for ObsDaemon {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "ObsDaemon(flight {:?}, alerts {}, sources {})",
-            self.shared.tap.flight,
-            self.shared.tap.drift.alerts(),
+            "ObsDaemon({:?}, alerts {}, sources {})",
+            self.shared.recorder,
+            self.shared.drift.alerts(),
             self.source_count()
         )
     }
@@ -390,6 +389,7 @@ impl std::fmt::Debug for ObsDaemon {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mnc_obs::export::{accuracy_json, span_json};
     use mnc_obs::span;
 
     fn small() -> ObsdConfig {
@@ -417,8 +417,8 @@ mod tests {
             let _g = span!(rec, "estimate", op = "matmul");
         }
         rec.record_accuracy(AccuracyRecord::new("B1.1", "matmul", "MNC", 0.1, 0.1));
-        assert_eq!(daemon.flight().span_len(), 1);
-        assert_eq!(daemon.flight().accuracy_len(), 1);
+        assert_eq!(daemon.recorder().span_count(), 1);
+        assert_eq!(daemon.recorder().accuracy().len(), 1);
         assert_eq!(daemon.drift().stats().len(), 1);
     }
 
@@ -435,7 +435,7 @@ mod tests {
         {
             let _g = span!(rec, "estimate");
         }
-        assert_eq!(daemon.flight().span_len(), 1);
+        assert_eq!(rec.span_count(), 1);
     }
 
     #[test]
@@ -463,7 +463,7 @@ mod tests {
         daemon.refresh();
         let after = daemon.recorder().elapsed_ns();
         let alerts: Vec<SpanRecord> = daemon
-            .flight()
+            .recorder()
             .spans()
             .into_iter()
             .filter(|s| s.name == "slo_alert")
@@ -571,6 +571,110 @@ mod tests {
         assert!(dump.contains("\"type\":\"span\""));
         let attr = daemon.attribution_text();
         assert!(attr.contains("estimate"), "{attr}");
+    }
+
+    /// `(obsd.flight.spans_pushed, obsd.flight.accuracy_pushed)`.
+    fn pushed(daemon: &ObsDaemon) -> (u64, u64) {
+        let snap = daemon.service_snapshot();
+        (
+            snap.counters["obsd.flight.spans_pushed"],
+            snap.counters["obsd.flight.accuracy_pushed"],
+        )
+    }
+
+    fn flight_lines_with(daemon: &ObsDaemon, needle: &str) -> usize {
+        daemon
+            .flight_jsonl()
+            .lines()
+            .filter(|l| l.contains(needle))
+            .count()
+    }
+
+    #[test]
+    fn each_record_is_pushed_into_the_flight_store_once() {
+        let daemon = ObsDaemon::new(ObsdConfig {
+            timeline: TimelineConfig {
+                slo: SloConfig {
+                    availability_target: 0.99,
+                    fast_window_s: 1,
+                    slow_window_s: 1,
+                    min_events: 1,
+                    ..SloConfig::default()
+                },
+                ..TimelineConfig::default()
+            },
+            ..small()
+        });
+        let own = daemon.recorder().clone();
+        let installed = Recorder::enabled();
+        assert!(daemon.install(&installed));
+        let mut last = pushed(&daemon);
+        let mut step = |what: &str, spans: u64, accuracy: u64| {
+            let now = pushed(&daemon);
+            assert_eq!(now, (last.0 + spans, last.1 + accuracy), "{what}");
+            last = now;
+        };
+
+        {
+            let _g = span!(own, "estimate", op = "own-span");
+        }
+        step("span on the daemon recorder", 1, 0);
+        own.record_accuracy(AccuracyRecord::new("own-acc", "matmul", "MNC", 0.1, 0.1));
+        step("accuracy on the daemon recorder", 0, 1);
+        {
+            let _g = span!(installed, "estimate", op = "installed-span");
+        }
+        step("span on an installed recorder", 1, 0);
+        installed.record_accuracy(AccuracyRecord::new(
+            "installed-acc",
+            "matmul",
+            "MNC",
+            0.1,
+            0.1,
+        ));
+        step("accuracy on an installed recorder", 0, 1);
+        own.counter("served.requests{endpoint=/v1/estimate,method=POST,status=503}")
+            .add(100);
+        daemon.refresh();
+        step("an SLO alert edge", 1, 0);
+
+        for needle in [
+            "own-span",
+            "own-acc",
+            "installed-span",
+            "installed-acc",
+            "availability:fire",
+        ] {
+            assert_eq!(flight_lines_with(&daemon, needle), 1, "{needle}");
+        }
+        // Each accuracy record reached the drift monitor once, too.
+        assert_eq!(daemon.drift().stats()[0].count, 2);
+    }
+
+    #[test]
+    fn flight_lines_are_the_shared_serializers_output() {
+        let daemon = ObsDaemon::new(small());
+        let rec = daemon.recorder();
+        {
+            let _g = span!(rec, "estimate", op = "matmul");
+        }
+        rec.record_accuracy(AccuracyRecord::new("B1.1", "matmul", "MNC", 0.1, 0.2));
+        let dump = daemon.flight_jsonl();
+        let lines: Vec<&str> = dump.lines().collect();
+        // Byte-identical to the canonical serializers — the same functions
+        // `Report::to_jsonl` renders through.
+        assert_eq!(
+            lines,
+            [
+                span_json(&rec.spans()[0]),
+                accuracy_json(&rec.accuracy()[0])
+            ]
+        );
+    }
+
+    #[test]
+    fn empty_flight_dump_is_empty() {
+        assert_eq!(ObsDaemon::new(small()).flight_jsonl(), "");
     }
 
     #[test]

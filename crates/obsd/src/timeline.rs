@@ -354,7 +354,7 @@ impl Timeline {
     /// engine. Gated to at most one frame per `now_s` second; a contended
     /// claim skips the pass (the skipped interval folds into the next
     /// frame's deltas — see the module docs). Returns SLO alert edges for
-    /// the caller to stamp into the flight recorder.
+    /// the caller to record as spans in the flight store.
     pub fn sample_at(
         &self,
         now_s: u64,

@@ -1,7 +1,9 @@
-//! Proof of the flight recorder's fixed-memory guarantee: once the rings
-//! are at capacity, recording a payload-free span allocates **nothing** —
-//! records move into pre-allocated slots and the overwritten record drops
-//! in place.
+//! Proof of the flight store's fixed-memory guarantee: once the daemon
+//! recorder's rings are at capacity, recording a payload-free span
+//! allocates **nothing** — records move into pre-allocated slots and the
+//! overwritten record drops in place. Two producers are measured: a span
+//! opened on the daemon recorder itself (the store), and a span on an
+//! installed bounded recorder, forwarded into the store by its sink.
 //!
 //! Requires the `alloc-track` feature (the counting global allocator).
 //! This test lives alone in its own integration binary on purpose: the
@@ -14,29 +16,24 @@ use mnc_obs::alloc::AllocScope;
 use mnc_obs::Recorder;
 use mnc_obsd::{ObsDaemon, ObsdConfig};
 
-#[test]
-fn span_recording_at_ring_capacity_allocates_nothing() {
-    const CAPACITY: usize = 64;
-    let daemon = ObsDaemon::new(ObsdConfig {
-        flight_capacity: CAPACITY,
-        ..ObsdConfig::default()
-    });
-    // A bounded recorder: its own span storage is a ring too, so the whole
-    // hot path — guard open, sink tap, flight push, recorder push — is
-    // allocation-free at capacity.
-    let rec = Recorder::enabled_with_capacity(CAPACITY);
-    assert!(daemon.install(&rec));
+const CAPACITY: usize = 64;
 
-    // Warm-up: fill both rings past capacity and touch every thread-local
-    // and lazy initialization on this thread.
+/// Spans the daemon recorder's span ring has taken so far.
+fn spans_pushed(daemon: &ObsDaemon) -> u64 {
+    daemon.recorder().ring_stats().expect("bounded").0.pushed
+}
+
+/// Fills the store past capacity through `rec` (touching every
+/// thread-local and lazy initialization on this thread), then asserts that
+/// 1000 more spans through `rec` allocate nothing.
+fn assert_spans_at_capacity_allocate_nothing(daemon: &ObsDaemon, rec: &Recorder) {
     for _ in 0..CAPACITY * 2 {
         let _g = rec.span("estimate");
     }
-    assert_eq!(daemon.flight().span_len(), CAPACITY);
+    assert_eq!(daemon.recorder().span_count(), CAPACITY);
 
-    // Measure: N more spans through the full pipeline. Spans without an
-    // `op` label carry no heap payload, so zero gross allocation is the
-    // exact expectation, not an approximation.
+    // Spans without an `op` label carry no heap payload, so zero gross
+    // allocation is the exact expectation, not an approximation.
     let scope = AllocScope::start();
     for _ in 0..1000 {
         let _g = rec.span("estimate");
@@ -47,9 +44,28 @@ fn span_recording_at_ring_capacity_allocates_nothing() {
         "flight recording at capacity must not allocate (delta: {delta:?})"
     );
     assert_eq!(delta.allocs, 0, "no allocation events either: {delta:?}");
+}
 
-    // The rings kept rotating: all 1000 spans were offered and retained
-    // count stayed fixed.
-    assert_eq!(daemon.flight().spans_pushed(), (CAPACITY * 2 + 1000) as u64);
-    assert_eq!(daemon.flight().span_len(), CAPACITY);
+#[test]
+fn span_recording_at_ring_capacity_allocates_nothing() {
+    let daemon = ObsDaemon::new(ObsdConfig {
+        flight_capacity: CAPACITY,
+        ..ObsdConfig::default()
+    });
+
+    // The store itself: guard open, drift sink (spans pass it by), push.
+    assert_spans_at_capacity_allocate_nothing(&daemon, daemon.recorder());
+    assert_eq!(spans_pushed(&daemon), (CAPACITY * 2 + 1000) as u64);
+
+    // A bounded installed recorder: its own span storage is a ring too,
+    // so the whole hot path — guard open, forwarding sink, store push,
+    // recorder push — is allocation-free at capacity.
+    let rec = Recorder::enabled_with_capacity(CAPACITY);
+    assert!(daemon.install(&rec));
+    assert_spans_at_capacity_allocate_nothing(&daemon, &rec);
+
+    // The store kept rotating: every span was offered once and the
+    // retained count stayed fixed.
+    assert_eq!(spans_pushed(&daemon), 2 * (CAPACITY * 2 + 1000) as u64);
+    assert_eq!(daemon.recorder().span_count(), CAPACITY);
 }

@@ -55,8 +55,9 @@ pub struct ServedConfig {
     /// Request-scoped tracing plane on/off (trace IDs, RED metrics, tail
     /// capture). Estimates are bit-identical either way.
     pub tracing: bool,
-    /// Requests slower than this are tail-captured into the flight recorder,
-    /// the `/v1/debug/requests` ring, and the access log.
+    /// Requests slower than this are tail-captured into the daemon
+    /// recorder (the flight store), the `/v1/debug/requests` ring, and the
+    /// access log.
     pub slow_threshold: Duration,
     /// How many captured requests `/v1/debug/requests` retains.
     pub capture_capacity: usize,

@@ -26,9 +26,10 @@
 //!
 //! Results flow three ways:
 //!
-//! 1. [`AccuracyRecord`]s into the daemon's recorder, whose sink feeds the
-//!    flight ring **and the [`DriftMonitor`]** — the live drift series the
-//!    ROADMAP's adaptive-routing item needs;
+//! 1. [`AccuracyRecord`]s into the daemon's recorder, whose accuracy ring
+//!    is the flight store behind `/flight` and whose sink is the
+//!    **[`DriftMonitor`]** — the live drift series the ROADMAP's
+//!    adaptive-routing item needs;
 //! 2. a `shadow.*` scoreboard on `/metrics`, in the same recorder's
 //!    registry (runs/errors per estimator, log₂ divergence histograms per
 //!    `(estimator, op)`, shadow latency, live queue depth);

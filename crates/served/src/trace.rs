@@ -16,8 +16,9 @@
 //!   first request to a series allocates its name, every later hit is one
 //!   atomic;
 //! * **tail-based capture** — requests slower than the configured threshold,
-//!   or failing server-side (status ≥ 500), get their full stage tree pushed
-//!   into the flight recorder, retained in a bounded ring served by
+//!   or failing server-side (status ≥ 500), get their full stage tree
+//!   recorded on the daemon recorder (whose rings are the daemon's flight
+//!   store, served by `/flight`), retained in a bounded ring served by
 //!   `GET /v1/debug/requests` (JSONL, or Chrome trace with `?format=chrome`),
 //!   and appended to the optional JSONL access log. Fast requests leave no
 //!   trace beyond the metrics — that is the sampling policy;
@@ -44,8 +45,10 @@ use crate::error::ServiceError;
 use crate::service::ServedConfig;
 
 /// Normalized endpoint labels: bounded cardinality no matter what clients
-/// put on the wire (matrix names collapse into `{name}`).
-const ENDPOINTS: [&str; 12] = [
+/// put on the wire (matrix names collapse into `{name}`). Every `/v1` label,
+/// the `/v1/debug/*` reads included, counts toward the availability SLO;
+/// the telemetry endpoints below them and `other` do not.
+const ENDPOINTS: [&str; 13] = [
     "/v1/estimate",
     "/v1/status",
     "/v1/matrices",
@@ -53,6 +56,7 @@ const ENDPOINTS: [&str; 12] = [
     "/v1/matrices/{name}/sketch",
     "/v1/debug/requests",
     "/v1/debug/shadow",
+    "/v1/debug/timeline",
     "/metrics",
     "/healthz",
     "/flight",
@@ -77,10 +81,11 @@ pub fn endpoint_of(path: &str) -> (usize, &'static str) {
         "/v1/matrices" => 2,
         "/v1/debug/requests" => 5,
         "/v1/debug/shadow" => 6,
-        "/metrics" => 7,
-        "/healthz" => 8,
-        "/flight" => 9,
-        "/attribution" => 10,
+        "/v1/debug/timeline" => 7,
+        "/metrics" => 8,
+        "/healthz" => 9,
+        "/flight" => 10,
+        "/attribution" => 11,
         p => match p.strip_prefix("/v1/matrices/") {
             Some(rest) if !rest.is_empty() => {
                 if rest.ends_with("/sketch") {
@@ -89,7 +94,7 @@ pub fn endpoint_of(path: &str) -> (usize, &'static str) {
                     3
                 }
             }
-            _ => 11,
+            _ => 12,
         },
     };
     (idx, ENDPOINTS[idx])
@@ -286,7 +291,6 @@ pub struct TracePlane {
     slow_threshold_ns: u64,
     /// The daemon's recorder when enabled, the disabled one otherwise.
     recorder: Recorder,
-    daemon: ObsDaemon,
     /// `served.requests`, by endpoint, method and status.
     requests: MetricFamily<Counter, 3>,
     /// `served.queue_wait_ns` and `served.service_ns`, by endpoint.
@@ -338,7 +342,6 @@ impl TracePlane {
             queue_wait: MetricFamily::histograms(&recorder, "served.queue_wait_ns", [ENDPOINT]),
             service: MetricFamily::histograms(&recorder, "served.service_ns", [ENDPOINT]),
             recorder,
-            daemon: daemon.clone(),
             pool: Mutex::new(Vec::with_capacity(POOL_CAP)),
             captured: Mutex::new(Ring::new(cfg.capture_capacity)),
             access_log,
@@ -432,7 +435,7 @@ impl TracePlane {
         let epoch_offset = self.recorder.elapsed_ns().saturating_sub(total_ns);
         let spans = ctx.to_span_records(first_id, epoch_offset, endpoint);
         for s in &spans {
-            self.daemon.flight().record_span(s);
+            self.recorder.record_span(s.clone());
         }
         let cap = CapturedRequest {
             trace_hex: ctx.trace_hex().to_string(),
@@ -547,11 +550,14 @@ mod tests {
         );
         assert_eq!(endpoint_of("/v1/debug/requests"), (5, "/v1/debug/requests"));
         assert_eq!(endpoint_of("/v1/debug/shadow"), (6, "/v1/debug/shadow"));
-        assert_eq!(endpoint_of("/metrics"), (7, "/metrics"));
-        assert_eq!(endpoint_of("/healthz"), (8, "/healthz"));
-        assert_eq!(endpoint_of("/nope"), (11, "other"));
-        assert_eq!(endpoint_of("/v1/matrices/"), (11, "other"));
-        assert_eq!(endpoint_of("/v1/unknown"), (11, "other"));
+        assert_eq!(endpoint_of("/v1/debug/timeline"), (7, "/v1/debug/timeline"));
+        assert_eq!(endpoint_of("/metrics"), (8, "/metrics"));
+        assert_eq!(endpoint_of("/healthz"), (9, "/healthz"));
+        assert_eq!(endpoint_of("/flight"), (10, "/flight"));
+        assert_eq!(endpoint_of("/attribution"), (11, "/attribution"));
+        assert_eq!(endpoint_of("/nope"), (12, "other"));
+        assert_eq!(endpoint_of("/v1/matrices/"), (12, "other"));
+        assert_eq!(endpoint_of("/v1/unknown"), (12, "other"));
     }
 
     #[test]
@@ -699,6 +705,28 @@ mod tests {
             spans[0].get("name").and_then(|n| n.as_str()),
             Some("request")
         );
+    }
+
+    #[test]
+    fn a_captured_tree_reaches_the_flight_store_once() {
+        let daemon = ObsDaemon::new(mnc_obsd::ObsdConfig::default());
+        let cfg = ServedConfig::new(std::env::temp_dir().join("mnc-trace-flight-unused"));
+        let plane = TracePlane::new(&cfg, &daemon).expect("plane");
+        let spans_pushed = || daemon.recorder().ring_stats().expect("bounded").0.pushed;
+        let before = spans_pushed();
+        let mut ctx = plane.acquire(None);
+        let t = ctx.enter("walk");
+        ctx.exit(t);
+        plane.complete(&mut ctx, "POST", endpoint_of("/v1/estimate"), 500);
+        plane.release(ctx);
+        let tree = &plane.captured()[0].spans;
+        assert_eq!(tree.len(), 2, "root + one stage");
+        assert_eq!(spans_pushed() - before, tree.len() as u64);
+        let dump = daemon.flight_jsonl();
+        for s in tree {
+            let line = span_json(s);
+            assert_eq!(dump.lines().filter(|l| *l == line).count(), 1, "{line}");
+        }
     }
 
     #[test]
