@@ -39,7 +39,7 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
-use mnc_kernels::{scalar, ScratchArena};
+use mnc_kernels::{scalar, Rounding, ScratchArena};
 
 use mnc_core::{MncConfig, MncSketch, SplitMix64};
 use mnc_estimators::{
@@ -266,7 +266,8 @@ fn batched_p50_ns(samples: usize, inner: usize, mut f: impl FnMut()) -> f64 {
 /// Workload 3: scalar-vs-kernel microbenchmarks of the hot-path primitives
 /// introduced by `mnc-kernels` — the sketch dot product, the `bool_mm`
 /// four-row OR fold, bitset popcount, the fused `zip_add` and `scale_round`
-/// combinators, and a chain-opt DP step (the sketch dot products that price
+/// combinators, probabilistic scale-and-round (`prob_round`), and a
+/// chain-opt DP step (the sketch dot products that price
 /// every split of an eight-matrix chain plus one scaled propagation of the
 /// winning cell, with arena-leased, recycled outputs on the kernel side).
 /// Emits `kernel.<name>.{scalar_p50_ns, kernel_p50_ns}`
@@ -402,7 +403,57 @@ fn kernel_workload(rec: &Recorder, scale: f64, metrics: &mut BTreeMap<String, f6
         }),
         batched_p50_ns(samples, inner, || {
             black_box(mnc_kernels::scale_round_into(
-                &x, 1e5, 1000, 500, round, &mut out,
+                &x,
+                1e5,
+                1000,
+                500,
+                Rounding::Nearest,
+                &mut out,
+            ));
+        }),
+    );
+
+    // The same scaling with probabilistic rounding: the original per-entry
+    // rule (libm `floor`, a sequential draw behind a branch) through the
+    // rounding closure against the counter-indexed, branch-free kernel arm.
+    // The counts are scaled to small fractional values, so nearly every
+    // entry draws, as in the estimation walk, whose propagated count
+    // vectors are dense (0.3 % zeros, 99 % drawing entries measured over
+    // the B2/B3 optimizer templates). Both sides start from the same seed
+    // and must return the same vector.
+    let scalar_prob = |g: &mut SplitMix64| {
+        let v = scalar::scale_round(black_box(&x), 3e4, 1000, |v| scalar::prob_round(g, v));
+        let meta = scalar::meta_scan(&v, 500);
+        (v, meta)
+    };
+    let mut g = SplitMix64::new(0x5CA1E);
+    let (reference, _) = scalar_prob(&mut g.clone());
+    mnc_kernels::scale_round_into(
+        &x,
+        3e4,
+        1000,
+        500,
+        Rounding::Probabilistic(&mut g),
+        &mut out,
+    );
+    assert_eq!(
+        out, reference,
+        "prob_round kernel diverged from the scalar reference"
+    );
+    record(
+        metrics,
+        "prob_round",
+        batched_p50_ns(samples, inner, || {
+            black_box(scalar_prob(&mut SplitMix64::new(0x5CA1E)));
+        }),
+        batched_p50_ns(samples, inner, || {
+            black_box(mnc_kernels::scale_round_into(
+                black_box(&x),
+                3e4,
+                1000,
+                500,
+                Rounding::Probabilistic(&mut SplitMix64::new(0x5CA1E)),
+                &mut out,
             ));
         }),
     );
@@ -461,9 +512,11 @@ fn kernel_workload(rec: &Recorder, scale: f64, metrics: &mut BTreeMap<String, f6
         }
         let target = acc / splits;
         let mut hr = arena.take_u32_spare();
-        let row_meta = mnc_kernels::scale_round_into(&vecs[0], target, cap, half, round, &mut hr);
+        let row_meta =
+            mnc_kernels::scale_round_into(&vecs[0], target, cap, half, Rounding::Nearest, &mut hr);
         let mut hc = arena.take_u32_spare();
-        let col_meta = mnc_kernels::scale_round_into(&vecs[3], target, cap, half, round, &mut hc);
+        let col_meta =
+            mnc_kernels::scale_round_into(&vecs[3], target, cap, half, Rounding::Nearest, &mut hc);
         black_box((acc, &hr, &hc, row_meta, col_meta));
         arena.put_u32(hr);
         arena.put_u32(hc);
@@ -1341,6 +1394,7 @@ mod tests {
             "popcount",
             "zip_add",
             "scale_round",
+            "prob_round",
             "propagation_chain",
         ] {
             for stat in ["scalar_p50_ns", "kernel_p50_ns", "speedup"] {

@@ -11,7 +11,7 @@ use crate::estimate::{
     estimate_eq_zero, estimate_ew_add, estimate_ew_mul, estimate_matmul_in, lambda_cols,
     lambda_rows,
 };
-use crate::round::{round_count, SplitMix64};
+use crate::round::{round_count, Rounding, SplitMix64};
 use crate::sketch::{col_half_threshold, row_half_threshold, MncSketch};
 use crate::MncConfig;
 use mnc_kernels::{
@@ -37,10 +37,20 @@ fn scale_counts(
         target,
         cap,
         0,
-        |x| round_count(rng, x, probabilistic),
+        rounding(rng, probabilistic),
         &mut out,
     );
     out
+}
+
+/// The kernel's rounding rule for a configuration's
+/// `probabilistic_rounding` flag.
+fn rounding(rng: &mut SplitMix64, probabilistic: bool) -> Rounding<'_> {
+    if probabilistic {
+        Rounding::Probabilistic(rng)
+    } else {
+        Rounding::Nearest
+    }
 }
 
 /// Propagates sketches over `C = A B` (Section 3.3, Eq. 11–12).
@@ -79,7 +89,7 @@ pub fn propagate_matmul_in(
         target,
         l as u64,
         row_half_threshold(l),
-        |x| round_count(rng, x, prob),
+        rounding(rng, prob),
         &mut hr,
     );
     let mut hc = arena.take_u32_spare();
@@ -88,7 +98,7 @@ pub fn propagate_matmul_in(
         target,
         m as u64,
         col_half_threshold(m),
-        |x| round_count(rng, x, prob),
+        rounding(rng, prob),
         &mut hc,
     );
     MncSketch::from_vectors_with_meta(m, l, hr, hc, None, None, false, row_meta, col_meta)

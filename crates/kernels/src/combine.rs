@@ -4,9 +4,11 @@
 //! from a [`crate::ScratchArena`]) instead of `collect()`ing a fresh `Vec`,
 //! and recomputes the per-vector summary statistics **in the same pass** —
 //! the output never needs the separate metadata scan `compute_meta` used to
-//! perform.
+//! perform. The exception is [`scale_round_into`], whose rounding loop runs
+//! faster alone, followed by one vectorized [`meta_scan`].
 
 use crate::dot::sum_u32;
+use crate::round::{prob_round_step, splitmix64, Rounding, GAMMA};
 
 /// Single-pass summary of one count vector: exactly the per-vector half of
 /// `mnc_core`'s `SketchMeta` (Section 3.1 summary statistics).
@@ -172,47 +174,90 @@ pub fn zip_max_into_portable(x: &[u32], y: &[u32], half: u32, out: &mut Vec<u32>
     meta
 }
 
-/// Scales `counts` to sum to `target`, rounding each entry through the
-/// caller's `round` (probabilistic or deterministic) and capping at `cap` —
-/// the propagation scaling rule of Section 3.3, with fused metadata.
+/// Scales `counts` to sum to `target`, rounding each entry as `rounding`
+/// says and capping at `cap` — the propagation scaling rule of Section
+/// 3.3, with the metadata of the output.
 ///
-/// Bit-identity with [`crate::scalar::scale_round`]: the integer sum equals
-/// the sequential `f64` sum exactly (counts sum below `2^53`), zero entries
-/// are skipped **without consuming a rounding decision**, and the
-/// per-element expression `round(c · factor).min(cap) as u32` is evaluated
-/// in the original order.
+/// Bit-identity with [`crate::scalar::scale_round`] rounding through
+/// [`SplitMix64::prob_round`](crate::SplitMix64::prob_round) (or `x.round()`): the integer sum equals the
+/// sequential `f64` sum exactly (counts sum below `2^53`), the per-element
+/// value `round(c · factor).min(cap) as u32` is the reference's, and zero
+/// entries consume **no draw**. The probabilistic arm is branch-free: a
+/// zero entry scales to `0.0`, which has no fractional part, and draws are
+/// counter-indexed ([`crate::round`]) — draw `k` is `splitmix64(s + k·γ)`,
+/// so the generator state stays in a register and the generator is left at
+/// `s + k·γ`, where the sequential draws would have left it. The metadata
+/// comes from one [`meta_scan`] after the loop.
 pub fn scale_round_into(
     counts: &[u32],
     target: f64,
     cap: u64,
     half: u32,
-    mut round: impl FnMut(f64) -> u64,
+    rounding: Rounding<'_>,
     out: &mut Vec<u32>,
 ) -> VecMeta {
     out.clear();
+    out.resize(counts.len(), 0);
     let sum = sum_u32(counts);
     if sum == 0 || target <= 0.0 {
-        out.resize(counts.len(), 0);
         return VecMeta::default();
     }
     let factor = target / sum as f64;
-    let mut meta = VecMeta::default();
-    out.extend(counts.iter().map(|&c| {
-        let v = if c == 0 {
-            0
-        } else {
-            round(c as f64 * factor).min(cap) as u32
-        };
-        meta.accum(v, half);
-        v
-    }));
-    meta
+    match rounding {
+        Rounding::Nearest => {
+            for (o, &c) in out.iter_mut().zip(counts) {
+                *o = ((c as f64 * factor).round() as u64).min(cap) as u32;
+            }
+        }
+        Rounding::Probabilistic(rng) => {
+            rng.state = prob_round_scaled(counts, factor, cap, rng.state, out);
+        }
+    }
+    meta_scan(out, half)
+}
+
+/// Dispatches the counter-indexed rounding loop: the AVX2 form where
+/// available and the cap fits in `u32` (always, for count vectors), the
+/// portable body otherwise.
+fn prob_round_scaled(counts: &[u32], factor: f64, cap: u64, state: u64, out: &mut [u32]) -> u64 {
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::enabled() {
+        if let Ok(cap) = u32::try_from(cap) {
+            // SAFETY: AVX2 is available (checked above).
+            return unsafe { crate::simd::prob_round_scaled(counts, factor, cap, state, out) };
+        }
+    }
+    prob_round_scaled_portable(counts, factor, cap, state, out)
+}
+
+/// The portable counter-indexed rounding loop (dispatch fallback): rounds
+/// each `c · factor` by the rule of [`SplitMix64::prob_round`](crate::SplitMix64::prob_round), capped at
+/// `cap`, into `out`, drawing from a generator in state `state`, and
+/// returns the generator state after the draws. A plain loop with the
+/// counter in a register — not `extend` with a capturing closure, whose
+/// captured counter the output stores might alias.
+pub fn prob_round_scaled_portable(
+    counts: &[u32],
+    factor: f64,
+    cap: u64,
+    state: u64,
+    out: &mut [u32],
+) -> u64 {
+    debug_assert_eq!(counts.len(), out.len());
+    let mut k = 0u64;
+    for (o, &c) in out.iter_mut().zip(counts) {
+        let z = splitmix64(state.wrapping_add(k.wrapping_mul(GAMMA)));
+        let (v, drew) = prob_round_step(c as f64 * factor, z);
+        k += drew;
+        *o = v.min(cap) as u32;
+    }
+    state.wrapping_add(k.wrapping_mul(GAMMA))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scalar;
+    use crate::{scalar, SplitMix64};
 
     #[test]
     fn fused_meta_equals_separate_scan() {
@@ -260,42 +305,54 @@ mod tests {
     }
 
     #[test]
-    fn scale_round_preserves_rounding_call_sequence() {
+    fn scale_round_skips_zeros_without_drawing() {
         let counts = [0u32, 3, 0, 7, 1];
-        // Record every value handed to the rounding hook: zeros must be
-        // skipped, everything else seen in order.
-        let mut seen_k = Vec::new();
-        let mut seen_s = Vec::new();
+        let mut g = SplitMix64::new(9);
+        let mut g2 = g.clone();
         let mut out = Vec::new();
         let meta = scale_round_into(
             &counts,
             5.5,
             4,
             2,
-            |v| {
-                seen_k.push(v);
-                v.round() as u64
-            },
+            Rounding::Probabilistic(&mut g),
             &mut out,
         );
-        let reference = scalar::scale_round(&counts, 5.5, 4, |v| {
-            seen_s.push(v);
-            v.round() as u64
+        let mut draws = 0;
+        let reference = scalar::scale_round(&counts, 5.5, 4, |x| {
+            draws += 1;
+            g2.prob_round(x)
         });
         assert_eq!(out, reference);
-        assert_eq!(seen_k, seen_s);
-        assert_eq!(seen_k.len(), 3, "zero counts must not consume a decision");
+        assert_eq!(draws, 3, "zero counts must not reach the rounding rule");
+        assert_eq!(g, g2);
         assert_eq!(meta, scalar::meta_scan(&out, 2));
     }
 
     #[test]
     fn scale_round_zero_sum_or_target_is_all_zeros() {
+        let mut g = SplitMix64::new(1);
         let mut out = vec![9u32; 3];
-        let meta = scale_round_into(&[0, 0, 0], 5.0, 4, 1, |_| panic!("no draws"), &mut out);
+        let meta = scale_round_into(
+            &[0, 0, 0],
+            5.0,
+            4,
+            1,
+            Rounding::Probabilistic(&mut g),
+            &mut out,
+        );
         assert_eq!(out, vec![0, 0, 0]);
         assert_eq!(meta, VecMeta::default());
-        let meta = scale_round_into(&[1, 2], 0.0, 4, 1, |_| panic!("no draws"), &mut out);
+        let meta = scale_round_into(
+            &[1, 2],
+            0.0,
+            4,
+            1,
+            Rounding::Probabilistic(&mut g),
+            &mut out,
+        );
         assert_eq!(out, vec![0, 0]);
         assert_eq!(meta, VecMeta::default());
+        assert_eq!(g, SplitMix64::new(1), "no draws");
     }
 }

@@ -23,6 +23,14 @@
 //! sequential evaluation order and only replace the per-element product with
 //! the (identically rounded) integer form.
 //!
+//! Probabilistic rounding ([`scale_round_into`] with
+//! [`Rounding::Probabilistic`]) draws **counter-indexed**: SplitMix64's draw
+//! `k` from state `s` is `splitmix64(s + k·γ)` ([`round`]), so one
+//! branch-free loop gives each entry with a fractional part the next index,
+//! lets zeros and integers draw nothing, and leaves the generator where the
+//! sequential per-entry [`SplitMix64::prob_round`] calls would — output and
+//! generator state are bit-identical to the sequential reference.
+//!
 //! Dispatch is runtime feature detection behind a plain function call: on
 //! x86_64 with AVX2 the entry points take the wide-lane forms in [`simd`]
 //! (integer-exact, so still bit-identical — see the module docs there); on
@@ -40,6 +48,7 @@ pub mod chunk;
 pub mod combine;
 pub mod dot;
 pub mod pool;
+pub mod round;
 pub mod scalar;
 pub mod simd;
 pub mod words;
@@ -52,6 +61,7 @@ pub use combine::{
 };
 pub use dot::{dot_u32, dot_u32_portable, sum_u32, sum_u32_portable, vector_edm};
 pub use pool::WorkerPool;
+pub use round::{splitmix64, Rounding, SplitMix64};
 pub use words::{
     and_into, and_into_portable, and_popcount, and_popcount_portable, or4_into, or4_into_portable,
     or_into, or_into_portable, popcount, popcount_portable,

@@ -7,6 +7,7 @@
 //! `kernel.*` rows of `BENCH_MNC.json` measure speedups over.
 
 use crate::combine::VecMeta;
+use crate::round::SplitMix64;
 
 /// Sequential `f64` dot product of two count vectors — the original
 /// `mnc_core::estimate::dot`. The loop-carried `f64` addition cannot be
@@ -94,6 +95,19 @@ pub fn scale_round(
             }
         })
         .collect()
+}
+
+/// Probabilistic rounding as a sequential generator draws it — the
+/// original `SplitMix64::prob_round`: libm `floor`, and a draw only when
+/// the fraction is positive.
+pub fn prob_round(rng: &mut SplitMix64, x: f64) -> u64 {
+    if x <= 0.0 {
+        return 0;
+    }
+    let floor = x.floor();
+    let frac = x - floor;
+    let up = frac > 0.0 && rng.next_f64() < frac;
+    floor as u64 + u64::from(up)
 }
 
 /// One-word-at-a-time popcount — the original `count_ones` scan.

@@ -18,6 +18,9 @@
 //! `_mm256_max_epu32`, ...), and their fused [`VecMeta`](crate::VecMeta) statistics are
 //! integer sums/maxima/counts — again order-free. Nothing here touches a
 //! transcendental: `vector_edm` keeps its sequential scalar order upstream.
+//! The one floating-point kernel, `prob_round_scaled`, evaluates the scalar
+//! rounding step lane by lane with the same IEEE operations, and its draws
+//! are counter-indexed, so lanes need no sequential generator.
 
 #[cfg(target_arch = "x86_64")]
 pub(crate) use x86::*;
@@ -42,6 +45,7 @@ mod x86 {
     use core::arch::x86_64::*;
 
     use crate::combine::VecMeta;
+    use crate::round::GAMMA;
 
     /// Sums the four `u64` lanes of `v` (wrapping, matching `u64` addition).
     #[inline]
@@ -376,6 +380,142 @@ mod x86 {
             *out.get_unchecked_mut(k) = v;
         }
         meta
+    }
+
+    /// `[e₀·γ, e₁·γ, e₂·γ, e₃·γ]` (wrapping) for every 4-lane draw mask,
+    /// where `eᵢ` counts the drawing lanes below lane `i`: the offsets of
+    /// each lane's counter-indexed generator state from the chunk's base.
+    const DRAW_OFFSETS: [[u64; 4]; 16] = {
+        let mut table = [[0u64; 4]; 16];
+        let mut mask = 0;
+        while mask < 16 {
+            let mut lane = 0;
+            let mut below = 0u64;
+            while lane < 4 {
+                table[mask][lane] = below.wrapping_mul(GAMMA);
+                below += (mask >> lane) as u64 & 1;
+                lane += 1;
+            }
+            mask += 1;
+        }
+        table
+    };
+
+    /// Set-bit count of every 4-bit mask, one nibble each.
+    const NIBBLE_POPCOUNT: u64 = 0x4332_3221_3221_2110;
+
+    /// `a · b` on each 64-bit lane, wrapping (AVX2 has no 64-bit multiply):
+    /// `lo·lo + ((hi_a·lo_b + lo_a·hi_b) << 32)`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn mullo_epi64(a: __m256i, b: __m256i) -> __m256i {
+        let lo = _mm256_mul_epu32(a, b);
+        let cross = _mm256_add_epi64(
+            _mm256_mul_epu32(_mm256_srli_epi64::<32>(a), b),
+            _mm256_mul_epu32(a, _mm256_srli_epi64::<32>(b)),
+        );
+        _mm256_add_epi64(lo, _mm256_slli_epi64::<32>(cross))
+    }
+
+    /// The 4-lane [`crate::splitmix64`].
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn splitmix64_x4(x: __m256i) -> __m256i {
+        let mut z = _mm256_add_epi64(x, _mm256_set1_epi64x(GAMMA as i64));
+        z = _mm256_xor_si256(z, _mm256_srli_epi64::<30>(z));
+        z = mullo_epi64(z, _mm256_set1_epi64x(0xBF58_476D_1CE4_E5B9u64 as i64));
+        z = _mm256_xor_si256(z, _mm256_srli_epi64::<27>(z));
+        z = mullo_epi64(z, _mm256_set1_epi64x(0x94D0_49BB_1331_11EBu64 as i64));
+        _mm256_xor_si256(z, _mm256_srli_epi64::<31>(z))
+    }
+
+    /// The counter-indexed probabilistic rounding loop of
+    /// [`crate::combine::scale_round_into`], four entries per iteration —
+    /// the vector form of [`crate::combine::prob_round_scaled_portable`],
+    /// for caps that fit in `u32`. Returns the generator state after the
+    /// draws.
+    ///
+    /// Exactness, lane by lane: `c` converts to `f64` exactly (sign-flip,
+    /// signed convert, add `2^31`), and `x = c · factor` is the scalar
+    /// product. `x` is clamped to `[0, 2^53]` (NaN to `0`), which keeps
+    /// every value the scalar step returns once capped at `cap < 2^53`;
+    /// `floor` is `_mm256_round_pd` toward −∞, and `x - floor` the exact
+    /// fraction. A draw's 53-bit integer converts to `f64` exactly in two
+    /// halves through the `2^52` exponent trick, and the capped result —
+    /// an integer below `2^32` — leaves through the same trick. The drawing
+    /// lanes of a chunk take consecutive draw indices in lane order
+    /// ([`DRAW_OFFSETS`]), exactly as the sequential loop would.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 ([`super::enabled`]). Slices of any
+    /// lengths are sound: only the first `min(counts.len(), out.len())`
+    /// entries are read and written.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn prob_round_scaled(
+        counts: &[u32],
+        factor: f64,
+        cap: u32,
+        state: u64,
+        out: &mut [u32],
+    ) -> u64 {
+        debug_assert_eq!(counts.len(), out.len());
+        let n = counts.len().min(out.len());
+        let chunks = n / 4;
+        let two52 = _mm256_set1_pd((1u64 << 52) as f64);
+        let magic = _mm256_castpd_si256(two52);
+        let low32 = _mm256_set1_epi64x(0xFFFF_FFFF);
+        let sign = _mm_set1_epi32(i32::MIN);
+        let two31 = _mm256_set1_pd(2_147_483_648.0);
+        let vfactor = _mm256_set1_pd(factor);
+        let zero = _mm256_setzero_pd();
+        let two53 = _mm256_set1_pd((1u64 << 53) as f64);
+        let two32 = _mm256_set1_pd((1u64 << 32) as f64);
+        let unit = _mm256_set1_pd(1.0 / (1u64 << 53) as f64);
+        let one = _mm256_set1_pd(1.0);
+        let vcap = _mm256_set1_pd(cap as f64);
+        let even_dwords = _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0);
+        let mut base = state;
+        for i in 0..chunks {
+            // SAFETY: `i * 4 + 4 <= n`, within both slices.
+            let c = _mm_loadu_si128(counts.as_ptr().add(i * 4) as *const __m128i);
+            let cd = _mm256_add_pd(_mm256_cvtepi32_pd(_mm_xor_si128(c, sign)), two31);
+            // `max_pd` returns its second operand when the first is NaN.
+            let x = _mm256_min_pd(_mm256_max_pd(_mm256_mul_pd(cd, vfactor), zero), two53);
+            let floor = _mm256_round_pd::<{ _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC }>(x);
+            let frac = _mm256_sub_pd(x, floor);
+            let draws = _mm256_cmp_pd::<_CMP_GT_OQ>(frac, zero);
+            let mask = _mm256_movemask_pd(draws) as usize;
+            let offsets = _mm256_loadu_si256(DRAW_OFFSETS[mask].as_ptr() as *const __m256i);
+            let z = splitmix64_x4(_mm256_add_epi64(_mm256_set1_epi64x(base as i64), offsets));
+            base = base.wrapping_add(((NIBBLE_POPCOUNT >> (mask * 4)) & 0xF).wrapping_mul(GAMMA));
+            let m = _mm256_srli_epi64::<11>(z);
+            let lo = _mm256_sub_pd(
+                _mm256_castsi256_pd(_mm256_or_si256(_mm256_and_si256(m, low32), magic)),
+                two52,
+            );
+            let hi = _mm256_sub_pd(
+                _mm256_castsi256_pd(_mm256_or_si256(_mm256_srli_epi64::<32>(m), magic)),
+                two52,
+            );
+            let u = _mm256_mul_pd(_mm256_add_pd(_mm256_mul_pd(hi, two32), lo), unit);
+            let up = _mm256_and_pd(_mm256_cmp_pd::<_CMP_LT_OQ>(u, frac), draws);
+            let v = _mm256_min_pd(_mm256_add_pd(floor, _mm256_and_pd(up, one)), vcap);
+            let bits = _mm256_castpd_si256(_mm256_add_pd(v, two52));
+            let packed = _mm256_permutevar8x32_epi32(bits, even_dwords);
+            _mm_storeu_si128(
+                out.as_mut_ptr().add(i * 4) as *mut __m128i,
+                _mm256_castsi256_si128(packed),
+            );
+        }
+        let tail = chunks * 4;
+        crate::combine::prob_round_scaled_portable(
+            &counts[tail..n],
+            factor,
+            cap as u64,
+            base,
+            &mut out[tail..n],
+        )
     }
 
     /// Metadata scan of an existing vector — the vectorized

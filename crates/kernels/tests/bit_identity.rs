@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 
-use mnc_kernels::{scalar, ScratchArena, VecMeta};
+use mnc_kernels::{scalar, Rounding, ScratchArena, SplitMix64, VecMeta};
 
 /// Deterministic vector generator (the vendored proptest subset has no
 /// `collection::vec` strategy): values in `0..=max`, so proptest shrinks
@@ -33,6 +33,73 @@ fn gen_words(seed: u64, len: usize) -> Vec<u64> {
             s
         })
         .collect()
+}
+
+/// [`gen_vec`] with about `zero_pct` percent of the entries zeroed (all of
+/// them at 100): propagated sketches of sparse matrices are mostly zero,
+/// and zeros must not consume a rounding draw.
+fn sparse_vec(seed: u64, len: usize, max: u32, zero_pct: u32) -> Vec<u32> {
+    let mask = gen_vec(seed ^ 0x5A5A, len, 99);
+    gen_vec(seed, len, max)
+        .into_iter()
+        .zip(mask)
+        .map(|(v, m)| if m < zero_pct { 0 } else { v })
+        .collect()
+}
+
+/// `(target, cap)` for one scale-and-round case class, `t ∈ [0, 1)`:
+/// target 0; an ordinary target; targets up to `1e20`; a target that puts
+/// the largest `c · factor` within a factor two of `2^53` (uncapped, so
+/// values straddling `2^53` reach the output); scaling down below the
+/// current sum (mostly fractional entries below one); and caps of 1–4 that
+/// most entries hit.
+fn scale_case(counts: &[u32], class: u32, t: f64, cap: u64) -> (f64, u64) {
+    let sum: u64 = counts.iter().map(|&c| c as u64).sum();
+    let top = counts.iter().copied().max().unwrap_or(0).max(1) as f64;
+    match class {
+        0 => (0.0, cap),
+        1 => (t * 1e6, cap),
+        2 => (10f64.powf(20.0 * t), cap),
+        3 => (
+            (1u64 << 53) as f64 * sum.max(1) as f64 / top * (0.5 + t),
+            u64::MAX,
+        ),
+        4 => (t * sum as f64, cap),
+        _ => (t * 1e6, 1 + cap % 4),
+    }
+}
+
+/// An `f64` from one of the rounding rule's edge classes: zero, negative
+/// zero, subnormals, integers, values straddling `2^52` and `2^53` in
+/// half-steps, `1e20`, negatives, NaN and infinity, and ordinary values.
+fn special_f64(class: u32, bits: u64) -> f64 {
+    let near = |base: u64| {
+        let offset = (bits % 17) as f64 * 0.5 - 4.0;
+        (1u64 << base) as f64 + offset
+    };
+    match class {
+        0 => {
+            if bits & 1 == 0 {
+                0.0
+            } else {
+                -0.0
+            }
+        }
+        1 => f64::from_bits(bits & ((1u64 << 52) - 1)),
+        2 => (bits % (1 << 40)) as f64,
+        3 => near(52),
+        4 => near(53),
+        5 => 1e20 * (1.0 + (bits % 8) as f64),
+        6 => -((bits >> 11) as f64) / 1e6,
+        7 => {
+            if bits & 1 == 0 {
+                f64::NAN
+            } else {
+                f64::INFINITY
+            }
+        }
+        _ => (bits >> 11) as f64 / (1u64 << 53) as f64 * 1e6,
+    }
 }
 
 /// `(len, seed, max)` with values small enough that every sequential `f64`
@@ -113,30 +180,82 @@ proptest! {
     }
 
     #[test]
-    fn scale_round_matches_scalar_with_identical_draw_sequence(
+    fn prob_scale_round_matches_scalar_draw_for_draw(
         (len, seed, max) in params(),
-        target in 0.0f64..1e6,
-        cap in 1u64..1000,
+        (zero_pct, class, t) in (0u32..=100, 0u32..6, 0.0f64..1.0),
+        cap in 1u64..2000,
     ) {
-        let counts = gen_vec(seed, len, max);
-        // A stateful "RNG": every call mutates it, so any divergence in the
-        // call sequence (count or order) changes all later results.
-        let mut state_k = seed;
-        let mut state_s = seed;
-        let draw = |state: &mut u64, v: f64| {
-            *state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            v.floor() as u64 + (*state >> 63)
-        };
+        let counts = sparse_vec(seed, len, max, zero_pct);
+        let (target, cap) = scale_case(&counts, class, t, cap);
+        let half = max / 2;
+        let mut g = SplitMix64::new(seed ^ 0xA5A5);
+        let (mut g_step, mut g_libm) = (g.clone(), g.clone());
         let mut out = Vec::new();
         let meta = mnc_kernels::scale_round_into(
-            &counts, target, cap, max / 2, |v| draw(&mut state_k, v), &mut out,
+            &counts, target, cap, half, Rounding::Probabilistic(&mut g), &mut out,
         );
-        let reference = scalar::scale_round(&counts, target, cap, |v| draw(&mut state_s, v));
+        // The sequential reference, once through the shared per-entry step
+        // and once through the original libm-`floor` formula.
+        let via_step = scalar::scale_round(&counts, target, cap, |x| g_step.prob_round(x));
+        let via_libm =
+            scalar::scale_round(&counts, target, cap, |x| scalar::prob_round(&mut g_libm, x));
+        prop_assert_eq!(&out, &via_step);
+        prop_assert_eq!(&out, &via_libm);
+        prop_assert_eq!(meta, scalar::meta_scan(&out, half));
+        prop_assert_eq!(&g, &g_step, "generator state diverged from per-entry draws");
+        prop_assert_eq!(&g, &g_libm, "generator state diverged from the libm formula");
+        // The portable loop (the dispatch fallback) draws the same bits.
+        let sum: u64 = counts.iter().map(|&c| c as u64).sum();
+        if sum > 0 && target > 0.0 {
+            let state = seed ^ 0xA5A5;
+            let mut portable = vec![0; counts.len()];
+            let end = mnc_kernels::combine::prob_round_scaled_portable(
+                &counts, target / sum as f64, cap, state, &mut portable,
+            );
+            prop_assert_eq!(&portable, &out);
+            prop_assert_eq!(SplitMix64::new(end), g, "portable loop left the generator elsewhere");
+        }
+    }
+
+    #[test]
+    fn nearest_scale_round_matches_scalar(
+        (len, seed, max) in params(),
+        (zero_pct, class, t) in (0u32..=100, 0u32..6, 0.0f64..1.0),
+        cap in 1u64..2000,
+    ) {
+        let counts = sparse_vec(seed, len, max, zero_pct);
+        let (target, cap) = scale_case(&counts, class, t, cap);
+        let mut out = Vec::new();
+        let meta = mnc_kernels::scale_round_into(
+            &counts, target, cap, max / 2, Rounding::Nearest, &mut out,
+        );
+        let reference = scalar::scale_round(&counts, target, cap, |x| {
+            if x <= 0.0 { 0 } else { x.round() as u64 }
+        });
         prop_assert_eq!(&out, &reference);
-        prop_assert_eq!(state_k, state_s, "rounding draw sequences diverged");
         prop_assert_eq!(meta, scalar::meta_scan(&out, max / 2));
+    }
+
+    #[test]
+    fn prob_round_matches_the_libm_formula(
+        classes in (0u32..10, 0u32..10, 0u32..10, 0u32..10),
+        bits in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+        seed in any::<u64>(),
+    ) {
+        let xs = [
+            special_f64(classes.0, bits.0),
+            special_f64(classes.1, bits.1),
+            special_f64(classes.2, bits.2),
+            special_f64(classes.3, bits.3),
+        ];
+        let mut g = SplitMix64::new(seed);
+        let mut reference = g.clone();
+        for x in xs {
+            let got = g.prob_round(x);
+            let want = scalar::prob_round(&mut reference, x);
+            prop_assert_eq!(got, want, "x = {:e}", x);
+            prop_assert_eq!(&g, &reference, "generator state diverged at x = {:e}", x);
+        }
     }
 
     #[test]

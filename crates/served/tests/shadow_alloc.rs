@@ -91,10 +91,12 @@ fn sampling_decision_allocates_nothing_at_any_rate() {
         assert_eq!(delta.allocs, 0, "no allocation events either: {delta:?}");
 
         // The decisions really ran: rate 0 never samples, rate 1 always.
-        match rate {
-            r if r == 0.0 => assert_eq!(hits + warm, 0),
-            r if r == 1.0 => assert_eq!(hits, 10_000),
-            _ => assert!(hits > 0 && hits < 10_000, "rate {rate} hit {hits}"),
+        if rate == 0.0 {
+            assert_eq!(hits + warm, 0);
+        } else if rate == 1.0 {
+            assert_eq!(hits, 10_000);
+        } else {
+            assert!(hits > 0 && hits < 10_000, "rate {rate} hit {hits}");
         }
     }
 }
