@@ -39,7 +39,7 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
-use mnc_kernels::{scalar, Rounding, ScratchArena};
+use mnc_kernels::{scalar, Rounding};
 
 use mnc_core::{MncConfig, MncSketch, SplitMix64};
 use mnc_estimators::{
@@ -269,7 +269,7 @@ fn batched_p50_ns(samples: usize, inner: usize, mut f: impl FnMut()) -> f64 {
 /// combinators, probabilistic scale-and-round (`prob_round`), and a
 /// chain-opt DP step (the sketch dot products that price
 /// every split of an eight-matrix chain plus one scaled propagation of the
-/// winning cell, with arena-leased, recycled outputs on the kernel side).
+/// winning cell, into output buffers reused across calls on the kernel side).
 /// Emits `kernel.<name>.{scalar_p50_ns, kernel_p50_ns}`
 /// (latency-gated) and the ungated `kernel.<name>.speedup` ratio.
 fn kernel_workload(rec: &Recorder, scale: f64, metrics: &mut BTreeMap<String, f64>) {
@@ -379,10 +379,10 @@ fn kernel_workload(rec: &Recorder, scale: f64, metrics: &mut BTreeMap<String, f6
     // collect-then-rescan (allocating `scalar::zip_add` or
     // `scalar::scale_round`, then `meta_scan`) against the fused `*_into`
     // forms, which derive the same metadata in the one pass and write into
-    // an arena-leased buffer. Counts are bounded by 1000, so `half` is 500.
+    // one buffer reused across calls. Counts are bounded by 1000, so `half`
+    // is 500.
     let round = |v: f64| v.round() as u64;
-    let mut arena = ScratchArena::new();
-    let mut out = arena.take_u32(len);
+    let mut out = vec![0; len];
     record(
         metrics,
         "zip_add",
@@ -457,7 +457,6 @@ fn kernel_workload(rec: &Recorder, scale: f64, metrics: &mut BTreeMap<String, f6
             ));
         }),
     );
-    arena.put_u32(out);
 
     // Chain-opt DP probe: price every split of an eight-sketch matmul chain
     // via sketch dot products, then propagate the winning cell once —
@@ -465,8 +464,8 @@ fn kernel_workload(rec: &Recorder, scale: f64, metrics: &mut BTreeMap<String, f6
     // is the pre-kernel shape: clone the two memoized sketches (the old
     // clone-then-propagate DP cell), sequential f64 dots, allocating scale,
     // separate metadata scans. The kernel side propagates from borrows via
-    // the integer dot and the fused scale-with-metadata, writing into
-    // arena-recycled buffers. Counts are mostly zero, as the sketches of
+    // the integer dot and the fused scale-with-metadata, writing into two
+    // buffers reused across calls. Counts are mostly zero, as the sketches of
     // sparse matrices are. Deterministic rounding keeps both sides
     // comparable (neither draws).
     let vecs: Vec<Vec<u32>> = (0..8)
@@ -501,6 +500,7 @@ fn kernel_workload(rec: &Recorder, scale: f64, metrics: &mut BTreeMap<String, f6
         let col_meta = scalar::meta_scan(&hc, half);
         black_box((acc, left, right, hr, hc, row_meta, col_meta));
     });
+    let (mut hr, mut hc) = (Vec::new(), Vec::new());
     let kernel_ns = batched_p50_ns(samples, inner.div_ceil(4), || {
         let mut acc = 0.0;
         for span in 2..=n {
@@ -511,15 +511,11 @@ fn kernel_workload(rec: &Recorder, scale: f64, metrics: &mut BTreeMap<String, f6
             }
         }
         let target = acc / splits;
-        let mut hr = arena.take_u32_spare();
         let row_meta =
             mnc_kernels::scale_round_into(&vecs[0], target, cap, half, Rounding::Nearest, &mut hr);
-        let mut hc = arena.take_u32_spare();
         let col_meta =
             mnc_kernels::scale_round_into(&vecs[3], target, cap, half, Rounding::Nearest, &mut hc);
         black_box((acc, &hr, &hc, row_meta, col_meta));
-        arena.put_u32(hr);
-        arena.put_u32(hc);
     });
     record(metrics, "propagation_chain", scalar_ns, kernel_ns);
 }

@@ -220,8 +220,10 @@ pub mod prelude {
     pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, proptest};
 }
 
-/// Generates `#[test]` functions that sample strategy-bound parameters and
-/// run the body once per configured case.
+/// Generates functions that sample strategy-bound parameters and run the
+/// body once per configured case. As with real proptest, each property
+/// carries its own `#[test]` attribute; the macro adds none, so a property
+/// is registered once.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -244,7 +246,6 @@ macro_rules! __proptest_items {
      $($rest:tt)*
     ) => {
         $(#[$meta])*
-        #[test]
         fn $name() {
             let config: $crate::test_runner::ProptestConfig = $cfg;
             $crate::test_runner::run_cases(config.cases, |__proptest_rng| {
@@ -291,12 +292,14 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         /// Tuple strategies stay within their component ranges.
+        #[test]
         fn tuple_ranges((n, s, _seed) in params(), k in 2usize..5) {
             prop_assert!((1..10).contains(&n));
             prop_assert!((0.0..1.0).contains(&s));
             prop_assert!((2..5).contains(&k));
         }
 
+        #[test]
         fn eq_holds(x in 0u64..100) {
             prop_assert_eq!(x, x);
             prop_assert_ne!(x, x + 1);

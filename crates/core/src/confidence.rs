@@ -24,7 +24,6 @@
 use crate::estimate::matmul_record;
 use crate::sketch::MncSketch;
 use crate::MncConfig;
-use mnc_kernels::ScratchArena;
 
 /// A sparsity estimate with a confidence interval.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -113,7 +112,7 @@ pub fn estimate_matmul_ci(
         (0.0..1.0).contains(&confidence) && confidence > 0.0,
         "confidence must be in (0, 1)"
     );
-    let record = matmul_record(ha, hb, cfg, &mut ScratchArena::new());
+    let record = matmul_record(ha, hb, cfg);
     let mid = record.nnz();
     let half_width = record.fallback.map_or(0.0, |(q, p)| {
         inverse_normal_cdf(0.5 + confidence / 2.0) * (p * q * (1.0 - q)).max(0.0).sqrt()

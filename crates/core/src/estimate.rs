@@ -7,7 +7,7 @@
 
 use crate::sketch::MncSketch;
 use crate::MncConfig;
-use mnc_kernels::{dot_u32, sub_sat_into, ScratchArena};
+use mnc_kernels::{dot_u32, sub_sat_into};
 
 /// Density-map-like estimator over two aligned count vectors (the fallback
 /// of Algorithm 1, lines 7/10):
@@ -48,20 +48,7 @@ pub fn estimate_matmul(ha: &MncSketch, hb: &MncSketch) -> f64 {
 /// `O(n)` time in the common dimension. Panics if the sketch shapes are not
 /// compatible (programmer error — callers validate user input).
 pub fn estimate_matmul_with(ha: &MncSketch, hb: &MncSketch, cfg: &MncConfig) -> f64 {
-    estimate_matmul_in(ha, hb, cfg, &mut ScratchArena::new())
-}
-
-/// [`estimate_matmul_with`] with caller-provided scratch: the extended-count
-/// temporaries of Algorithm 1 are leased from `arena` and handed back, so
-/// matmul propagation leases them again as its output vectors.
-/// Bit-identical to the plain variant.
-pub fn estimate_matmul_in(
-    ha: &MncSketch,
-    hb: &MncSketch,
-    cfg: &MncConfig,
-    arena: &mut ScratchArena,
-) -> f64 {
-    matmul_record(ha, hb, cfg, arena).estimate()
+    matmul_record(ha, hb, cfg).estimate()
 }
 
 /// The branch of Algorithm 1 that estimated a product.
@@ -126,12 +113,7 @@ impl MatmulRecord {
 
 /// Runs Algorithm 1 on the sketches of `C = A B` and records what it
 /// derived. Panics if the sketch shapes are not compatible.
-pub(crate) fn matmul_record(
-    ha: &MncSketch,
-    hb: &MncSketch,
-    cfg: &MncConfig,
-    arena: &mut ScratchArena,
-) -> MatmulRecord {
+pub(crate) fn matmul_record(ha: &MncSketch, hb: &MncSketch, cfg: &MncConfig) -> MatmulRecord {
     assert_eq!(
         ha.ncols, hb.nrows,
         "matmul sketch estimation: inner dimensions must agree"
@@ -167,7 +149,7 @@ pub(crate) fn matmul_record(
         let mut rest_c_buf: Option<Vec<u32>> = None;
         let exact_c = match &ha.hec {
             Some(hec_a) => {
-                let mut buf = arena.take_u32_spare();
+                let mut buf = Vec::new();
                 sub_sat_into(&ha.hc, hec_a, &mut buf);
                 rest_c_buf = Some(buf);
                 dot_u32(hec_a, &hb.hr)
@@ -178,7 +160,7 @@ pub(crate) fn matmul_record(
         let mut rest_r_buf: Option<Vec<u32>> = None;
         let exact_r = match &hb.her {
             Some(her_b) => {
-                let mut buf = arena.take_u32_spare();
+                let mut buf = Vec::new();
                 sub_sat_into(&hb.hr, her_b, &mut buf);
                 rest_r_buf = Some(buf);
                 dot_u32(rest_c, her_b)
@@ -193,8 +175,6 @@ pub(crate) fn matmul_record(
             cells
         };
         let q = vector_edm(rest_c, rest_r, p);
-        arena.put_u32_opt(rest_c_buf);
-        arena.put_u32_opt(rest_r_buf);
         return record(MatmulCase::Extended, exact_c + exact_r, Some((q, p)));
     }
     // Generic fallback over column/row counts (Alg. 1, lines 9-10); with

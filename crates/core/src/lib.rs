@@ -46,18 +46,13 @@ pub use round::{splitmix64, SplitMix64};
 pub use serialize::{from_bytes, to_bytes, DecodeError};
 pub use sketch::{MncSketch, SketchMeta};
 
-// The kernel scratch arena is part of the core propagation API surface
-// (`MncSketch::propagate_in`, the `propagate_*_in` kernels), so downstream
-// crates get it without naming `mnc-kernels` directly.
-pub use mnc_kernels::ScratchArena;
-
 // Propagation takes one path: `MncSketch::propagate_in` validates the
 // inputs, seeds the rounding generator from them, and dispatches to the
 // one `propagate_*_in` kernel of each op; `MncSketch::propagate` is its
-// default-config face. Callers with no arena of their own pass
-// `&mut ScratchArena::new()`. The kernels, which take the generator as an
-// argument, are not re-exported at the crate root; benchmarks and tests
-// that time or probe one kernel name them through `mnc_core::propagate`.
+// default-config face. Each kernel allocates its own output vectors. The
+// kernels, which take the generator as an argument, are not re-exported at
+// the crate root; benchmarks and tests that time or probe one kernel name
+// them through `mnc_core::propagate`.
 
 /// Configuration of the MNC estimator.
 #[derive(Debug, Clone, Copy, PartialEq)]

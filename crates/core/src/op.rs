@@ -32,7 +32,6 @@ use crate::propagate::{
 use crate::round::{splitmix64, SplitMix64};
 use crate::sketch::{MncSketch, SketchMeta};
 use crate::MncConfig;
-use mnc_kernels::ScratchArena;
 
 /// The operations the SparsEst benchmark exercises (paper Sections 3–4).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -416,51 +415,37 @@ impl MncSketch {
     }
 
     /// Derives the output sketch of `op` applied to `inputs` with the
-    /// default configuration and a fresh scratch arena — the op-driven face
-    /// of the `propagate_*` kernels.
+    /// default configuration — the op-driven face of the `propagate_*`
+    /// kernels.
     pub fn propagate(op: &OpKind, inputs: &[&MncSketch]) -> Result<MncSketch> {
-        Self::propagate_in(op, inputs, &MncConfig::default(), &mut ScratchArena::new())
+        Self::propagate_in(op, inputs, &MncConfig::default())
     }
 
-    /// [`MncSketch::propagate`] under an explicit configuration and scratch
-    /// arena. The result is a pure function of `(cfg, op, inputs)`: the
-    /// rounding generator is seeded from them (see the module docs), and
-    /// the arena's contents never change it. Every output count vector and
-    /// extended-count temporary is leased from `arena`; callers with no
-    /// arena of their own pass `&mut ScratchArena::new()`, and a caller
-    /// that recycles retired intermediates into its arena
-    /// ([`MncSketch::recycle_into`]) reaches an allocation-free steady
-    /// state.
-    pub fn propagate_in(
-        op: &OpKind,
-        inputs: &[&MncSketch],
-        cfg: &MncConfig,
-        arena: &mut ScratchArena,
-    ) -> Result<MncSketch> {
+    /// [`MncSketch::propagate`] under an explicit configuration. The result
+    /// is a pure function of `(cfg, op, inputs)`: the rounding generator is
+    /// seeded from them (see the module docs). Each kernel allocates its
+    /// own output count vectors.
+    pub fn propagate_in(op: &OpKind, inputs: &[&MncSketch], cfg: &MncConfig) -> Result<MncSketch> {
         validate(op, inputs)?;
         let a = inputs[0];
         // One tag per rounding kernel: ops that share a kernel share its
         // draws, so `max`/`min` propagate exactly like `+`/`⊙`.
         let rng = |kernel: &[u64]| rounding_rng(cfg, kernel, inputs);
         Ok(match op {
-            OpKind::MatMul => propagate_matmul_in(a, inputs[1], cfg, &mut rng(&[1]), arena),
-            OpKind::EwAdd | OpKind::EwMax => {
-                propagate_ew_add_in(a, inputs[1], cfg, &mut rng(&[2]), arena)
-            }
-            OpKind::EwMul | OpKind::EwMin => {
-                propagate_ew_mul_in(a, inputs[1], cfg, &mut rng(&[3]), arena)
-            }
+            OpKind::MatMul => propagate_matmul_in(a, inputs[1], cfg, &mut rng(&[1])),
+            OpKind::EwAdd | OpKind::EwMax => propagate_ew_add_in(a, inputs[1], cfg, &mut rng(&[2])),
+            OpKind::EwMul | OpKind::EwMin => propagate_ew_mul_in(a, inputs[1], cfg, &mut rng(&[3])),
             OpKind::Transpose => propagate_transpose(a),
             OpKind::Reshape { rows, cols } => {
                 let tag = [4, *rows as u64, *cols as u64];
-                propagate_reshape_in(a, *rows, *cols, cfg, &mut rng(&tag), arena)
+                propagate_reshape_in(a, *rows, *cols, cfg, &mut rng(&tag))
             }
             OpKind::DiagV2M => propagate_diag_v2m(a),
-            OpKind::DiagM2V => propagate_diag_extract_in(a, cfg, &mut rng(&[5]), arena),
-            OpKind::Rbind => propagate_rbind_in(a, inputs[1], arena),
-            OpKind::Cbind => propagate_cbind_in(a, inputs[1], arena),
+            OpKind::DiagM2V => propagate_diag_extract_in(a, cfg, &mut rng(&[5])),
+            OpKind::Rbind => propagate_rbind_in(a, inputs[1]),
+            OpKind::Cbind => propagate_cbind_in(a, inputs[1]),
             OpKind::Neq0 => propagate_neq_zero(a),
-            OpKind::Eq0 => propagate_eq_zero_in(a, arena),
+            OpKind::Eq0 => propagate_eq_zero_in(a),
         })
     }
 }
@@ -585,15 +570,12 @@ mod tests {
         let b = gen::rand_uniform(&mut r, 16, 12, 0.25);
         let (ha, hb) = (MncSketch::build(&a), MncSketch::build(&b));
         let cfg = MncConfig::default();
-        let via_op =
-            MncSketch::propagate_in(&OpKind::MatMul, &[&ha, &hb], &cfg, &mut ScratchArena::new())
-                .unwrap();
+        let via_op = MncSketch::propagate_in(&OpKind::MatMul, &[&ha, &hb], &cfg).unwrap();
         let direct = crate::propagate::propagate_matmul_in(
             &ha,
             &hb,
             &cfg,
             &mut rounding_rng(&cfg, &[1], &[&ha, &hb]),
-            &mut ScratchArena::new(),
         );
         assert_eq!(via_op, direct);
         assert_eq!(

@@ -8,21 +8,20 @@
 //! intermediates.
 
 use crate::estimate::{
-    estimate_eq_zero, estimate_ew_add, estimate_ew_mul, estimate_matmul_in, lambda_cols,
+    estimate_eq_zero, estimate_ew_add, estimate_ew_mul, estimate_matmul_with, lambda_cols,
     lambda_rows,
 };
 use crate::round::{round_count, Rounding, SplitMix64};
 use crate::sketch::{col_half_threshold, row_half_threshold, MncSketch};
 use crate::MncConfig;
 use mnc_kernels::{
-    complement_into, concat_meta_into, scale_round_into, sum_u32, zip_add_into, ScratchArena,
-    VecMeta,
+    complement_into, concat_meta_into, scale_round_into, sum_u32, zip_add_into, VecMeta,
 };
 
 /// Scales `counts` so that they sum to `target`, rounding each entry
 /// (probabilistically when configured) and capping at `cap` (a count can
 /// never exceed the opposite dimension). Test-only reference wrapper — the
-/// hot paths call [`scale_round_into`] directly with an arena-leased buffer.
+/// hot paths call [`scale_round_into`] directly on their output vectors.
 #[cfg(test)]
 fn scale_counts(
     counts: &[u32],
@@ -61,14 +60,13 @@ fn rounding(rng: &mut SplitMix64, probabilistic: bool) -> Rounding<'_> {
 /// to match it, assuming the per-row/column non-zero distribution carries
 /// over the product.
 ///
-/// Output count vectors are leased from `arena`, and their metadata is
-/// recomputed in the same fused scaling pass.
+/// The output count vectors' metadata is derived in the same scaling call,
+/// with no separate scan.
 pub fn propagate_matmul_in(
     ha: &MncSketch,
     hb: &MncSketch,
     cfg: &MncConfig,
     rng: &mut SplitMix64,
-    arena: &mut ScratchArena,
 ) -> MncSketch {
     assert_eq!(ha.ncols, hb.nrows, "matmul propagation: shape mismatch");
     // Eq. 12: multiplication with a fully diagonal square matrix preserves
@@ -80,10 +78,10 @@ pub fn propagate_matmul_in(
         return hb.clone();
     }
     let (m, l) = (ha.nrows, hb.ncols);
-    let s_c = estimate_matmul_in(ha, hb, cfg, arena);
+    let s_c = estimate_matmul_with(ha, hb, cfg);
     let target = s_c * m as f64 * l as f64;
     let prob = cfg.probabilistic_rounding;
-    let mut hr = arena.take_u32_spare();
+    let mut hr = Vec::new();
     let row_meta = scale_round_into(
         &ha.hr,
         target,
@@ -92,7 +90,7 @@ pub fn propagate_matmul_in(
         rounding(rng, prob),
         &mut hr,
     );
-    let mut hc = arena.take_u32_spare();
+    let mut hc = Vec::new();
     let col_meta = scale_round_into(
         &hb.hc,
         target,
@@ -146,12 +144,12 @@ pub fn propagate_neq_zero(h: &MncSketch) -> MncSketch {
 
 /// `A == 0`: complement counts, `h^r_C = n - h^r_A`, `h^c_C = m - h^c_A`;
 /// extension vectors are dropped (Eq. 14).
-pub fn propagate_eq_zero_in(h: &MncSketch, arena: &mut ScratchArena) -> MncSketch {
+pub fn propagate_eq_zero_in(h: &MncSketch) -> MncSketch {
     let n = h.ncols as u32;
     let m = h.nrows as u32;
-    let mut hr = arena.take_u32_spare();
+    let mut hr = Vec::new();
     let row_meta = complement_into(&h.hr, n, row_half_threshold(h.ncols), &mut hr);
-    let mut hc = arena.take_u32_spare();
+    let mut hc = Vec::new();
     let col_meta = complement_into(&h.hc, m, col_half_threshold(h.nrows), &mut hc);
     let out = MncSketch::from_vectors_with_meta(
         h.nrows, h.ncols, hr, hc, None, None, false, row_meta, col_meta,
@@ -166,16 +164,16 @@ pub fn propagate_eq_zero_in(h: &MncSketch, arena: &mut ScratchArena) -> MncSketc
 /// `rbind(A, B)`: row counts concatenate and column counts add — both exact.
 /// `h^ec` adds exactly (single-non-zero rows are unaffected by stacking);
 /// `h^er` cannot be preserved (a column's total count changes) — Eq. 14.
-pub fn propagate_rbind_in(ha: &MncSketch, hb: &MncSketch, arena: &mut ScratchArena) -> MncSketch {
+pub fn propagate_rbind_in(ha: &MncSketch, hb: &MncSketch) -> MncSketch {
     assert_eq!(ha.ncols, hb.ncols, "rbind propagation: shape mismatch");
     let nrows = ha.nrows + hb.nrows;
-    let mut hr = arena.take_u32_spare();
+    let mut hr = Vec::new();
     let row_meta = concat_meta_into(&ha.hr, &hb.hr, row_half_threshold(ha.ncols), &mut hr);
-    let mut hc = arena.take_u32_spare();
+    let mut hc = Vec::new();
     let col_meta = zip_add_into(&ha.hc, &hb.hc, col_half_threshold(nrows), &mut hc);
     let hec = match (ha.effective_hec_slice(), hb.effective_hec_slice()) {
         (Some(a), Some(b)) => {
-            let mut buf = arena.take_u32_spare();
+            let mut buf = Vec::new();
             zip_add_into(a, b, 0, &mut buf);
             Some(buf)
         }
@@ -187,16 +185,16 @@ pub fn propagate_rbind_in(ha: &MncSketch, hb: &MncSketch, arena: &mut ScratchAre
 }
 
 /// `cbind(A, B)`: symmetric to [`propagate_rbind_in`].
-pub fn propagate_cbind_in(ha: &MncSketch, hb: &MncSketch, arena: &mut ScratchArena) -> MncSketch {
+pub fn propagate_cbind_in(ha: &MncSketch, hb: &MncSketch) -> MncSketch {
     assert_eq!(ha.nrows, hb.nrows, "cbind propagation: shape mismatch");
     let ncols = ha.ncols + hb.ncols;
-    let mut hr = arena.take_u32_spare();
+    let mut hr = Vec::new();
     let row_meta = zip_add_into(&ha.hr, &hb.hr, row_half_threshold(ncols), &mut hr);
-    let mut hc = arena.take_u32_spare();
+    let mut hc = Vec::new();
     let col_meta = concat_meta_into(&ha.hc, &hb.hc, col_half_threshold(ha.nrows), &mut hc);
     let her = match (ha.effective_her_slice(), hb.effective_her_slice()) {
         (Some(a), Some(b)) => {
-            let mut buf = arena.take_u32_spare();
+            let mut buf = Vec::new();
             zip_add_into(a, b, 0, &mut buf);
             Some(buf)
         }
@@ -234,12 +232,11 @@ pub fn propagate_diag_extract_in(
     h: &MncSketch,
     cfg: &MncConfig,
     rng: &mut SplitMix64,
-    arena: &mut ScratchArena,
 ) -> MncSketch {
     assert_eq!(h.nrows, h.ncols, "diag extraction expects a square sketch");
     let n = h.ncols as f64;
     let mut total = 0.0f64;
-    let mut hr = arena.take_u32(h.nrows);
+    let mut hr = vec![0; h.nrows];
     for (o, &c) in hr.iter_mut().zip(&h.hr) {
         if n == 0.0 {
             continue;
@@ -267,7 +264,6 @@ pub fn propagate_reshape_in(
     l: usize,
     cfg: &MncConfig,
     rng: &mut SplitMix64,
-    arena: &mut ScratchArena,
 ) -> MncSketch {
     let (m, n) = (h.nrows, h.ncols);
     assert_eq!(m * n, k * l, "reshape propagation: cell count mismatch");
@@ -278,12 +274,12 @@ pub fn propagate_reshape_in(
     if k > 0 && m.is_multiple_of(k) {
         // Merge t consecutive input rows into each output row.
         let t = m / k;
-        let mut hr = arena.take_u32(k);
+        let mut hr = vec![0; k];
         for (o, chunk) in hr.iter_mut().zip(h.hr.chunks(t)) {
             *o = chunk.iter().sum::<u32>();
         }
         // Each output column block sees ~1/t of a source column's count.
-        let mut hc = arena.take_u32(l);
+        let mut hc = vec![0; l];
         let mut out = hc.iter_mut();
         for _block in 0..t {
             for &c in &h.hc {
@@ -297,7 +293,7 @@ pub fn propagate_reshape_in(
     if m > 0 && k.is_multiple_of(m) {
         // Split each input row into t output rows.
         let t = k / m;
-        let mut hr = arena.take_u32(k);
+        let mut hr = vec![0; k];
         let mut out = hr.iter_mut();
         for &c in &h.hr {
             for _ in 0..t {
@@ -307,18 +303,18 @@ pub fn propagate_reshape_in(
             }
         }
         // Output column j accumulates input columns j, j+l, j+2l, ... exactly.
-        let mut hc = arena.take_u32(l);
+        let mut hc = vec![0; l];
         for (j, &c) in h.hc.iter().enumerate() {
             hc[j % l] += c;
         }
         return MncSketch::from_vectors(k, l, hr, hc, None, None, false);
     }
     // Non-aligned fallback: uniform redistribution.
-    let mut hr = arena.take_u32(k);
+    let mut hr = vec![0; k];
     for o in hr.iter_mut() {
         *o = round_count(rng, nnz / k as f64, cfg.probabilistic_rounding).min(l as u64) as u32;
     }
-    let mut hc = arena.take_u32(l);
+    let mut hc = vec![0; l];
     for o in hc.iter_mut() {
         *o = round_count(rng, nnz / l as f64, cfg.probabilistic_rounding).min(k as u64) as u32;
     }
@@ -332,7 +328,6 @@ pub fn propagate_ew_add_in(
     hb: &MncSketch,
     cfg: &MncConfig,
     rng: &mut SplitMix64,
-    arena: &mut ScratchArena,
 ) -> MncSketch {
     assert_eq!(
         (ha.nrows, ha.ncols),
@@ -341,13 +336,13 @@ pub fn propagate_ew_add_in(
     );
     let lc = lambda_cols(ha, hb);
     let lr = lambda_rows(ha, hb);
-    let mut hr = arena.take_u32(ha.nrows);
+    let mut hr = vec![0; ha.nrows];
     for ((o, &a), &b) in hr.iter_mut().zip(&ha.hr).zip(&hb.hr) {
         let (a, b) = (a as f64, b as f64);
         let est = a + b - a * b * lc;
         *o = round_count(rng, est, cfg.probabilistic_rounding).min(ha.ncols as u64) as u32;
     }
-    let mut hc = arena.take_u32(ha.ncols);
+    let mut hc = vec![0; ha.ncols];
     for ((o, &a), &b) in hc.iter_mut().zip(&ha.hc).zip(&hb.hc) {
         let (a, b) = (a as f64, b as f64);
         let est = a + b - a * b * lr;
@@ -364,7 +359,6 @@ pub fn propagate_ew_mul_in(
     hb: &MncSketch,
     cfg: &MncConfig,
     rng: &mut SplitMix64,
-    arena: &mut ScratchArena,
 ) -> MncSketch {
     assert_eq!(
         (ha.nrows, ha.ncols),
@@ -373,12 +367,12 @@ pub fn propagate_ew_mul_in(
     );
     let lc = lambda_cols(ha, hb);
     let lr = lambda_rows(ha, hb);
-    let mut hr = arena.take_u32(ha.nrows);
+    let mut hr = vec![0; ha.nrows];
     for ((o, &a), &b) in hr.iter_mut().zip(&ha.hr).zip(&hb.hr) {
         let est = a as f64 * b as f64 * lc;
         *o = round_count(rng, est, cfg.probabilistic_rounding).min(ha.ncols as u64) as u32;
     }
-    let mut hc = arena.take_u32(ha.ncols);
+    let mut hc = vec![0; ha.ncols];
     for ((o, &a), &b) in hc.iter_mut().zip(&ha.hc).zip(&hb.hc) {
         let est = a as f64 * b as f64 * lr;
         *o = round_count(rng, est, cfg.probabilistic_rounding).min(ha.nrows as u64) as u32;
@@ -413,7 +407,7 @@ mod tests {
         let b = gen::rand_uniform(&mut r, 60, 70, 0.08);
         let (ha, hb) = (MncSketch::build(&a), MncSketch::build(&b));
         let s = crate::estimate::estimate_matmul(&ha, &hb);
-        let hc = propagate_matmul_in(&ha, &hb, &cfg(), &mut smx(), &mut ScratchArena::new());
+        let hc = propagate_matmul_in(&ha, &hb, &cfg(), &mut smx());
         let expect = s * 80.0 * 70.0;
         let got: f64 = hc.hr.iter().map(|&c| c as f64).sum();
         // Probabilistic rounding keeps the sum within sampling noise.
@@ -433,12 +427,12 @@ mod tests {
         let d = gen::scalar_diag(30, 2.0);
         let hd = MncSketch::build(&d);
         // diag(λ) · X preserves X's sketch exactly (Eq. 12).
-        let hc = propagate_matmul_in(&hd, &hx, &cfg(), &mut smx(), &mut ScratchArena::new());
+        let hc = propagate_matmul_in(&hd, &hx, &cfg(), &mut smx());
         assert_eq!(hc, hx);
         // X · diag(λ) on the other side.
         let d2 = gen::scalar_diag(20, 3.0);
         let hd2 = MncSketch::build(&d2);
-        let hc2 = propagate_matmul_in(&hx, &hd2, &cfg(), &mut smx(), &mut ScratchArena::new());
+        let hc2 = propagate_matmul_in(&hx, &hd2, &cfg(), &mut smx());
         assert_eq!(hc2, hx);
     }
 
@@ -457,7 +451,7 @@ mod tests {
         let mut r = rng(4);
         let a = gen::rand_uniform(&mut r, 20, 15, 0.3);
         let h = MncSketch::build(&a);
-        let hz = propagate_eq_zero_in(&h, &mut ScratchArena::new());
+        let hz = propagate_eq_zero_in(&h);
         let rebuilt = MncSketch::build(&ops::eq_zero(&a));
         assert_eq!(hz.hr, rebuilt.hr);
         assert_eq!(hz.hc, rebuilt.hc);
@@ -468,11 +462,7 @@ mod tests {
         let mut r = rng(5);
         let a = gen::rand_uniform(&mut r, 12, 10, 0.2);
         let b = gen::rand_uniform(&mut r, 8, 10, 0.4);
-        let h = propagate_rbind_in(
-            &MncSketch::build(&a),
-            &MncSketch::build(&b),
-            &mut ScratchArena::new(),
-        );
+        let h = propagate_rbind_in(&MncSketch::build(&a), &MncSketch::build(&b));
         let rebuilt = MncSketch::build(&ops::rbind(&a, &b).unwrap());
         assert_eq!(h.hr, rebuilt.hr);
         assert_eq!(h.hc, rebuilt.hc);
@@ -484,11 +474,7 @@ mod tests {
         let mut r = rng(6);
         let a = gen::rand_uniform(&mut r, 12, 10, 0.2);
         let b = gen::rand_uniform(&mut r, 12, 6, 0.4);
-        let h = propagate_cbind_in(
-            &MncSketch::build(&a),
-            &MncSketch::build(&b),
-            &mut ScratchArena::new(),
-        );
+        let h = propagate_cbind_in(&MncSketch::build(&a), &MncSketch::build(&b));
         let rebuilt = MncSketch::build(&ops::cbind(&a, &b).unwrap());
         assert_eq!(h.hr, rebuilt.hr);
         assert_eq!(h.hc, rebuilt.hc);
@@ -513,7 +499,7 @@ mod tests {
         // Expected diagonal occupancy for a dense square matrix is 1/row.
         let d = gen::rand_dense(&mut rng(12).clone(), 16, 16);
         let h = MncSketch::build(&d);
-        let hp = propagate_diag_extract_in(&h, &cfg(), &mut smx(), &mut ScratchArena::new());
+        let hp = propagate_diag_extract_in(&h, &cfg(), &mut smx());
         assert_eq!(hp.nrows, 16);
         assert_eq!(hp.ncols, 1);
         assert_eq!(hp.hr.iter().map(|&c| c as u64).sum::<u64>(), 16);
@@ -525,7 +511,7 @@ mod tests {
         let a = gen::rand_uniform(&mut r, 12, 5, 0.3);
         let h = MncSketch::build(&a);
         // 12x5 -> 4x15 merges 3 rows into 1.
-        let hp = propagate_reshape_in(&h, 4, 15, &cfg(), &mut smx(), &mut ScratchArena::new());
+        let hp = propagate_reshape_in(&h, 4, 15, &cfg(), &mut smx());
         let rebuilt = MncSketch::build(&ops::reshape(&a, 4, 15).unwrap());
         assert_eq!(hp.hr, rebuilt.hr, "merged row counts are exact");
         let sum_hc: u64 = hp.hc.iter().map(|&c| c as u64).sum();
@@ -538,7 +524,7 @@ mod tests {
         let a = gen::rand_uniform(&mut r, 4, 15, 0.3);
         let h = MncSketch::build(&a);
         // 4x15 -> 12x5 splits each row into 3.
-        let hp = propagate_reshape_in(&h, 12, 5, &cfg(), &mut smx(), &mut ScratchArena::new());
+        let hp = propagate_reshape_in(&h, 12, 5, &cfg(), &mut smx());
         let rebuilt = MncSketch::build(&ops::reshape(&a, 12, 5).unwrap());
         assert_eq!(hp.hc, rebuilt.hc, "folded column counts are exact");
     }
@@ -548,7 +534,7 @@ mod tests {
         let mut r = rng(9);
         let a = gen::rand_uniform(&mut r, 6, 4, 0.5);
         let h = MncSketch::build(&a);
-        let hp = propagate_reshape_in(&h, 6, 4, &cfg(), &mut smx(), &mut ScratchArena::new());
+        let hp = propagate_reshape_in(&h, 6, 4, &cfg(), &mut smx());
         assert_eq!(hp, h);
     }
 
@@ -558,7 +544,7 @@ mod tests {
         let a = gen::rand_uniform(&mut r, 50, 40, 0.2);
         let b = gen::rand_uniform(&mut r, 50, 40, 0.3);
         let (ha, hb) = (MncSketch::build(&a), MncSketch::build(&b));
-        let hp = propagate_ew_mul_in(&ha, &hb, &cfg(), &mut smx(), &mut ScratchArena::new());
+        let hp = propagate_ew_mul_in(&ha, &hb, &cfg(), &mut smx());
         let truth = ops::ew_mul(&a, &b).unwrap();
         let est_nnz: f64 = hp.hr.iter().map(|&c| c as f64).sum();
         let true_nnz = truth.nnz() as f64;
@@ -574,7 +560,7 @@ mod tests {
         let a = gen::rand_uniform(&mut r, 50, 40, 0.15);
         let b = gen::rand_uniform(&mut r, 50, 40, 0.25);
         let (ha, hb) = (MncSketch::build(&a), MncSketch::build(&b));
-        let hp = propagate_ew_add_in(&ha, &hb, &cfg(), &mut smx(), &mut ScratchArena::new());
+        let hp = propagate_ew_add_in(&ha, &hb, &cfg(), &mut smx());
         let truth = ops::ew_add(&a, &b).unwrap();
         let est_nnz: f64 = hp.hr.iter().map(|&c| c as f64).sum();
         let true_nnz = truth.nnz() as f64;

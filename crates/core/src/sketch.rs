@@ -276,17 +276,6 @@ impl MncSketch {
         Ok(())
     }
 
-    /// Consumes the sketch, returning its count-vector buffers to `arena` so
-    /// the next propagation step can lease them back. Chain drivers call this
-    /// on each retired intermediate: once the pool holds one generation of
-    /// buffers, the whole chain runs allocation-free.
-    pub fn recycle_into(self, arena: &mut mnc_kernels::ScratchArena) {
-        arena.put_u32(self.hr);
-        arena.put_u32(self.hc);
-        arena.put_u32_opt(self.her);
-        arena.put_u32_opt(self.hec);
-    }
-
     /// Synopsis size in bytes: 4 B per count entry (`u32`), doubled when the
     /// extended vectors are materialized, plus the fixed metadata block.
     pub fn size_bytes(&self) -> usize {

@@ -1,22 +1,16 @@
 //! Properties of every op's propagated sketch.
 //!
-//! **Scratch-arena reuse never changes it.** `MncSketch::propagate_in`
-//! leases every output count vector and every Algorithm 1 temporary from
-//! the caller's [`ScratchArena`]. A caller that recycles retired
-//! intermediates (the chain optimizer's fold) hands those leases buffers of
-//! any length holding any contents, so every op must clear or overwrite
-//! what it leases. The reuse properties warm one arena with poisoned
-//! outputs of every op, then require every op, run through that arena, to
-//! equal the same op run through a fresh arena bit for bit.
-//!
 //! **It passes [`MncSketch::validate`].** Sketch decoding rejects counts
 //! that fail it, so a root exported from an estimate must always pass, or
 //! it could not be ingested again.
+//!
+//! **Its bits are pinned.** A golden hash over every op's output on seeded
+//! inputs fixes every count, extended count and metadata field.
 
 use proptest::prelude::*;
 use rand::SeedableRng;
 
-use mnc_core::{MncConfig, MncSketch, OpKind, ScratchArena};
+use mnc_core::{MncConfig, MncSketch, OpKind};
 use mnc_matrix::gen;
 
 /// Sketches shaped for every op: `a` and `b` are `m x n`, `c` is `n x m`,
@@ -82,70 +76,118 @@ impl Inputs {
     }
 }
 
-fn propagate(
-    op: &OpKind,
-    ins: &[&MncSketch],
-    cfg: &MncConfig,
-    seed: u64,
-    arena: &mut ScratchArena,
-) -> MncSketch {
+fn propagate(op: &OpKind, ins: &[&MncSketch], cfg: &MncConfig, seed: u64) -> MncSketch {
     let cfg = MncConfig { seed, ..*cfg };
-    MncSketch::propagate_in(op, ins, &cfg, arena).expect("valid op")
-}
-
-/// Overwrites every count of `out` with a value no op produces and returns
-/// its buffers to `arena`.
-fn recycle_poisoned(mut out: MncSketch, arena: &mut ScratchArena) {
-    for v in [&mut out.hr, &mut out.hc]
-        .into_iter()
-        .chain(out.her.as_mut())
-        .chain(out.hec.as_mut())
-    {
-        v.fill(0xDEAD_BEEF);
-    }
-    out.recycle_into(arena);
+    MncSketch::propagate_in(op, ins, &cfg).expect("valid op")
 }
 
 fn params() -> impl Strategy<Value = (usize, usize, f64, u64)> {
     (1usize..16, 1usize..16, 0.0f64..0.6, any::<u64>())
 }
 
-/// Warms one arena with poisoned outputs of every op, then runs every op
-/// through it and through a fresh arena; the two must agree bit for bit.
-fn check_reuse(cfg: &MncConfig, m: usize, n: usize, density: f64, seed: u64) {
-    let inputs = Inputs::new(m, n, density, seed, cfg.use_extended);
-    let cases = inputs.cases();
-    let mut warm = ScratchArena::new();
-    for (op, ins) in &cases {
-        let out = propagate(op, ins, cfg, !seed, &mut ScratchArena::new());
-        recycle_poisoned(out, &mut warm);
-    }
-    for (op, ins) in &cases {
-        let fresh = propagate(op, ins, cfg, seed, &mut ScratchArena::new());
-        let reused = propagate(op, ins, cfg, seed, &mut warm);
-        assert_eq!(reused, fresh, "{op:?} changed under a recycled arena");
-        // Hand the output back, so later ops lease dirty buffers too.
-        recycle_poisoned(reused, &mut warm);
-    }
-}
-
 /// Every input, every op's output, and what a transpose, `== 0`, and a
 /// product with its own transpose make of that output pass `validate`.
 fn check_valid(cfg: &MncConfig, m: usize, n: usize, density: f64, seed: u64) {
     let inputs = Inputs::new(m, n, density, seed, cfg.use_extended);
-    let arena = &mut ScratchArena::new();
     for (op, ins) in inputs.cases() {
         for input in &ins {
             assert_eq!(input.validate(), Ok(()), "a built sketch");
         }
-        let out = propagate(&op, &ins, cfg, seed, arena);
+        let out = propagate(&op, &ins, cfg, seed);
         assert_eq!(out.validate(), Ok(()), "{op:?}");
-        let t = propagate(&OpKind::Transpose, &[&out], cfg, seed, arena);
+        let t = propagate(&OpKind::Transpose, &[&out], cfg, seed);
         assert_eq!(t.validate(), Ok(()), "transpose of {op:?}");
-        let z = propagate(&OpKind::Eq0, &[&out], cfg, seed, arena);
+        let z = propagate(&OpKind::Eq0, &[&out], cfg, seed);
         assert_eq!(z.validate(), Ok(()), "== 0 of {op:?}");
-        let g = propagate(&OpKind::MatMul, &[&out, &t], cfg, seed, arena);
+        let g = propagate(&OpKind::MatMul, &[&out, &t], cfg, seed);
         assert_eq!(g.validate(), Ok(()), "{op:?} times its transpose");
+    }
+}
+
+/// FNV-1a over 64-bit words.
+fn fnv(h: u64, word: u64) -> u64 {
+    word.to_le_bytes().iter().fold(h, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// Folds every field of `s` into `h`: shape, the four count vectors (an
+/// absent extended vector hashes differently from an empty one) and the
+/// metadata.
+fn hash_sketch(mut h: u64, s: &MncSketch) -> u64 {
+    let vecs = [Some(&s.hr), Some(&s.hc), s.her.as_ref(), s.hec.as_ref()];
+    h = fnv(fnv(h, s.nrows as u64), s.ncols as u64);
+    for v in vecs {
+        match v {
+            None => h = fnv(h, u64::MAX),
+            Some(v) => {
+                h = fnv(h, v.len() as u64);
+                h = v.iter().fold(h, |h, &c| fnv(h, c as u64));
+            }
+        }
+    }
+    let m = &s.meta;
+    [
+        m.nnz,
+        m.max_hr as u64,
+        m.max_hc as u64,
+        m.nonempty_rows as u64,
+        m.nonempty_cols as u64,
+        m.half_full_rows as u64,
+        m.half_full_cols as u64,
+        m.rows_eq_1 as u64,
+        m.cols_eq_1 as u64,
+        m.fully_diagonal as u64,
+    ]
+    .into_iter()
+    .fold(h, fnv)
+}
+
+/// One hash over every op's output (and its sparsity's bits) on a seeded
+/// fixture.
+fn propagation_hash(cfg: &MncConfig, m: usize, n: usize, density: f64, seed: u64) -> u64 {
+    let inputs = Inputs::new(m, n, density, seed, cfg.use_extended);
+    let mut h = 0xCBF2_9CE4_8422_2325;
+    for (op, ins) in inputs.cases() {
+        let out = propagate(&op, &ins, cfg, seed);
+        h = fnv(hash_sketch(h, &out), out.sparsity().to_bits());
+    }
+    h
+}
+
+/// Pins the bits of every op's propagated sketch on seeded inputs, under
+/// full MNC and *MNC Basic*, so a change to how propagation allocates or
+/// computes its outputs cannot move a single count.
+#[test]
+fn propagated_sketch_bits_are_pinned() {
+    let fixtures = [
+        (12, 8, 0.3, 7),
+        (9, 9, 0.15, 11),
+        (16, 6, 0.45, 23),
+        (1, 13, 0.5, 3),
+    ];
+    for (cfg, golden) in [
+        (
+            MncConfig::default(),
+            [
+                0xdfa42c2954af75d8,
+                0x41d084ff8bc31c7b,
+                0x0fc63b9d6a7d96dd,
+                0x39c7c5d3a2551d40,
+            ],
+        ),
+        (
+            MncConfig::basic(),
+            [
+                0x376717461a96eee5,
+                0x45ef112471d7894b,
+                0x59c61056a0b6f0d4,
+                0x39c7c5d3a2551d40,
+            ],
+        ),
+    ] {
+        let got = fixtures.map(|(m, n, d, seed)| propagation_hash(&cfg, m, n, d, seed));
+        assert_eq!(got, golden, "{cfg:?}: got {got:#018x?}");
     }
 }
 
@@ -162,18 +204,5 @@ proptest! {
     #[test]
     fn basic_propagated_sketches_are_valid((m, n, density, seed) in params()) {
         check_valid(&MncConfig::basic(), m, n, density, seed);
-    }
-
-    /// Full MNC: extended count vectors and the Theorem 3.2 bounds, so
-    /// Algorithm 1 leases its extended-count temporaries.
-    #[test]
-    fn recycled_buffers_never_change_propagation((m, n, density, seed) in params()) {
-        check_reuse(&MncConfig::default(), m, n, density, seed);
-    }
-
-    /// *MNC Basic*: no extended vectors, no bounds.
-    #[test]
-    fn recycled_buffers_never_change_basic_propagation((m, n, density, seed) in params()) {
-        check_reuse(&MncConfig::basic(), m, n, density, seed);
     }
 }

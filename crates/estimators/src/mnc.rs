@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use mnc_core::{MncConfig, MncSketch, ScratchArena};
+use mnc_core::{MncConfig, MncSketch};
 use mnc_matrix::CsrMatrix;
 
 use crate::{OpKind, Result, SparsityEstimator, Synopsis};
@@ -100,7 +100,7 @@ impl SparsityEstimator for MncEstimator {
 
     fn propagate(&self, op: &OpKind, inputs: &[&Synopsis]) -> Result<Synopsis> {
         let sketches = self.sketches(inputs)?;
-        let sketch = MncSketch::propagate_in(op, &sketches, &self.cfg, &mut ScratchArena::new())?;
+        let sketch = MncSketch::propagate_in(op, &sketches, &self.cfg)?;
         Ok(Synopsis::Mnc(MncSynopsis { sketch }))
     }
 

@@ -19,10 +19,11 @@
 //! DP's optimal cost equals [`plan_cost_sketched`] of its own plan bit for
 //! bit.
 
+use std::borrow::{Borrow, Cow};
 use std::fmt;
 use std::sync::Arc;
 
-use mnc_core::{MncConfig, MncSketch, OpKind, ScratchArena, SplitMix64};
+use mnc_core::{MncConfig, MncSketch, OpKind, SplitMix64};
 use mnc_matrix::{ops, CsrMatrix};
 
 /// A binary parenthesization of a matrix chain; leaves are chain positions.
@@ -99,16 +100,31 @@ pub fn dense_chain_order(dims: &[usize]) -> (f64, PlanTree) {
 /// `h^c · h^r`; subchain sketches are memoized in `E` and propagated with
 /// the MNC rules. Returns `(optimal estimated FLOPs, plan)`; the cost is
 /// [`plan_cost_sketched`] of the plan, bit for bit.
-pub fn sparse_chain_order(sketches: &[MncSketch], cfg: &MncConfig) -> (f64, PlanTree) {
+///
+/// The leaf sketches are only borrowed: pass owned sketches or references
+/// to sketches held elsewhere (a cache's synopses).
+pub fn sparse_chain_order<S: Borrow<MncSketch>>(
+    sketches: &[S],
+    cfg: &MncConfig,
+) -> (f64, PlanTree) {
     let n = sketches.len();
     assert!(n >= 1, "need at least one matrix");
-    let mut arena = ScratchArena::new();
     let mut cost = vec![vec![0.0f64; n]; n];
     let mut split = vec![vec![0usize; n]; n];
-    // E[i][j]: sketch of the optimal plan for the subchain i..=j.
-    let mut sketch: Vec<Vec<Option<MncSketch>>> = vec![vec![None; n]; n];
-    for (i, row) in sketch.iter_mut().enumerate() {
-        row[i] = Some(sketches[i].clone());
+    // E[i][j] for i < j: sketch of the optimal plan for the subchain i..=j.
+    // A single matrix's sketch is read from `sketches` itself.
+    let mut memo: Vec<Vec<Option<MncSketch>>> = vec![vec![None; n]; n];
+    fn subchain<'a, S: Borrow<MncSketch>>(
+        sketches: &'a [S],
+        memo: &'a [Vec<Option<MncSketch>>],
+        i: usize,
+        j: usize,
+    ) -> &'a MncSketch {
+        if i == j {
+            sketches[i].borrow()
+        } else {
+            memo[i][j].as_ref().expect("filled by shorter length")
+        }
     }
     for len in 2..=n {
         for i in 0..=n - len {
@@ -116,8 +132,8 @@ pub fn sparse_chain_order(sketches: &[MncSketch], cfg: &MncConfig) -> (f64, Plan
             cost[i][j] = f64::INFINITY;
             let mut best_k = i;
             for k in i..j {
-                let left = sketch[i][k].as_ref().expect("filled by shorter length");
-                let right = sketch[k + 1][j].as_ref().expect("filled by shorter length");
+                let left = subchain(sketches, &memo, i, k);
+                let right = subchain(sketches, &memo, k + 1, j);
                 let c = cost[i][k] + cost[k + 1][j] + sketch_dot(left, right);
                 if c < cost[i][j] {
                     cost[i][j] = c;
@@ -125,14 +141,12 @@ pub fn sparse_chain_order(sketches: &[MncSketch], cfg: &MncConfig) -> (f64, Plan
                 }
             }
             split[i][j] = best_k;
-            // Propagate straight from the memo table (no clones); the
-            // output's count vectors are leased from the scratch arena.
-            let out = {
-                let left = sketch[i][best_k].as_ref().expect("filled");
-                let right = sketch[best_k + 1][j].as_ref().expect("filled");
-                product(left, right, cfg, &mut arena)
-            };
-            sketch[i][j] = Some(out);
+            let out = product(
+                subchain(sketches, &memo, i, best_k),
+                subchain(sketches, &memo, best_k + 1, j),
+                cfg,
+            );
+            memo[i][j] = Some(out);
         }
     }
     (cost[0][n - 1], extract_plan(&split, 0, n - 1))
@@ -142,6 +156,7 @@ pub fn sparse_chain_order(sketches: &[MncSketch], cfg: &MncConfig) -> (f64, Plan
 /// [`EstimationContext`](crate::EstimationContext) instead of pre-built by
 /// the caller: repeated chain optimization over overlapping matrix sets
 /// (e.g. scoring many rewrites of one program) builds each sketch once.
+/// The DP borrows the cached sketches; none is copied.
 pub fn sparse_chain_order_cached(
     ctx: &mut crate::session::EstimationContext,
     est: &mnc_estimators::MncEstimator,
@@ -149,19 +164,20 @@ pub fn sparse_chain_order_cached(
 ) -> mnc_estimators::Result<(f64, PlanTree)> {
     use mnc_estimators::{EstimatorError, Synopsis};
     let _span = ctx.recorder().span("chain_opt").op("matmul");
-    let mut sketches = Vec::with_capacity(mats.len());
-    for m in mats {
-        let syn = ctx.leaf_synopsis(est, m)?;
-        match syn.as_ref() {
-            Synopsis::Mnc(s) => sketches.push(s.sketch.clone()),
-            other => {
-                return Err(EstimatorError::Internal(format!(
-                    "sparse_chain_order_cached: MNC estimator produced a non-MNC synopsis {:?}",
-                    other.shape()
-                )))
-            }
-        }
-    }
+    let leaves = mats
+        .iter()
+        .map(|m| ctx.leaf_synopsis(est, m))
+        .collect::<mnc_estimators::Result<Vec<_>>>()?;
+    let sketches = leaves
+        .iter()
+        .map(|syn| match syn.as_ref() {
+            Synopsis::Mnc(s) => Ok(&s.sketch),
+            other => Err(EstimatorError::Internal(format!(
+                "sparse_chain_order_cached: MNC estimator produced a non-MNC synopsis {:?}",
+                other.shape()
+            ))),
+        })
+        .collect::<mnc_estimators::Result<Vec<_>>>()?;
     Ok(sparse_chain_order(&sketches, est.config()))
 }
 
@@ -191,33 +207,28 @@ fn extract_plan(split: &[Vec<usize>], i: usize, j: usize) -> PlanTree {
 /// Estimated total FLOPs of an arbitrary plan via MNC sketch propagation
 /// (used to score the Figure 16 random plans without executing them).
 pub fn plan_cost_sketched(sketches: &[MncSketch], plan: &PlanTree, cfg: &MncConfig) -> f64 {
-    fn go(
-        sketches: &[MncSketch],
+    // A leaf borrows its sketch; only products are owned.
+    fn go<'a>(
+        sketches: &'a [MncSketch],
         plan: &PlanTree,
         cfg: &MncConfig,
-        arena: &mut ScratchArena,
-    ) -> (MncSketch, f64) {
+    ) -> (Cow<'a, MncSketch>, f64) {
         match plan {
-            PlanTree::Leaf(i) => (sketches[*i].clone(), 0.0),
+            PlanTree::Leaf(i) => (Cow::Borrowed(&sketches[*i]), 0.0),
             PlanTree::Node(l, r) => {
-                let (sl, cl) = go(sketches, l, cfg, arena);
-                let (sr, cr) = go(sketches, r, cfg, arena);
+                let (sl, cl) = go(sketches, l, cfg);
+                let (sr, cr) = go(sketches, r, cfg);
                 let cost = cl + cr + sketch_dot(&sl, &sr);
-                let out = product(&sl, &sr, cfg, arena);
-                // The consumed operands refill the arena, so deep plans
-                // reach a zero-allocation steady state.
-                sl.recycle_into(arena);
-                sr.recycle_into(arena);
-                (out, cost)
+                (Cow::Owned(product(&sl, &sr, cfg)), cost)
             }
         }
     }
-    go(sketches, plan, cfg, &mut ScratchArena::new()).1
+    go(sketches, plan, cfg).1
 }
 
-/// The propagated sketch of `a · b`, its buffers leased from `arena`.
-fn product(a: &MncSketch, b: &MncSketch, cfg: &MncConfig, arena: &mut ScratchArena) -> MncSketch {
-    MncSketch::propagate_in(&OpKind::MatMul, &[a, b], cfg, arena).expect("chain shapes agree")
+/// The propagated sketch of `a · b`.
+fn product(a: &MncSketch, b: &MncSketch, cfg: &MncConfig) -> MncSketch {
+    MncSketch::propagate_in(&OpKind::MatMul, &[a, b], cfg).expect("chain shapes agree")
 }
 
 /// Exact total multiplication count of a plan, materializing every

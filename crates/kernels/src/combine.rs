@@ -1,10 +1,10 @@
 //! Fused count-vector combinators.
 //!
-//! Each combinator writes into a caller-provided buffer (typically leased
-//! from a [`crate::ScratchArena`]) instead of `collect()`ing a fresh `Vec`,
-//! and recomputes the per-vector summary statistics **in the same pass** —
-//! the output never needs the separate metadata scan `compute_meta` used to
-//! perform. The exception is [`scale_round_into`], whose rounding loop runs
+//! Each combinator clears and fills a caller-provided buffer (so a caller
+//! can reuse one buffer across calls) instead of `collect()`ing a fresh
+//! `Vec`, and recomputes the per-vector summary statistics **in the same
+//! pass** — the output never needs the separate metadata scan
+//! `compute_meta` used to perform. The exception is [`scale_round_into`], whose rounding loop runs
 //! faster alone, followed by one vectorized [`meta_scan`].
 
 use crate::dot::sum_u32;

@@ -5,9 +5,7 @@
 //! those inner loops as free-standing kernels so every caller — matmul
 //! estimation, sketch propagation, the chain-optimizer DP, and the bitset
 //! boolean product — shares one implementation that the compiler can
-//! autovectorize, plus a [`ScratchArena`] of reusable buffers so a
-//! propagation chain that recycles its retired intermediates runs
-//! allocation-free in steady state.
+//! autovectorize.
 //!
 //! ## Bit-identity contract
 //!
@@ -43,7 +41,6 @@
 //! workers produce per-chunk partials that are merged in a fixed order, so
 //! parallel answers stay bit-identical to sequential ones.
 
-pub mod arena;
 pub mod chunk;
 pub mod combine;
 pub mod dot;
@@ -53,7 +50,6 @@ pub mod scalar;
 pub mod simd;
 pub mod words;
 
-pub use arena::ScratchArena;
 pub use chunk::row_chunks;
 pub use combine::{
     complement_into, concat_meta_into, meta_scan, scale_round_into, sub_sat_into, zip_add_into,

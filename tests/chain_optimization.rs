@@ -174,3 +174,39 @@ fn optimizer_handles_degenerate_chains() {
     let exact = chain_flops_exact(&mats, &p2) as f64;
     assert_eq!(c2, exact);
 }
+
+/// Pins the sparse DP's cost and plan and the sketched cost of a left-deep
+/// plan on a seeded 6-matrix chain, under full MNC and *MNC Basic*, so a
+/// change to how the optimizer holds its sketches cannot move a bit.
+#[test]
+fn chain_costs_and_plan_are_pinned() {
+    let dims = [40usize, 60, 30, 50, 20, 45, 35];
+    let sparsities = [0.05, 0.2, 0.02, 0.3, 0.1, 0.08];
+    let sketches: Vec<MncSketch> = chain(0xC4A1, &dims, &sparsities)
+        .iter()
+        .map(|m| MncSketch::build(m))
+        .collect();
+    let left_deep = PlanTree::left_deep(sketches.len());
+    for (cfg, dp_bits, dp_plan, left_deep_bits) in [
+        (
+            MncConfig::default(),
+            0x40c4c70000000000,
+            "((((M0 M1) (M2 M3)) M4) M5)",
+            0x40c5948000000000,
+        ),
+        (
+            MncConfig::basic(),
+            0x40c5560000000000,
+            "((((M0 M1) (M2 M3)) M4) M5)",
+            0x40c6498000000000,
+        ),
+    ] {
+        let (cost, plan) = sparse_chain_order(&sketches, &cfg);
+        let ld = plan_cost_sketched(&sketches, &left_deep, &cfg);
+        assert_eq!(
+            (cost.to_bits(), plan.to_string(), ld.to_bits()),
+            (dp_bits, dp_plan.to_string(), left_deep_bits),
+            "{cfg:?}: DP {cost} {plan}, left-deep {ld}"
+        );
+    }
+}

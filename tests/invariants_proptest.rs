@@ -8,9 +8,7 @@ use proptest::prelude::*;
 
 use mnc::core::estimate::estimate_matmul_with;
 use mnc::core::propagate::{propagate_matmul_in, propagate_transpose};
-use mnc::core::{
-    build_distributed_with, estimate_matmul_ci, MncConfig, MncSketch, ScratchArena, SplitMix64,
-};
+use mnc::core::{build_distributed_with, estimate_matmul_ci, MncConfig, MncSketch, SplitMix64};
 use mnc::estimators::{BitsetEstimator, OpKind, SparsityEstimator};
 use mnc::matrix::partition::RowPartitionedMatrix;
 use mnc::matrix::{gen, ops, CsrMatrix};
@@ -243,8 +241,8 @@ proptest! {
         let bounds_only = MncConfig { use_extended: false, ..MncConfig::default() };
         let extended_only = MncConfig { use_bounds: false, ..MncConfig::default() };
         for cfg in [MncConfig::default(), MncConfig::basic(), bounds_only, extended_only] {
-            let hab = propagate_matmul_in(&ha, &hb, &cfg, &mut SplitMix64::new(seed), &mut ScratchArena::new());
-            let hdb = propagate_matmul_in(&hd, &hb, &cfg, &mut SplitMix64::new(seed), &mut ScratchArena::new());
+            let hab = propagate_matmul_in(&ha, &hb, &cfg, &mut SplitMix64::new(seed));
+            let hdb = propagate_matmul_in(&hd, &hb, &cfg, &mut SplitMix64::new(seed));
             let hab_t = propagate_transpose(&hab);
             for (x, y) in [(&ha, &hb), (&hb, &hd), (&hab, &hd), (&hdb, &hab_t)] {
                 let ci = estimate_matmul_ci(x, y, &cfg, confidence);
@@ -331,7 +329,7 @@ proptest! {
         let b = make(n, cols, s2, seed ^ 7);
         let (ha, hb) = (MncSketch::build(&a), MncSketch::build(&b));
         let cfg = MncConfig { seed: 9, ..MncConfig::default() };
-        let hc = MncSketch::propagate_in(&OpKind::MatMul, &[&ha, &hb], &cfg, &mut ScratchArena::new()).unwrap();
+        let hc = MncSketch::propagate_in(&OpKind::MatMul, &[&ha, &hb], &cfg).unwrap();
         let est = MncSketch::estimate(&OpKind::MatMul, &[&ha, &hb]).unwrap() * (m * cols) as f64;
         let got: f64 = hc.hr.iter().map(|&c| c as f64).sum();
         // Rounding noise is bounded by one per entry.
