@@ -3,10 +3,12 @@
 
 use std::sync::Arc;
 
-use mnc::core::{MncConfig, MncSketch, SplitMix64};
+use mnc::core::{MncConfig, MncSketch, OpKind, SplitMix64};
+use mnc::estimators::{MncEstimator, SparsityEstimator};
+use mnc::expr::chain_opt::sketch_dot;
 use mnc::expr::{
     chain_flops_exact, dense_chain_order, plan_cost_sketched, random_plan, sparse_chain_order,
-    PlanTree,
+    sparse_chain_order_cached, EstimationContext, PlanTree,
 };
 use mnc::matrix::{gen, CsrMatrix};
 use proptest::prelude::*;
@@ -208,5 +210,124 @@ fn chain_costs_and_plan_are_pinned() {
             (dp_bits, dp_plan.to_string(), left_deep_bits),
             "{cfg:?}: DP {cost} {plan}, left-deep {ld}"
         );
+    }
+}
+
+/// The cached DP draws its leaf sketches from an estimation context; on a
+/// cold context it must answer exactly what the DP over freshly built
+/// sketches answers, under full MNC and *MNC Basic*.
+#[test]
+fn cached_chain_order_matches_prebuilt_sketches() {
+    let dims = [40usize, 60, 30, 50, 20, 45, 35];
+    let sparsities = [0.05, 0.2, 0.02, 0.3, 0.1, 0.08];
+    let mats = chain(0xC4A1, &dims, &sparsities);
+    for est in [MncEstimator::new(), MncEstimator::basic()] {
+        let cfg = *est.config();
+        let sketches: Vec<MncSketch> = mats
+            .iter()
+            .map(|m| MncSketch::build_with(m, cfg.use_extended))
+            .collect();
+        let (cost, plan) = sparse_chain_order(&sketches, &cfg);
+        let mut ctx = EstimationContext::new();
+        let (cached_cost, cached_plan) = sparse_chain_order_cached(&mut ctx, &est, &mats).unwrap();
+        assert_eq!(cached_cost.to_bits(), cost.to_bits(), "{}", est.name());
+        assert_eq!(cached_plan, plan, "{}", est.name());
+    }
+}
+
+/// A second optimization over the same matrices builds no sketch and
+/// returns the same cost and plan.
+#[test]
+fn warm_cached_chain_order_builds_nothing() {
+    let mats = chain(21, &[30, 45, 25, 60, 15], &[0.1, 0.05, 0.2, 0.3]);
+    let est = MncEstimator::new();
+    let mut ctx = EstimationContext::new();
+    let cold = sparse_chain_order_cached(&mut ctx, &est, &mats).unwrap();
+    let builds = ctx.stats().builds;
+    assert_eq!(builds, mats.len() as u64);
+    let warm = sparse_chain_order_cached(&mut ctx, &est, &mats).unwrap();
+    assert_eq!(ctx.stats().builds, builds);
+    assert_eq!(ctx.stats().cache_hits, mats.len() as u64);
+    assert_eq!((warm.0.to_bits(), &warm.1), (cold.0.to_bits(), &cold.1));
+}
+
+/// The DP borrows its leaves: owned sketches, references and shared
+/// pointers give the same bits.
+#[test]
+fn sparse_dp_accepts_borrowed_and_shared_sketches() {
+    let mats = chain(8, &[20, 35, 10, 40, 25], &[0.2, 0.1, 0.4, 0.05]);
+    let owned: Vec<MncSketch> = mats.iter().map(|m| MncSketch::build(m)).collect();
+    let borrowed: Vec<&MncSketch> = owned.iter().collect();
+    let shared: Vec<Arc<MncSketch>> = owned.iter().cloned().map(Arc::new).collect();
+    for cfg in [MncConfig::default(), MncConfig::basic()] {
+        let (cost, plan) = sparse_chain_order(&owned, &cfg);
+        for (what, (c, p)) in [
+            ("borrowed", sparse_chain_order(&borrowed, &cfg)),
+            ("shared", sparse_chain_order(&shared, &cfg)),
+        ] {
+            assert_eq!(c.to_bits(), cost.to_bits(), "{what} under {cfg:?}");
+            assert_eq!(p, plan, "{what} under {cfg:?}");
+        }
+    }
+}
+
+#[test]
+fn single_matrix_chain_costs_nothing() {
+    let mats = chain(4, &[12, 7], &[0.3]);
+    let sketches: Vec<MncSketch> = mats.iter().map(|m| MncSketch::build(m)).collect();
+    let cfg = MncConfig::default();
+    let (cost, plan) = sparse_chain_order(&sketches, &cfg);
+    assert_eq!(cost, 0.0);
+    assert_eq!(plan, PlanTree::Leaf(0));
+    assert_eq!(plan_cost_sketched(&sketches, &plan, &cfg), 0.0);
+    let mut ctx = EstimationContext::new();
+    let cached = sparse_chain_order_cached(&mut ctx, &MncEstimator::new(), &mats).unwrap();
+    assert_eq!(cached, (0.0, PlanTree::Leaf(0)));
+}
+
+#[test]
+fn basic_sparse_dp_matches_exhaustive_enumeration() {
+    // *MNC Basic* drops the extension vectors and the bounds, so its
+    // propagated sketches, and hence its costs, differ from full MNC's;
+    // the DP must still be optimal under them.
+    let dims = [9usize, 25, 7, 30, 11, 16];
+    let sparsities = [0.15, 0.08, 0.25, 0.12, 0.3];
+    let mats = chain(13, &dims, &sparsities);
+    let cfg = MncConfig::basic();
+    let sketches: Vec<MncSketch> = mats
+        .iter()
+        .map(|m| MncSketch::build_with(m, false))
+        .collect();
+    let (dp_cost, dp_plan) = sparse_chain_order(&sketches, &cfg);
+    assert_eq!(
+        dp_cost.to_bits(),
+        plan_cost_sketched(&sketches, &dp_plan, &cfg).to_bits()
+    );
+    let best = all_plans(0, mats.len() - 1)
+        .iter()
+        .map(|p| plan_cost_sketched(&sketches, p, &cfg))
+        .fold(f64::INFINITY, f64::min);
+    assert!(
+        dp_cost <= best,
+        "DP {dp_cost} worse than exhaustive best {best}"
+    );
+}
+
+/// A left-deep plan's sketched cost is the running sum of the sketch dots
+/// of each prefix product with the next matrix.
+#[test]
+fn left_deep_sketched_cost_is_the_sum_of_prefix_dots() {
+    let mats = chain(31, &[15, 40, 22, 33, 18], &[0.1, 0.2, 0.07, 0.25]);
+    let sketches: Vec<MncSketch> = mats.iter().map(|m| MncSketch::build(m)).collect();
+    for cfg in [MncConfig::default(), MncConfig::basic()] {
+        let mut prefix = sketches[0].clone();
+        let mut want = 0.0f64;
+        for next in &sketches[1..] {
+            want += sketch_dot(&prefix, next);
+            prefix = MncSketch::propagate_in(&OpKind::MatMul, &[&prefix, next], &cfg).unwrap();
+        }
+        let plan = PlanTree::left_deep(sketches.len());
+        let got = plan_cost_sketched(&sketches, &plan, &cfg);
+        assert_eq!(got.to_bits(), want.to_bits(), "{cfg:?}");
     }
 }
