@@ -8,6 +8,10 @@
 //!   product is its multiplication count, computed as the sketch dot
 //!   product `h^c_left · h^r_right` (Eq. 17); an extra memo table `E`
 //!   stores the propagated MNC sketch of each optimal subchain.
+//!   [`sparse_chain_order_cached`] runs the same DP body with its leaves
+//!   and subchain products drawn from an [`EstimationContext`], keyed by
+//!   content: a subchain shares its entry with a DAG node of the same
+//!   parenthesization, and with the same subchain of a later call.
 //!
 //! [`random_plan`] enumerates uniformly random parenthesizations and
 //! [`plan_cost_sketched`] / [`chain_flops_exact`] cost arbitrary plans —
@@ -20,11 +24,15 @@
 //! bit.
 
 use std::borrow::{Borrow, Cow};
+use std::convert::Infallible;
 use std::fmt;
 use std::sync::Arc;
 
 use mnc_core::{MncConfig, MncSketch, OpKind, SplitMix64};
+use mnc_estimators::{EstimatorError, MncEstimator, SparsityEstimator, Synopsis};
 use mnc_matrix::{ops, CsrMatrix};
+
+use crate::session::{EstimationContext, SynopsisKey};
 
 /// A binary parenthesization of a matrix chain; leaves are chain positions.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -107,24 +115,90 @@ pub fn sparse_chain_order<S: Borrow<MncSketch>>(
     sketches: &[S],
     cfg: &MncConfig,
 ) -> (f64, PlanTree) {
-    let n = sketches.len();
+    let leaves = sketches.iter().map(|s| Cow::Borrowed(s.borrow())).collect();
+    let Ok(out) = chain_dp(leaves, |l: &Cow<'_, MncSketch>, r: &Cow<'_, MncSketch>| {
+        Ok::<_, Infallible>(Cow::Owned(product(l, r, cfg)))
+    });
+    out
+}
+
+/// [`sparse_chain_order`] with leaf sketches and subchain products drawn
+/// from an [`EstimationContext`]: each is looked up under its content key
+/// and built or propagated only on a miss. Repeated chain optimization over
+/// overlapping matrix sets (e.g. scoring many rewrites of one program)
+/// builds each sketch and propagates each subchain once, and a DAG walk
+/// over one of the DP's parenthesizations finds its products cached (and
+/// vice versa). The sketch dots are recomputed on every call.
+pub fn sparse_chain_order_cached(
+    ctx: &mut EstimationContext,
+    est: &MncEstimator,
+    mats: &[Arc<CsrMatrix>],
+) -> mnc_estimators::Result<(f64, PlanTree)> {
+    let _span = ctx.recorder().span("chain_opt").op("matmul");
+    let ekey: Arc<str> = est.cache_key().into();
+    let leaves = mats
+        .iter()
+        .map(|m| {
+            let key = SynopsisKey::leaf(m);
+            let syn = ctx.keyed_leaf(est, (Arc::clone(&ekey), key.clone()), m)?;
+            Subchain::new(key, syn)
+        })
+        .collect::<mnc_estimators::Result<Vec<_>>>()?;
+    chain_dp(leaves, |l: &Subchain, r: &Subchain| {
+        let op = OpKind::MatMul;
+        let key = SynopsisKey::derived(&op, [l.key.clone(), r.key.clone()]);
+        let ins = [l.syn.as_ref(), r.syn.as_ref()];
+        let syn = ctx.keyed_op(est, (Arc::clone(&ekey), key.clone()), &op, &ins)?;
+        Subchain::new(key, syn)
+    })
+}
+
+/// A subchain of the cached DP: its content key and its MNC synopsis.
+struct Subchain {
+    key: SynopsisKey,
+    syn: Arc<Synopsis>,
+}
+
+impl Subchain {
+    fn new(key: SynopsisKey, syn: Arc<Synopsis>) -> mnc_estimators::Result<Subchain> {
+        match syn.as_ref() {
+            Synopsis::Mnc(_) => Ok(Subchain { key, syn }),
+            other => Err(EstimatorError::Internal(format!(
+                "sparse_chain_order_cached: MNC estimator produced a non-MNC synopsis {:?}",
+                other.shape()
+            ))),
+        }
+    }
+}
+
+impl Borrow<MncSketch> for Subchain {
+    fn borrow(&self) -> &MncSketch {
+        match self.syn.as_ref() {
+            Synopsis::Mnc(s) => &s.sketch,
+            _ => unreachable!("Subchain::new admits MNC synopses only"),
+        }
+    }
+}
+
+/// The one sparse chain DP. `leaves[i]` holds matrix `i`'s sketch, and
+/// `product(left, right)` the sketch of two adjacent subchains' product.
+/// The whole chain's product is never asked for: only its cost is read.
+fn chain_dp<T: Borrow<MncSketch>, Err>(
+    leaves: Vec<T>,
+    mut product: impl FnMut(&T, &T) -> Result<T, Err>,
+) -> Result<(f64, PlanTree), Err> {
+    let n = leaves.len();
     assert!(n >= 1, "need at least one matrix");
     let mut cost = vec![vec![0.0f64; n]; n];
     let mut split = vec![vec![0usize; n]; n];
-    // E[i][j] for i < j: sketch of the optimal plan for the subchain i..=j.
-    // A single matrix's sketch is read from `sketches` itself.
-    let mut memo: Vec<Vec<Option<MncSketch>>> = vec![vec![None; n]; n];
-    fn subchain<'a, S: Borrow<MncSketch>>(
-        sketches: &'a [S],
-        memo: &'a [Vec<Option<MncSketch>>],
-        i: usize,
-        j: usize,
-    ) -> &'a MncSketch {
-        if i == j {
-            sketches[i].borrow()
-        } else {
-            memo[i][j].as_ref().expect("filled by shorter length")
-        }
+    // E[i][j]: the sketch of the optimal plan for the subchain i..=j; the
+    // diagonal holds the leaves.
+    let mut memo: Vec<Vec<Option<T>>> = (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
+    for (i, leaf) in leaves.into_iter().enumerate() {
+        memo[i][i] = Some(leaf);
+    }
+    fn subchain<T: Borrow<MncSketch>>(memo: &[Vec<Option<T>>], i: usize, j: usize) -> &T {
+        memo[i][j].as_ref().expect("filled by a shorter length")
     }
     for len in 2..=n {
         for i in 0..=n - len {
@@ -132,8 +206,8 @@ pub fn sparse_chain_order<S: Borrow<MncSketch>>(
             cost[i][j] = f64::INFINITY;
             let mut best_k = i;
             for k in i..j {
-                let left = subchain(sketches, &memo, i, k);
-                let right = subchain(sketches, &memo, k + 1, j);
+                let left = subchain(&memo, i, k).borrow();
+                let right = subchain(&memo, k + 1, j).borrow();
                 let c = cost[i][k] + cost[k + 1][j] + sketch_dot(left, right);
                 if c < cost[i][j] {
                     cost[i][j] = c;
@@ -141,44 +215,13 @@ pub fn sparse_chain_order<S: Borrow<MncSketch>>(
                 }
             }
             split[i][j] = best_k;
-            let out = product(
-                subchain(sketches, &memo, i, best_k),
-                subchain(sketches, &memo, best_k + 1, j),
-                cfg,
-            );
-            memo[i][j] = Some(out);
+            if len < n {
+                let out = product(subchain(&memo, i, best_k), subchain(&memo, best_k + 1, j))?;
+                memo[i][j] = Some(out);
+            }
         }
     }
-    (cost[0][n - 1], extract_plan(&split, 0, n - 1))
-}
-
-/// [`sparse_chain_order`] with leaf sketches drawn from an
-/// [`EstimationContext`](crate::EstimationContext) instead of pre-built by
-/// the caller: repeated chain optimization over overlapping matrix sets
-/// (e.g. scoring many rewrites of one program) builds each sketch once.
-/// The DP borrows the cached sketches; none is copied.
-pub fn sparse_chain_order_cached(
-    ctx: &mut crate::session::EstimationContext,
-    est: &mnc_estimators::MncEstimator,
-    mats: &[Arc<CsrMatrix>],
-) -> mnc_estimators::Result<(f64, PlanTree)> {
-    use mnc_estimators::{EstimatorError, Synopsis};
-    let _span = ctx.recorder().span("chain_opt").op("matmul");
-    let leaves = mats
-        .iter()
-        .map(|m| ctx.leaf_synopsis(est, m))
-        .collect::<mnc_estimators::Result<Vec<_>>>()?;
-    let sketches = leaves
-        .iter()
-        .map(|syn| match syn.as_ref() {
-            Synopsis::Mnc(s) => Ok(&s.sketch),
-            other => Err(EstimatorError::Internal(format!(
-                "sparse_chain_order_cached: MNC estimator produced a non-MNC synopsis {:?}",
-                other.shape()
-            ))),
-        })
-        .collect::<mnc_estimators::Result<Vec<_>>>()?;
-    Ok(sparse_chain_order(&sketches, est.config()))
+    Ok((cost[0][n - 1], extract_plan(&split, 0, n - 1)))
 }
 
 /// Estimated sparse multiplication count of the product of two sketched

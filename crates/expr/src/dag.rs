@@ -2,16 +2,15 @@
 //!
 //! Nodes are input matrices (leaves) or operations; edges are data
 //! dependencies. Nodes may be referenced by multiple consumers (it is a DAG,
-//! not a tree), which the estimators exploit by memoizing synopses.
+//! not a tree), which the estimators exploit by memoizing synopses. A DAG
+//! carries no identity of its own: `EstimationContext` keys a node's
+//! synopsis by its content (its matrix, or its operation over its inputs'
+//! keys), so equal expressions in different DAGs share cache entries.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use mnc_estimators::{EstimatorError, OpKind};
 use mnc_matrix::CsrMatrix;
-
-/// Process-wide source of DAG identities (see [`ExprDag::id`]).
-static NEXT_DAG_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Index of a node inside its [`ExprDag`].
 pub type NodeId = usize;
@@ -50,49 +49,16 @@ pub enum ExprNode {
 /// let s = estimate_root(&MncEstimator::new(), &dag, c).unwrap();
 /// assert_eq!(s, 0.25); // the identity product stays diagonal
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone, Default)]
 pub struct ExprDag {
-    /// Process-unique identity; see [`ExprDag::id`].
-    id: u64,
     nodes: Vec<ExprNode>,
     shapes: Vec<(usize, usize)>,
-}
-
-impl Default for ExprDag {
-    fn default() -> Self {
-        ExprDag {
-            id: NEXT_DAG_ID.fetch_add(1, Ordering::Relaxed),
-            nodes: Vec::new(),
-            shapes: Vec::new(),
-        }
-    }
-}
-
-impl Clone for ExprDag {
-    fn clone(&self) -> Self {
-        // A clone can diverge from the original, so it gets a fresh
-        // identity; intermediate synopses cached under (dag id, node id)
-        // never leak across the two.
-        ExprDag {
-            id: NEXT_DAG_ID.fetch_add(1, Ordering::Relaxed),
-            nodes: self.nodes.clone(),
-            shapes: self.shapes.clone(),
-        }
-    }
 }
 
 impl ExprDag {
     /// Creates an empty DAG.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Process-unique identity of this DAG. Node ids are only meaningful
-    /// within one DAG, so `EstimationContext` keys cached intermediate
-    /// synopses by `(dag id, node id)`; the DAG is append-only, which keeps
-    /// a node's content stable under its id for the DAG's lifetime.
-    pub fn id(&self) -> u64 {
-        self.id
     }
 
     /// Number of nodes.
@@ -287,20 +253,6 @@ mod tests {
         assert!(dot.contains(&format!("n{a} -> n{c};")));
         assert!(dot.contains(&format!("n{b} -> n{c};")));
         assert!(dot.trim_end().ends_with('}'));
-    }
-
-    #[test]
-    fn dag_identities_are_unique_and_clones_get_fresh_ones() {
-        let a = ExprDag::new();
-        let b = ExprDag::new();
-        assert_ne!(a.id(), b.id());
-        let c = a.clone();
-        assert_ne!(a.id(), c.id());
-        // Identity is stable across mutation.
-        let id = a.id();
-        let mut a = a;
-        a.leaf("A", Arc::new(CsrMatrix::identity(2)));
-        assert_eq!(a.id(), id);
     }
 
     #[test]

@@ -8,11 +8,14 @@
 //! intermediates instead of rebuilding them per call.
 //!
 //! Cache keys combine the estimator's [`cache_key`] (name + config knobs)
-//! with a [`SynopsisKey`]: leaves are identified by matrix pointer identity
-//! plus shape/nnz (an `Arc<CsrMatrix>` is immutable, so pointer identity is
-//! sound; shape and nnz guard against address reuse after a drop), and
-//! intermediates by `(dag id, node id)` — DAGs are append-only, so a node's
-//! content never changes under its id.
+//! with a content [`SynopsisKey`]. A leaf is identified by its
+//! `Arc<CsrMatrix>` allocation (an `Arc<CsrMatrix>` is immutable, and the
+//! key's `Weak` keeps a dropped matrix's address from being reused while
+//! the key lives). An intermediate is identified by its operation and the
+//! keys of its inputs — a Merkle key. Propagation is pure, so equal keys
+//! describe equal synopses whichever DAG, walk or chain DP derived them:
+//! a fresh DAG over the same leaves, a clone, and the chain optimizer's
+//! subchain of the same parenthesization all share one entry.
 //!
 //! DAG estimation runs the one [`Walk`] with the context as its synopsis
 //! store: the cache answers the walk's probes, and every build, propagate,
@@ -24,10 +27,11 @@
 //!
 //! [`cache_key`]: SparsityEstimator::cache_key
 
-use std::sync::Arc;
+use std::hash::{DefaultHasher, Hash, Hasher};
+use std::sync::{Arc, Weak};
 
 use mnc_core::{EstimationStats, LruSynopsisCache, OpTimer};
-use mnc_estimators::{Result, SparsityEstimator, Synopsis};
+use mnc_estimators::{OpKind, Result, SparsityEstimator, Synopsis};
 use mnc_kernels::WorkerPool;
 use mnc_matrix::CsrMatrix;
 use mnc_obs::{Counter, Gauge, Histogram, Recorder, SpanGuard};
@@ -37,7 +41,7 @@ use crate::walk::{NodeEstimate, SynopsisStore, Walk};
 
 /// Cache key: the estimator's [`cache_key`](SparsityEstimator::cache_key)
 /// and what the synopsis describes.
-type CacheKey = (Arc<str>, SynopsisKey);
+pub(crate) type CacheKey = (Arc<str>, SynopsisKey);
 
 /// Default cache budget: plenty for sketches (`O(m+n)` each), while bounding
 /// the damage when bitsets or retained samples get cached.
@@ -45,28 +49,20 @@ pub const DEFAULT_BYTE_BUDGET: usize = 64 << 20;
 
 /// What a cached synopsis describes (the estimator-independent half of the
 /// cache key; the estimator half is [`SparsityEstimator::cache_key`]).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// Keys compare by content. A derived key hashes in O(1) (its hash is
+/// computed once, from its inputs' hashes) and compares pointer-equal keys
+/// in O(1); otherwise equality walks the structure. Equal hashes alone
+/// never make two keys equal.
+#[derive(Debug, Clone)]
 pub enum SynopsisKey {
-    /// A base matrix, identified by `Arc` pointer identity. Shape and nnz
-    /// disambiguate a reused allocation address after the original `Arc`
-    /// was dropped.
-    Leaf {
-        /// `Arc::as_ptr` of the matrix.
-        ptr: usize,
-        /// Matrix rows.
-        nrows: usize,
-        /// Matrix columns.
-        ncols: usize,
-        /// Matrix non-zero count.
-        nnz: usize,
-    },
-    /// An intermediate: a node of a specific DAG.
-    Node {
-        /// [`ExprDag::id`] of the owning DAG.
-        dag: u64,
-        /// Node id within that DAG.
-        node: NodeId,
-    },
+    /// A base matrix, identified by its `Arc` allocation. Hashed and
+    /// compared by pointer; while any key holds the `Weak`, the allocation
+    /// cannot be reused, so a matrix allocated after the original was
+    /// dropped never takes over its key.
+    Leaf(Weak<CsrMatrix>),
+    /// An intermediate: an operation over the keys of its inputs.
+    Derived(Arc<DerivedKey>),
     /// A synopsis registered under an external name — the key used by
     /// services whose leaves live in a catalog rather than in-process
     /// `Arc<CsrMatrix>` memory.
@@ -76,28 +72,104 @@ pub enum SynopsisKey {
     },
 }
 
+/// The content of a [`SynopsisKey::Derived`] key.
+#[derive(Debug)]
+pub struct DerivedKey {
+    /// Hash of `op` and the inputs' hashes.
+    hash: u64,
+    /// The operation, including reshape's target shape.
+    op: OpKind,
+    /// The inputs' keys, in operand order.
+    inputs: Box<[SynopsisKey]>,
+}
+
 impl SynopsisKey {
     /// Key for a base matrix.
     pub fn leaf(m: &Arc<CsrMatrix>) -> SynopsisKey {
-        SynopsisKey::Leaf {
-            ptr: Arc::as_ptr(m) as usize,
-            nrows: m.nrows(),
-            ncols: m.ncols(),
-            nnz: m.nnz(),
-        }
+        SynopsisKey::Leaf(Arc::downgrade(m))
     }
 
-    /// Key for a DAG node.
-    pub fn node(dag: &ExprDag, id: NodeId) -> SynopsisKey {
-        SynopsisKey::Node {
-            dag: dag.id(),
-            node: id,
+    /// Key for the result of `op` over inputs with the given keys.
+    pub fn derived(op: &OpKind, inputs: impl IntoIterator<Item = SynopsisKey>) -> SynopsisKey {
+        let inputs: Box<[SynopsisKey]> = inputs.into_iter().collect();
+        let mut h = DefaultHasher::new();
+        // The variant and reshape's target shape; equality still compares
+        // the whole op.
+        std::mem::discriminant(op).hash(&mut h);
+        if let OpKind::Reshape { rows, cols } = op {
+            (rows, cols).hash(&mut h);
         }
+        for i in inputs.iter() {
+            h.write_u64(i.content_hash());
+        }
+        SynopsisKey::Derived(Arc::new(DerivedKey {
+            hash: h.finish(),
+            op: op.clone(),
+            inputs,
+        }))
     }
 
     /// Key for a named (catalog) synopsis.
     pub fn named(name: &str) -> SynopsisKey {
         SynopsisKey::Named { name: name.into() }
+    }
+
+    fn content_hash(&self) -> u64 {
+        match self {
+            SynopsisKey::Leaf(m) => Weak::as_ptr(m) as usize as u64,
+            SynopsisKey::Derived(d) => d.hash,
+            SynopsisKey::Named { name } => {
+                let mut h = DefaultHasher::new();
+                name.hash(&mut h);
+                h.finish()
+            }
+        }
+    }
+
+    /// Structural equality. `proven` holds the derived pairs already found
+    /// equal, so a subexpression shared along many paths is compared once
+    /// per pair of keys rather than once per path.
+    fn same(&self, other: &SynopsisKey, proven: &mut Vec<(usize, usize)>) -> bool {
+        match (self, other) {
+            (SynopsisKey::Leaf(a), SynopsisKey::Leaf(b)) => Weak::ptr_eq(a, b),
+            (SynopsisKey::Named { name: a }, SynopsisKey::Named { name: b }) => a == b,
+            (SynopsisKey::Derived(a), SynopsisKey::Derived(b)) => {
+                if Arc::ptr_eq(a, b) {
+                    return true;
+                }
+                if a.hash != b.hash || a.op != b.op || a.inputs.len() != b.inputs.len() {
+                    return false;
+                }
+                let pair = (Arc::as_ptr(a) as usize, Arc::as_ptr(b) as usize);
+                if proven.contains(&pair) {
+                    return true;
+                }
+                let eq = a
+                    .inputs
+                    .iter()
+                    .zip(b.inputs.iter())
+                    .all(|(x, y)| x.same(y, proven));
+                if eq {
+                    proven.push(pair);
+                }
+                eq
+            }
+            _ => false,
+        }
+    }
+}
+
+impl PartialEq for SynopsisKey {
+    fn eq(&self, other: &SynopsisKey) -> bool {
+        self.same(other, &mut Vec::new())
+    }
+}
+
+impl Eq for SynopsisKey {}
+
+impl Hash for SynopsisKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.content_hash());
     }
 }
 
@@ -260,7 +332,17 @@ impl EstimationContext {
         est: &E,
         m: &Arc<CsrMatrix>,
     ) -> Result<Arc<Synopsis>> {
-        let key = (est.cache_key().into(), SynopsisKey::leaf(m));
+        self.keyed_leaf(est, (est.cache_key().into(), SynopsisKey::leaf(m)), m)
+    }
+
+    /// [`leaf_synopsis`](Self::leaf_synopsis) under a key the caller
+    /// already built.
+    pub(crate) fn keyed_leaf<E: SparsityEstimator + ?Sized>(
+        &mut self,
+        est: &E,
+        key: CacheKey,
+        m: &Arc<CsrMatrix>,
+    ) -> Result<Arc<Synopsis>> {
         if let Some(syn) = self.lookup(&key) {
             return Ok(syn);
         }
@@ -268,6 +350,28 @@ impl EstimationContext {
         let t = OpTimer::start();
         let syn = Arc::new(est.build(m)?);
         self.built(key, span, t.elapsed_ns(), &syn);
+        Ok(syn)
+    }
+
+    /// The synopsis of `op` over `ins` under `key` (the derived key of
+    /// `op` over the inputs' keys): looked up, else propagated and
+    /// admitted. The chain optimizer's subchain products take this path,
+    /// so a subchain and a DAG node of the same parenthesization share an
+    /// entry.
+    pub(crate) fn keyed_op<E: SparsityEstimator + ?Sized>(
+        &mut self,
+        est: &E,
+        key: CacheKey,
+        op: &OpKind,
+        ins: &[&Synopsis],
+    ) -> Result<Arc<Synopsis>> {
+        if let Some(syn) = self.lookup(&key) {
+            return Ok(syn);
+        }
+        let span = self.op_span(op, ins, false);
+        let t = OpTimer::start();
+        let syn = Arc::new(est.propagate(op, ins)?);
+        self.propagated(op, key, span, t.elapsed_ns(), &syn);
         Ok(syn)
     }
 
@@ -367,6 +471,7 @@ impl EstimationContext {
             ekey: est.cache_key().into(),
             est_name: est.name(),
             span: None,
+            keys: vec![None; dag.len()],
             ctx: self,
         };
         let mut walk = Walk::new(est, dag, &pool, store, memo);
@@ -394,6 +499,35 @@ impl EstimationContext {
         self.h_build.record(ns);
         self.close(span, syn);
         self.admit(key, syn);
+    }
+
+    /// Accounts an intermediate propagated in `ns` and admits it.
+    fn propagated(
+        &mut self,
+        op: &OpKind,
+        key: CacheKey,
+        span: SpanGuard,
+        ns: u64,
+        syn: &Arc<Synopsis>,
+    ) {
+        self.stats.record_propagate(op.name(), ns);
+        self.h_propagate.record(ns);
+        self.close(span, syn);
+        self.admit(key, syn);
+    }
+
+    /// Opens the span of `op` over `ins`: a root `estimate` or a
+    /// `propagate`.
+    fn op_span(&self, op: &OpKind, ins: &[&Synopsis], estimate: bool) -> SpanGuard {
+        let name = if estimate { "estimate" } else { "propagate" };
+        let span = self.rec.span(name).op(op.name());
+        // Synopsis::nnz() is not free for every synopsis type (bitsets
+        // count bits), so only pay for it when tracing.
+        if self.rec.is_enabled() {
+            span.nnz_in(ins.iter().map(|s| s.nnz()).sum())
+        } else {
+            span
+        }
     }
 
     /// Closes the span that produced `syn`, stamping its size when tracing.
@@ -437,67 +571,73 @@ struct Cached<'c> {
     est_name: &'static str,
     /// The span `begin` opened and `done` closes.
     span: Option<SpanGuard>,
+    /// Each node's content key, built at most once per walk.
+    keys: Vec<Option<SynopsisKey>>,
 }
 
 impl Cached<'_> {
-    fn key(&self, dag: &ExprDag, id: NodeId) -> CacheKey {
-        let what = match dag.node(id) {
+    fn cache_key(&mut self, dag: &ExprDag, id: NodeId) -> CacheKey {
+        (Arc::clone(&self.ekey), self.node_key(dag, id))
+    }
+
+    /// The key of node `id`: a leaf's matrix, or an op over its inputs'
+    /// keys (built first, each once).
+    fn node_key(&mut self, dag: &ExprDag, id: NodeId) -> SynopsisKey {
+        if let Some(key) = &self.keys[id] {
+            return key.clone();
+        }
+        let key = match dag.node(id) {
             ExprNode::Leaf { matrix, .. } => SynopsisKey::leaf(matrix),
-            ExprNode::Op { .. } => SynopsisKey::node(dag, id),
+            ExprNode::Op { op, inputs } => {
+                SynopsisKey::derived(op, inputs.iter().map(|&i| self.node_key(dag, i)))
+            }
         };
-        (Arc::clone(&self.ekey), what)
+        self.keys[id] = Some(key.clone());
+        key
     }
 }
 
 impl SynopsisStore<ExprDag> for Cached<'_> {
+    type Key = SynopsisKey;
+
+    fn key(&mut self, dag: &ExprDag, id: NodeId) -> Option<SynopsisKey> {
+        Some(self.node_key(dag, id))
+    }
+
     fn probe(&mut self, dag: &ExprDag, id: NodeId) -> Option<Arc<Synopsis>> {
-        let key = self.key(dag, id);
+        let key = self.cache_key(dag, id);
         self.ctx.lookup(&key)
     }
 
     fn begin(&mut self, dag: &ExprDag, id: NodeId, ins: &[&Synopsis], estimate: bool) {
-        let rec = &self.ctx.rec;
         let span = match dag.node(id) {
-            ExprNode::Leaf { matrix, .. } => rec
+            ExprNode::Leaf { matrix, .. } => self
+                .ctx
+                .rec
                 .span("build")
                 .op(self.est_name)
                 .nnz_in(matrix.nnz() as u64),
-            ExprNode::Op { op, .. } => {
-                let name = if estimate { "estimate" } else { "propagate" };
-                let span = rec.span(name).op(op.name());
-                // Synopsis::nnz() is not free for every synopsis type
-                // (bitsets count bits), so only pay for it when tracing.
-                if rec.is_enabled() {
-                    span.nnz_in(ins.iter().map(|s| s.nnz()).sum())
-                } else {
-                    span
-                }
-            }
+            ExprNode::Op { op, .. } => self.ctx.op_span(op, ins, estimate),
         };
         self.span = Some(span);
     }
 
     fn done(&mut self, dag: &ExprDag, id: NodeId, ns: u64, syn: Option<&Arc<Synopsis>>) {
-        let span = self.span.take();
-        let ctx = &mut *self.ctx;
+        let span = self.span.take().expect("begin opens a span");
         match (dag.node(id), syn) {
-            (ExprNode::Leaf { .. }, _) => {
-                ctx.stats.record_build(ns);
-                ctx.h_build.record(ns);
+            (ExprNode::Leaf { .. }, Some(syn)) => {
+                let key = self.cache_key(dag, id);
+                self.ctx.built(key, span, ns, syn);
             }
-            (ExprNode::Op { op, .. }, Some(_)) => {
-                ctx.stats.record_propagate(op.name(), ns);
-                ctx.h_propagate.record(ns);
+            (ExprNode::Op { op, .. }, Some(syn)) => {
+                let key = self.cache_key(dag, id);
+                self.ctx.propagated(op, key, span, ns, syn);
             }
             (ExprNode::Op { op, .. }, None) => {
-                ctx.stats.record_estimate(op.name(), ns);
-                ctx.h_estimate.record(ns);
+                self.ctx.stats.record_estimate(op.name(), ns);
+                self.ctx.h_estimate.record(ns);
             }
-        }
-        if let (Some(span), Some(syn)) = (span, syn) {
-            ctx.close(span, syn);
-            let key = self.key(dag, id);
-            self.ctx.admit(key, syn);
+            (ExprNode::Leaf { .. }, None) => unreachable!("a leaf is built, never estimated"),
         }
     }
 }
@@ -604,18 +744,117 @@ mod tests {
     }
 
     #[test]
-    fn intermediates_are_keyed_per_dag() {
+    fn intermediates_are_keyed_by_content() {
         let (dag, root) = chain_dag(5);
-        let clone = dag.clone();
-        assert_ne!(dag.id(), clone.id());
         let est = MncEstimator::new();
         let mut ctx = EstimationContext::new();
         ctx.estimate_root(&est, &dag, root).unwrap();
-        let misses = ctx.stats().cache_misses;
-        ctx.estimate_root(&est, &clone, root).unwrap();
-        // The clone shares leaf Arcs (hits) but not intermediates (misses).
-        assert!(ctx.stats().cache_hits >= 3);
-        assert!(ctx.stats().cache_misses > misses);
+        let (misses, builds) = (ctx.stats().cache_misses, ctx.stats().builds);
+
+        // A clone, and a DAG built afresh over the same matrices, describe
+        // the same expression: the AB intermediate and the C leaf hit.
+        let mut fresh = ExprDag::new();
+        let leaves: Vec<NodeId> = (0..3)
+            .map(|i| {
+                let ExprNode::Leaf { name, matrix } = dag.node(i) else {
+                    unreachable!("chain_dag adds its leaves first")
+                };
+                fresh.leaf(name.clone(), Arc::clone(matrix))
+            })
+            .collect();
+        let ab = fresh.matmul(leaves[0], leaves[1]).unwrap();
+        let fresh_root = fresh.matmul(ab, leaves[2]).unwrap();
+        for (other, other_root) in [(dag.clone(), root), (fresh, fresh_root)] {
+            let hits = ctx.stats().cache_hits;
+            ctx.estimate_root(&est, &other, other_root).unwrap();
+            assert_eq!(ctx.stats().cache_hits, hits + 2);
+            assert_eq!(ctx.stats().cache_misses, misses);
+            assert_eq!(ctx.stats().builds, builds);
+        }
+    }
+
+    #[test]
+    fn a_dropped_leaf_never_answers_for_a_new_matrix() {
+        // Same shape and nnz: a diagonal, then one full row. Without the
+        // key pinning the first allocation, the second matrix could reuse
+        // its address and be answered with the diagonal's sketch.
+        let n = 100;
+        let est = MncEstimator::new();
+        let mut ctx = EstimationContext::new();
+        let a = Arc::new(CsrMatrix::identity(n));
+        let sa = ctx.leaf_synopsis(&est, &a).unwrap();
+        drop(a);
+        let b = Arc::new(CsrMatrix::from_triples(n, n, (0..n).map(|j| (0, j, 1.0))).unwrap());
+        assert_eq!(b.nnz(), n);
+        let sb = ctx.leaf_synopsis(&est, &b).unwrap();
+        let hr = |syn: &Synopsis| match syn {
+            Synopsis::Mnc(s) => s.sketch.hr.clone(),
+            _ => unreachable!("MNC synopsis"),
+        };
+        assert_eq!(hr(&sa), vec![1; n]);
+        assert_eq!(hr(&sb), hr(&est.build(&b).unwrap()));
+        assert_eq!(ctx.stats().builds, 2);
+        assert_eq!(ctx.stats().cache_hits, 0);
+    }
+
+    #[test]
+    fn reshapes_to_different_shapes_never_share_an_entry() {
+        let mut r = rng(15);
+        let m = Arc::new(gen::rand_uniform(&mut r, 12, 10, 0.2));
+        let est = MncEstimator::new();
+        let mut ctx = EstimationContext::new();
+        let mut shapes = Vec::new();
+        for (rows, cols) in [(24, 5), (5, 24), (24, 5)] {
+            let mut dag = ExprDag::new();
+            let a = dag.leaf("A", Arc::clone(&m));
+            let re = dag.reshape(a, rows, cols).unwrap();
+            shapes.push(ctx.node_synopsis(&est, &dag, re).unwrap().shape());
+        }
+        assert_eq!(shapes, [(24, 5), (5, 24), (24, 5)]);
+        // Two distinct reshapes propagated; the third hit the first's.
+        let props: u64 = ctx.stats().per_op().map(|(_, s)| s.propagations).sum();
+        assert_eq!(props, 2);
+        assert_eq!(ctx.stats().cache_hits, 2); // the leaf, then reshape(24, 5)
+    }
+
+    #[test]
+    fn equal_keys_need_equal_structure_not_just_equal_hashes() {
+        let mut r = rng(16);
+        let a = Arc::new(gen::rand_uniform(&mut r, 6, 6, 0.3));
+        let b = Arc::new(gen::rand_uniform(&mut r, 6, 6, 0.3));
+        let (ka, kb) = (SynopsisKey::leaf(&a), SynopsisKey::leaf(&b));
+        let ab = SynopsisKey::derived(&OpKind::MatMul, [ka.clone(), kb.clone()]);
+        assert_eq!(
+            ab,
+            SynopsisKey::derived(&OpKind::MatMul, [ka.clone(), kb.clone()])
+        );
+        assert_ne!(
+            ab,
+            SynopsisKey::derived(&OpKind::MatMul, [kb.clone(), ka.clone()])
+        );
+        assert_ne!(
+            ab,
+            SynopsisKey::derived(&OpKind::EwMul, [ka.clone(), kb.clone()])
+        );
+        assert_ne!(ka, SynopsisKey::named("A"));
+        // Forge a hash collision: same hash, different operation.
+        let SynopsisKey::Derived(d) = &ab else {
+            unreachable!()
+        };
+        let forged = SynopsisKey::Derived(Arc::new(DerivedKey {
+            hash: d.hash,
+            op: OpKind::EwAdd,
+            inputs: vec![ka, kb].into(),
+        }));
+        assert_ne!(ab, forged);
+        // A deep doubling expression compares in linear time.
+        let double = |k: SynopsisKey| SynopsisKey::derived(&OpKind::EwAdd, [k.clone(), k]);
+        let (mut x, mut y) = (SynopsisKey::leaf(&a), SynopsisKey::leaf(&a));
+        for _ in 0..64 {
+            x = double(x);
+            y = double(y);
+        }
+        assert_eq!(x, y);
     }
 
     #[test]

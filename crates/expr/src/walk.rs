@@ -21,9 +21,12 @@
 //! * the wavefront computes missed nodes level by level on a parallel
 //!   [`WorkerPool`], for every estimator with a [`Sync`] view. Workers
 //!   compute `(synopsis, ns)` pairs; store hooks run afterwards in
-//!   ascending node order, so hit/miss and span counts equal the
-//!   sequential walk's.
+//!   ascending node order. A node whose store key equals an earlier miss's
+//!   is computed once and probed after it, as the sequential walk would,
+//!   so hit/miss and span counts equal the sequential walk's.
 
+use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::Arc;
 
 use mnc_core::OpTimer;
@@ -99,6 +102,16 @@ impl DagView for ExprDag {
 /// beyond the plain computation, so `()` is the store of a walk without a
 /// cache or telemetry.
 pub trait SynopsisStore<D: DagView> {
+    /// What identifies a node's synopsis: nodes with equal keys have equal
+    /// synopses.
+    type Key: Eq + Hash;
+
+    /// The key of node `id`, or `None` (the default) for a store that tells
+    /// nodes apart by id only. The wavefront computes one synopsis per key.
+    fn key(&mut self, _dag: &D, _id: NodeId) -> Option<Self::Key> {
+        None
+    }
+
     /// Looks node `id` up before the walk computes it (at most once per
     /// node and walk, in pre-order).
     fn probe(&mut self, _dag: &D, _id: NodeId) -> Option<Arc<Synopsis>> {
@@ -114,7 +127,9 @@ pub trait SynopsisStore<D: DagView> {
     fn done(&mut self, _dag: &D, _id: NodeId, _ns: u64, _syn: Option<&Arc<Synopsis>>) {}
 }
 
-impl<D: DagView> SynopsisStore<D> for () {}
+impl<D: DagView> SynopsisStore<D> for () {
+    type Key = ();
+}
 
 /// One walk over one DAG: the estimator, the store, and the per-walk memo.
 pub struct Walk<'a, E: ?Sized, D, S> {
@@ -238,17 +253,29 @@ where
         let (est, dag) = (self.est, self.dag);
 
         // Discovery replays the sequential walk's pre-order probes, so
-        // hit/miss counts match it exactly.
+        // hit/miss counts match it exactly. A node whose key an earlier
+        // miss shares is that miss's twin: the sequential walk would probe
+        // it after computing the miss, and hit.
+        let mut seen = vec![false; dag.len()];
         let mut missed = vec![false; dag.len()];
+        let mut first_miss: HashMap<S::Key, NodeId> = HashMap::new();
+        let mut twins: Vec<(NodeId, NodeId)> = Vec::new();
         let mut stack: Vec<NodeId> = roots.into_iter().rev().collect();
         while let Some(id) = stack.pop() {
-            if self.memo[id].is_some() || missed[id] {
+            if self.memo[id].is_some() || seen[id] {
+                continue;
+            }
+            seen[id] = true;
+            let key = self.store.key(dag, id);
+            if let Some(&miss) = key.as_ref().and_then(|k| first_miss.get(k)) {
+                twins.push((id, miss));
                 continue;
             }
             match self.store.probe(dag, id) {
                 Some(syn) => self.memo[id] = Some(syn),
                 None => {
                     missed[id] = true;
+                    first_miss.extend(key.map(|k| (k, id)));
                     stack.extend(dag.node(id).inputs().iter().rev());
                 }
             }
@@ -282,8 +309,22 @@ where
                 self.store.done(dag, id, ns, Some(&syn));
                 self.memo[id] = Some(syn);
             }
+            self.resolve_twins(&mut twins);
         }
+        debug_assert!(twins.is_empty(), "every twin's miss is computed");
         Ok(())
+    }
+
+    /// Probes each twin whose miss is now computed, and takes the miss's
+    /// synopsis should the store no longer hold it.
+    fn resolve_twins(&mut self, twins: &mut Vec<(NodeId, NodeId)>) {
+        twins.retain(|&(id, miss)| {
+            let Some(computed) = self.memo[miss].clone() else {
+                return true;
+            };
+            self.memo[id] = Some(self.store.probe(self.dag, id).unwrap_or(computed));
+            false
+        });
     }
 }
 

@@ -192,3 +192,90 @@ proptest! {
         }
     }
 }
+
+/// Two separately built but equal `A·B` nodes (the second over its own
+/// leaf node of the same matrix) joined by an add, the second optionally
+/// behind a transpose. Equal content keys make them one cache entry.
+fn twin_dag(seed: u64, d: usize, transposed: bool) -> Dag {
+    let mut dag = ExprDag::new();
+    let (a, b) = (make(d, d, 0.05, seed), make(d, d, 0.04, seed ^ 5));
+    let (a1, b1) = (dag.leaf("A", Arc::clone(&a)), dag.leaf("B", Arc::clone(&b)));
+    let a2 = dag.leaf("A again", a);
+    let ab1 = dag.matmul(a1, b1).expect("square");
+    let ab2 = dag.matmul(a2, b1).expect("square");
+    let right = if transposed {
+        dag.transpose(ab2).expect("unary")
+    } else {
+        ab2
+    };
+    let root = dag.ew_add(ab1, right).expect("same shape");
+    (dag, root)
+}
+
+/// A repeated subexpression is computed once, and the wavefront's cache
+/// statistics equal the sequential walk's: the second `A·B` hits in both.
+#[test]
+fn repeated_subexpressions_are_computed_once_at_every_thread_count() {
+    let stats = |ctx: &EstimationContext| {
+        let props: u64 = ctx.stats().per_op().map(|(_, s)| s.propagations).sum();
+        (
+            ctx.stats().builds,
+            props,
+            ctx.stats().cache_hits,
+            ctx.stats().cache_misses,
+        )
+    };
+    let ests: Vec<Box<dyn SparsityEstimator>> = vec![
+        Box::new(MncEstimator::new()),
+        Box::new(det_mnc()),
+        Box::new(DensityMapEstimator::default()),
+        Box::new(BitsetEstimator::default()),
+        Box::new(MetaAcEstimator),
+    ];
+    for transposed in [false, true] {
+        let (dag, root) = twin_dag(41, 48, transposed);
+        // Cold: A, B and the first A·B miss (plus the transpose), the
+        // second A·B hits; only the first A·B is propagated.
+        let cold_want = if transposed {
+            (2, 2, 1, 4)
+        } else {
+            (2, 1, 1, 3)
+        };
+        for est in &ests {
+            let mut seq = EstimationContext::new();
+            let cold = seq
+                .estimate_root(est.as_ref(), &dag, root)
+                .expect("estimate");
+            let seq_cold = stats(&seq);
+            assert_eq!(seq_cold, cold_want, "{} sequential", est.name());
+            seq.estimate_root(est.as_ref(), &dag, root)
+                .expect("estimate");
+            let seq_warm = stats(&seq);
+            for t in thread_counts() {
+                let mut par = EstimationContext::new().with_threads(t);
+                let p_cold = par
+                    .estimate_root(est.as_ref(), &dag, root)
+                    .expect("estimate");
+                assert_eq!(
+                    cold.to_bits(),
+                    p_cold.to_bits(),
+                    "{} at {t} threads",
+                    est.name()
+                );
+                assert_eq!(stats(&par), seq_cold, "{} cold at {t} threads", est.name());
+                par.estimate_root(est.as_ref(), &dag, root)
+                    .expect("estimate");
+                assert_eq!(stats(&par), seq_warm, "{} warm at {t} threads", est.name());
+                let all = par
+                    .materialize_all(est.as_ref(), &dag)
+                    .expect("materialize");
+                let seq_all = EstimationContext::new()
+                    .materialize_all(est.as_ref(), &dag)
+                    .expect("materialize");
+                for (p, s) in all.iter().zip(&seq_all) {
+                    assert_eq!(p.sparsity().to_bits(), s.sparsity().to_bits());
+                }
+            }
+        }
+    }
+}

@@ -8,7 +8,7 @@ use mnc::estimators::{MncEstimator, SparsityEstimator};
 use mnc::expr::chain_opt::sketch_dot;
 use mnc::expr::{
     chain_flops_exact, dense_chain_order, plan_cost_sketched, random_plan, sparse_chain_order,
-    sparse_chain_order_cached, EstimationContext, PlanTree,
+    sparse_chain_order_cached, EstimationContext, ExprDag, NodeId, PlanTree,
 };
 use mnc::matrix::{gen, CsrMatrix};
 use proptest::prelude::*;
@@ -235,8 +235,9 @@ fn cached_chain_order_matches_prebuilt_sketches() {
     }
 }
 
-/// A second optimization over the same matrices builds no sketch and
-/// returns the same cost and plan.
+/// A second optimization over the same matrices builds no sketch,
+/// propagates no subchain, and returns the same cost and plan: every leaf
+/// and every subchain below the whole chain hits the context.
 #[test]
 fn warm_cached_chain_order_builds_nothing() {
     let mats = chain(21, &[30, 45, 25, 60, 15], &[0.1, 0.05, 0.2, 0.3]);
@@ -245,10 +246,92 @@ fn warm_cached_chain_order_builds_nothing() {
     let cold = sparse_chain_order_cached(&mut ctx, &est, &mats).unwrap();
     let builds = ctx.stats().builds;
     assert_eq!(builds, mats.len() as u64);
+    let props = propagations(&ctx);
+    // Subchains i..=j with i < j, less the whole chain, whose sketch
+    // nothing reads.
+    let n = mats.len() as u64;
+    let subchains = n * (n - 1) / 2 - 1;
+    assert_eq!(props, subchains);
     let warm = sparse_chain_order_cached(&mut ctx, &est, &mats).unwrap();
     assert_eq!(ctx.stats().builds, builds);
-    assert_eq!(ctx.stats().cache_hits, mats.len() as u64);
+    assert_eq!(propagations(&ctx), props);
+    assert_eq!(ctx.stats().cache_hits, n + subchains);
     assert_eq!((warm.0.to_bits(), &warm.1), (cold.0.to_bits(), &cold.1));
+}
+
+fn propagations(ctx: &EstimationContext) -> u64 {
+    ctx.stats().per_op().map(|(_, s)| s.propagations).sum()
+}
+
+/// The DP's subchain products and a DAG walk over the DP's own plan share
+/// cache entries: the walk finds every product below its root cached and
+/// propagates nothing, and estimates the root the DP never propagated.
+#[test]
+fn walk_over_the_dp_plan_hits_the_dp_entries() {
+    let mats = chain(
+        0xC4A1,
+        &[40, 60, 30, 50, 20, 45, 35],
+        &[0.05, 0.2, 0.02, 0.3, 0.1, 0.08],
+    );
+    let est = MncEstimator::new();
+    let mut ctx = EstimationContext::new();
+    let (_, plan) = sparse_chain_order_cached(&mut ctx, &est, &mats).unwrap();
+    let (builds, props, misses) = (
+        ctx.stats().builds,
+        propagations(&ctx),
+        ctx.stats().cache_misses,
+    );
+
+    let mut dag = ExprDag::new();
+    let leaves: Vec<NodeId> = mats
+        .iter()
+        .enumerate()
+        .map(|(i, m)| dag.leaf(format!("M{i}"), Arc::clone(m)))
+        .collect();
+    fn build(dag: &mut ExprDag, plan: &PlanTree, leaves: &[NodeId]) -> NodeId {
+        match plan {
+            PlanTree::Leaf(i) => leaves[*i],
+            PlanTree::Node(l, r) => {
+                let (l, r) = (build(dag, l, leaves), build(dag, r, leaves));
+                dag.matmul(l, r).unwrap()
+            }
+        }
+    }
+    let root = build(&mut dag, &plan, &leaves);
+    let hits = ctx.stats().cache_hits;
+    let warm = ctx.estimate_root(&est, &dag, root).unwrap();
+    // The root's two inputs hit, short-circuiting everything below them.
+    assert_eq!(ctx.stats().cache_hits, hits + 2);
+    assert_eq!(ctx.stats().builds, builds);
+    assert_eq!(propagations(&ctx), props);
+    assert_eq!(ctx.stats().cache_misses, misses);
+    let cold = EstimationContext::new()
+        .estimate_root(&est, &dag, root)
+        .unwrap();
+    assert_eq!(warm.to_bits(), cold.to_bits());
+}
+
+/// MNC and *MNC Basic* derive different sketches from the same chain, so
+/// they never share a leaf or a subchain entry.
+#[test]
+fn mnc_and_mnc_basic_never_share_a_chain_entry() {
+    let mats = chain(17, &[25, 40, 30, 35, 20], &[0.1, 0.2, 0.05, 0.15]);
+    let mut ctx = EstimationContext::new();
+    let full = sparse_chain_order_cached(&mut ctx, &MncEstimator::new(), &mats).unwrap();
+    let misses = ctx.stats().cache_misses;
+    let basic = sparse_chain_order_cached(&mut ctx, &MncEstimator::basic(), &mats).unwrap();
+    assert_eq!(ctx.stats().cache_hits, 0);
+    assert_eq!(ctx.stats().cache_misses, 2 * misses);
+    // Each answers what a cold context answers for it.
+    for (est, got) in [(MncEstimator::new(), full), (MncEstimator::basic(), basic)] {
+        let cold = sparse_chain_order_cached(&mut EstimationContext::new(), &est, &mats).unwrap();
+        assert_eq!(
+            (got.0.to_bits(), &got.1),
+            (cold.0.to_bits(), &cold.1),
+            "{}",
+            est.name()
+        );
+    }
 }
 
 /// The DP borrows its leaves: owned sketches, references and shared
