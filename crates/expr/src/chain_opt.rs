@@ -144,23 +144,36 @@ pub fn sparse_chain_order_cached(
             Subchain::new(key, syn)
         })
         .collect::<mnc_estimators::Result<Vec<_>>>()?;
+    cached_chain_dp(ctx, est, &ekey, leaves)
+}
+
+/// The sparse chain DP over leaves already drawn from `ctx`, each under
+/// its content key (`ekey` is `est`'s half of the cache key). Subchain
+/// products are looked up under the key a walk gives the same
+/// parenthesization, and propagated and admitted on a miss.
+pub(crate) fn cached_chain_dp(
+    ctx: &mut EstimationContext,
+    est: &MncEstimator,
+    ekey: &Arc<str>,
+    leaves: Vec<Subchain>,
+) -> mnc_estimators::Result<(f64, PlanTree)> {
     chain_dp(leaves, |l: &Subchain, r: &Subchain| {
         let op = OpKind::MatMul;
         let key = SynopsisKey::derived(&op, [l.key.clone(), r.key.clone()]);
         let ins = [l.syn.as_ref(), r.syn.as_ref()];
-        let syn = ctx.keyed_op(est, (Arc::clone(&ekey), key.clone()), &op, &ins)?;
+        let syn = ctx.keyed_op(est, (Arc::clone(ekey), key.clone()), &op, &ins)?;
         Subchain::new(key, syn)
     })
 }
 
 /// A subchain of the cached DP: its content key and its MNC synopsis.
-struct Subchain {
+pub(crate) struct Subchain {
     key: SynopsisKey,
     syn: Arc<Synopsis>,
 }
 
 impl Subchain {
-    fn new(key: SynopsisKey, syn: Arc<Synopsis>) -> mnc_estimators::Result<Subchain> {
+    pub(crate) fn new(key: SynopsisKey, syn: Arc<Synopsis>) -> mnc_estimators::Result<Subchain> {
         match syn.as_ref() {
             Synopsis::Mnc(_) => Ok(Subchain { key, syn }),
             other => Err(EstimatorError::Internal(format!(

@@ -11,13 +11,14 @@
 //! intermediates are preserved untouched.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
-use mnc_core::{MncConfig, MncSketch};
-use mnc_estimators::{OpKind, Result};
+use mnc_core::MncConfig;
+use mnc_estimators::{MncEstimator, OpKind, Result, SparsityEstimator};
 
-use crate::chain_opt::{sparse_chain_order, PlanTree};
+use crate::chain_opt::{cached_chain_dp, PlanTree, Subchain};
 use crate::dag::{ExprDag, ExprNode, NodeId};
-use crate::session::EstimationContext;
+use crate::session::{node_key, EstimationContext};
 
 /// Outcome of a rewrite pass.
 #[derive(Debug)]
@@ -68,8 +69,11 @@ pub fn rewrite_mm_chains(dag: &ExprDag, cfg: &MncConfig) -> Result<RewriteResult
     rewrite_mm_chains_with_context(dag, cfg, &mut EstimationContext::new())
 }
 
-/// [`rewrite_mm_chains`] against a shared estimation session: chain-input
-/// sketches come from the context's cache.
+/// [`rewrite_mm_chains`] against a shared estimation session: each chain
+/// input's sketch is its context entry, under the key a walk gives that
+/// node, and the chain DP looks its subchain products up in the context
+/// as [`sparse_chain_order_cached`](crate::chain_opt::sparse_chain_order_cached)
+/// does, propagating only the ones it lacks.
 pub fn rewrite_mm_chains_with_context(
     dag: &ExprDag,
     cfg: &MncConfig,
@@ -77,7 +81,9 @@ pub fn rewrite_mm_chains_with_context(
 ) -> Result<RewriteResult> {
     let span = ctx.recorder().span("rewrite").op("matmul");
     let consumers = consumer_counts(dag);
-    let mnc = mnc_estimators::MncEstimator::with_config("MNC", *cfg);
+    let mnc = MncEstimator::with_config("MNC", *cfg);
+    let ekey: Arc<str> = mnc.cache_key().into();
+    let mut keys = vec![None; dag.len()];
 
     let mut out = ExprDag::new();
     let mut node_map: HashMap<NodeId, NodeId> = HashMap::new();
@@ -92,23 +98,23 @@ pub fn rewrite_mm_chains_with_context(
         let new_id = match node {
             ExprNode::Leaf { name, matrix } => out.leaf(name.clone(), matrix.clone()),
             ExprNode::Op { op, inputs } => {
+                let mut leaves = Vec::new();
                 if matches!(op, OpKind::MatMul) {
-                    let mut leaves = Vec::new();
                     collect_chain(dag, id, &consumers, &mut leaves);
-                    if leaves.len() > 2 {
-                        // Re-optimize the chain.
-                        chains_rewritten += 1;
-                        let sketches: Vec<MncSketch> = leaves
-                            .iter()
-                            .map(|&l| sketch_of(&mnc, dag, l, ctx))
-                            .collect::<Result<_>>()?;
-                        let (_, plan) = sparse_chain_order(&sketches, cfg);
-                        let new_leaves: Vec<NodeId> = leaves.iter().map(|l| node_map[l]).collect();
-                        build_plan(&mut out, &plan, &new_leaves)?
-                    } else {
-                        let ins: Vec<NodeId> = inputs.iter().map(|i| node_map[i]).collect();
-                        out.op(op.clone(), &ins)?
-                    }
+                }
+                if leaves.len() > 2 {
+                    // Re-optimize the chain.
+                    chains_rewritten += 1;
+                    let inputs = leaves
+                        .iter()
+                        .map(|&l| {
+                            let syn = ctx.node_synopsis(&mnc, dag, l)?;
+                            Subchain::new(node_key(&mut keys, dag, l), syn)
+                        })
+                        .collect::<Result<_>>()?;
+                    let (_, plan) = cached_chain_dp(ctx, &mnc, &ekey, inputs)?;
+                    let new_leaves: Vec<NodeId> = leaves.iter().map(|l| node_map[l]).collect();
+                    build_plan(&mut out, &plan, &new_leaves)?
                 } else {
                     let ins: Vec<NodeId> = inputs.iter().map(|i| node_map[i]).collect();
                     out.op(op.clone(), &ins)?
@@ -149,21 +155,6 @@ fn is_dissolved(dag: &ExprDag, id: NodeId, consumers: &[usize]) -> bool {
     false
 }
 
-/// MNC sketch of an arbitrary old-DAG node via the context (cached,
-/// memoized propagation).
-fn sketch_of(
-    mnc: &mnc_estimators::MncEstimator,
-    dag: &ExprDag,
-    id: NodeId,
-    ctx: &mut EstimationContext,
-) -> Result<MncSketch> {
-    use mnc_estimators::Synopsis;
-    match ctx.node_synopsis(mnc, dag, id)?.as_ref() {
-        Synopsis::Mnc(s) => Ok(s.sketch.clone()),
-        _ => unreachable!("the MNC estimator only produces MNC synopses"),
-    }
-}
-
 /// Materializes a plan tree as product nodes in the new DAG.
 fn build_plan(dag: &mut ExprDag, plan: &PlanTree, leaves: &[NodeId]) -> Result<NodeId> {
     match plan {
@@ -179,10 +170,11 @@ fn build_plan(dag: &mut ExprDag, plan: &PlanTree, leaves: &[NodeId]) -> Result<N
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chain_opt::sparse_chain_order;
     use crate::eval::Evaluator;
+    use mnc_core::MncSketch;
     use mnc_matrix::gen;
     use rand::SeedableRng;
-    use std::sync::Arc;
 
     fn rng(seed: u64) -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(seed)
@@ -341,5 +333,76 @@ mod tests {
             &Evaluator::new().eval(&dag, root).unwrap(),
             &Evaluator::new().eval(&rewritten.dag, new_root).unwrap(),
         );
+    }
+
+    fn propagations(ctx: &EstimationContext) -> u64 {
+        ctx.stats().per_op().map(|(_, s)| s.propagations).sum()
+    }
+
+    /// The DAG's nodes as `(op, inputs)` pairs, leaves as `None`.
+    fn structure(dag: &ExprDag) -> Vec<Option<(OpKind, Vec<NodeId>)>> {
+        dag.iter()
+            .map(|(_, node)| match node {
+                ExprNode::Leaf { .. } => None,
+                ExprNode::Op { op, inputs } => Some((op.clone(), inputs.clone())),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn rewrite_over_a_warm_context_propagates_no_held_subchain() {
+        // M0ᵀᵀ·M1·M2·M3, left-deep: the first chain input is an op node,
+        // whose entry the DP finds under the key a walk gives it.
+        let mut r = rng(6);
+        let dims = [40usize, 300, 300, 60, 12];
+        let sparsities = [0.2, 0.001, 0.3, 0.25];
+        let mats: Vec<_> = dims
+            .windows(2)
+            .zip(sparsities)
+            .map(|(w, s)| Arc::new(gen::rand_uniform(&mut r, w[0], w[1], s)))
+            .collect();
+        let mut dag = ExprDag::new();
+        let mut inputs: Vec<NodeId> = mats
+            .iter()
+            .enumerate()
+            .map(|(i, m)| dag.leaf(format!("M{i}"), Arc::clone(m)))
+            .collect();
+        let t = dag.transpose(inputs[0]).unwrap();
+        inputs[0] = dag.transpose(t).unwrap();
+        let root = *dag.left_deep_chain(&inputs).unwrap().last().unwrap();
+        let cfg = MncConfig::default();
+
+        let mut ctx = EstimationContext::new();
+        let cold = rewrite_mm_chains_with_context(&dag, &cfg, &mut ctx).unwrap();
+        assert_eq!(cold.chains_rewritten, 1);
+        let cold_props = propagations(&ctx);
+        assert!(cold_props > 2, "the DP propagated its subchains");
+
+        // The plan is the plain DP's over freshly built sketches (M0ᵀᵀ's
+        // sketch is M0's).
+        let sketches: Vec<MncSketch> = mats.iter().map(|m| MncSketch::build(m)).collect();
+        let (_, plan) = sparse_chain_order(&sketches, &cfg);
+        let mut want = ExprDag::new();
+        for (_, node) in dag.iter().take(inputs[0] + 1) {
+            match node {
+                ExprNode::Leaf { name, matrix } => want.leaf(name.clone(), Arc::clone(matrix)),
+                ExprNode::Op { op, inputs } => want.op(op.clone(), inputs).unwrap(),
+            };
+        }
+        build_plan(&mut want, &plan, &inputs).unwrap();
+        assert_eq!(structure(&cold.dag), structure(&want));
+
+        // Warm: a second pass, and a walk over the rewritten plan, find
+        // every subchain held.
+        let warm = rewrite_mm_chains_with_context(&dag, &cfg, &mut ctx).unwrap();
+        assert_eq!(warm.chains_rewritten, 1);
+        assert_eq!(structure(&warm.dag), structure(&cold.dag));
+        assert_eq!(propagations(&ctx), cold_props);
+        let builds = ctx.stats().builds;
+        let mnc = MncEstimator::with_config("MNC", cfg);
+        ctx.estimate_root(&mnc, &cold.dag, cold.node_map[&root])
+            .unwrap();
+        assert_eq!(propagations(&ctx), cold_props);
+        assert_eq!(ctx.stats().builds, builds);
     }
 }

@@ -18,26 +18,30 @@
 //! subchain of the same parenthesization all share one entry.
 //!
 //! DAG estimation runs the one [`Walk`] with the context as its synopsis
-//! store: the cache answers the walk's probes, and every build, propagate,
-//! and estimate feeds the statistics, spans, and cache.
-//! `mnc-served` drives the same walk without a cache. Every estimator call
-//! is a pure function of its arguments (MNC seeds each rounding from the
-//! propagation's own inputs), so on a cold cache the context answers the
-//! service's bits — asserted by the property tests.
+//! store: the cache answers the walk's probes, the walk opens its spans on
+//! the context's recorder around the work itself (on whichever thread does
+//! it), and at the walk's merge every build, propagate, and estimate feeds
+//! the statistics and histograms, and its synopsis the cache. The chain
+//! optimizer's leaves and subchain products go through the same span and
+//! timing helper. `mnc-served` drives the same walk without a cache or a
+//! recorder. Every estimator call is a pure function of its arguments (MNC
+//! seeds each rounding from the propagation's own inputs), so on a cold
+//! cache the context answers the service's bits, a leaf root included —
+//! asserted by the property tests.
 //!
 //! [`cache_key`]: SparsityEstimator::cache_key
 
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::{Arc, Weak};
 
-use mnc_core::{EstimationStats, LruSynopsisCache, OpTimer};
+use mnc_core::{EstimationStats, LruSynopsisCache};
 use mnc_estimators::{OpKind, Result, SparsityEstimator, Synopsis};
 use mnc_kernels::WorkerPool;
 use mnc_matrix::CsrMatrix;
-use mnc_obs::{Counter, Gauge, Histogram, Recorder, SpanGuard};
+use mnc_obs::{Counter, Gauge, Histogram, Recorder};
 
 use crate::dag::{ExprDag, ExprNode, NodeId};
-use crate::walk::{NodeEstimate, SynopsisStore, Walk};
+use crate::walk::{self, NodeEstimate, SynopsisStore, Walk};
 
 /// Cache key: the estimator's [`cache_key`](SparsityEstimator::cache_key)
 /// and what the synopsis describes.
@@ -198,10 +202,8 @@ pub struct EstimationContext {
     stats: EstimationStats,
     /// Reused per-walk memo buffer (cleared, not reallocated, between walks).
     memo: Vec<Option<Arc<Synopsis>>>,
-    /// Worker pool for DAG-wavefront materialization (1 thread = the plain
-    /// sequential walk). Parallel walks are additionally gated on the
-    /// estimator having a `Sync` view; results are bit-identical regardless
-    /// of this knob.
+    /// Worker pool for the walk's wavefront levels (1 thread runs them
+    /// inline); results are bit-identical regardless of this knob.
     pool: WorkerPool,
     rec: Recorder,
     // Metric handles are resolved once per context (registry lookups take a
@@ -273,17 +275,17 @@ impl EstimationContext {
     }
 
     /// Materializes independent DAG nodes on up to `threads` pool workers
-    /// (topological wavefronts; default 1 = sequential). Every estimator
-    /// takes the parallel walk — default MNC included, since its rounding
-    /// is seeded from each propagation's inputs — and results are
-    /// bit-identical to `threads == 1`: partial results merge in fixed node
+    /// (topological wavefronts; default 1 runs each level inline). Results,
+    /// statistics and the first error are bit-identical to `threads == 1`:
+    /// estimator calls are pure (MNC seeds its rounding from each
+    /// propagation's inputs), and partial results merge in fixed node
     /// order.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.pool = WorkerPool::new(threads);
         self
     }
 
-    /// The configured worker-thread budget (1 = sequential walks).
+    /// The configured worker-thread budget (1 runs the walk's levels inline).
     pub fn threads(&self) -> usize {
         self.pool.threads()
     }
@@ -346,10 +348,8 @@ impl EstimationContext {
         if let Some(syn) = self.lookup(&key) {
             return Ok(syn);
         }
-        let span = self.rec.span("build").op(est.name()).nnz_in(m.nnz() as u64);
-        let t = OpTimer::start();
-        let syn = Arc::new(est.build(m)?);
-        self.built(key, span, t.elapsed_ns(), &syn);
+        let (syn, ns) = walk::build(est, Some(&self.rec), m)?;
+        self.built(key, ns, &syn);
         Ok(syn)
     }
 
@@ -368,10 +368,8 @@ impl EstimationContext {
         if let Some(syn) = self.lookup(&key) {
             return Ok(syn);
         }
-        let span = self.op_span(op, ins, false);
-        let t = OpTimer::start();
-        let syn = Arc::new(est.propagate(op, ins)?);
-        self.propagated(op, key, span, t.elapsed_ns(), &syn);
+        let (syn, ns) = walk::propagate(est, Some(&self.rec), op, ins)?;
+        self.propagated(op, key, ns, &syn);
         Ok(syn)
     }
 
@@ -393,16 +391,18 @@ impl EstimationContext {
         if let Some(syn) = self.lookup(&key) {
             return Ok(syn);
         }
-        let span = self.rec.span("load").op(est.name());
-        let t = OpTimer::start();
-        let syn = Arc::new(load()?);
-        self.built(key, span, t.elapsed_ns(), &syn);
+        let (syn, ns) = walk::timed(
+            Some(&self.rec),
+            |rec| rec.span("load").op(est.name()),
+            || load().map(Arc::new),
+        )?;
+        self.built(key, ns, &syn);
         Ok(syn)
     }
 
     /// The synopsis of any DAG node under `est`: leaf synopses are built,
-    /// intermediates propagated depth-first (inputs in order), everything
-    /// consulted against and admitted to the cache.
+    /// intermediates propagated (memoized), everything consulted against
+    /// and admitted to the cache.
     pub fn node_synopsis<E: SparsityEstimator + ?Sized>(
         &mut self,
         est: &E,
@@ -412,18 +412,15 @@ impl EstimationContext {
         self.walk(est, dag, |w| w.synopsis(id))
     }
 
-    /// Estimates the sparsity of `root`: leaf roots return their exact
-    /// sparsity without building a synopsis, operation roots are
-    /// *estimated* directly from the input synopses (never propagated).
+    /// Estimates the sparsity of `root`: a leaf root answers its (cached)
+    /// synopsis' sparsity, an operation root is *estimated* directly from
+    /// the input synopses (never propagated).
     pub fn estimate_root<E: SparsityEstimator + ?Sized>(
         &mut self,
         est: &E,
         dag: &ExprDag,
         root: NodeId,
     ) -> Result<f64> {
-        if let ExprNode::Leaf { matrix, .. } = dag.node(root) {
-            return Ok(matrix.sparsity());
-        }
         self.walk(est, dag, |w| w.estimate_root(root))
     }
 
@@ -469,8 +466,6 @@ impl EstimationContext {
         let memo = std::mem::take(&mut self.memo);
         let store = Cached {
             ekey: est.cache_key().into(),
-            est_name: est.name(),
-            span: None,
             keys: vec![None; dag.len()],
             ctx: self,
         };
@@ -494,48 +489,17 @@ impl EstimationContext {
     }
 
     /// Accounts a leaf synopsis built (or loaded) in `ns` and admits it.
-    fn built(&mut self, key: CacheKey, span: SpanGuard, ns: u64, syn: &Arc<Synopsis>) {
+    fn built(&mut self, key: CacheKey, ns: u64, syn: &Arc<Synopsis>) {
         self.stats.record_build(ns);
         self.h_build.record(ns);
-        self.close(span, syn);
         self.admit(key, syn);
     }
 
     /// Accounts an intermediate propagated in `ns` and admits it.
-    fn propagated(
-        &mut self,
-        op: &OpKind,
-        key: CacheKey,
-        span: SpanGuard,
-        ns: u64,
-        syn: &Arc<Synopsis>,
-    ) {
+    fn propagated(&mut self, op: &OpKind, key: CacheKey, ns: u64, syn: &Arc<Synopsis>) {
         self.stats.record_propagate(op.name(), ns);
         self.h_propagate.record(ns);
-        self.close(span, syn);
         self.admit(key, syn);
-    }
-
-    /// Opens the span of `op` over `ins`: a root `estimate` or a
-    /// `propagate`.
-    fn op_span(&self, op: &OpKind, ins: &[&Synopsis], estimate: bool) -> SpanGuard {
-        let name = if estimate { "estimate" } else { "propagate" };
-        let span = self.rec.span(name).op(op.name());
-        // Synopsis::nnz() is not free for every synopsis type (bitsets
-        // count bits), so only pay for it when tracing.
-        if self.rec.is_enabled() {
-            span.nnz_in(ins.iter().map(|s| s.nnz()).sum())
-        } else {
-            span
-        }
-    }
-
-    /// Closes the span that produced `syn`, stamping its size when tracing.
-    fn close(&self, mut span: SpanGuard, syn: &Synopsis) {
-        if self.rec.is_enabled() {
-            span.set_nnz_out(syn.nnz());
-            span.set_bytes(syn.size_bytes());
-        }
     }
 
     /// Inserts into the cache and refreshes the cache-derived counters.
@@ -561,39 +525,36 @@ impl Drop for EstimationContext {
     }
 }
 
+/// The key of node `id` of `dag`, as a walk keys it: a leaf's matrix, or
+/// an op over its inputs' keys. `keys` memoizes them by node id.
+pub(crate) fn node_key(keys: &mut [Option<SynopsisKey>], dag: &ExprDag, id: NodeId) -> SynopsisKey {
+    if let Some(key) = &keys[id] {
+        return key.clone();
+    }
+    let key = match dag.node(id) {
+        ExprNode::Leaf { matrix, .. } => SynopsisKey::leaf(matrix),
+        ExprNode::Op { op, inputs } => {
+            SynopsisKey::derived(op, inputs.iter().map(|&i| node_key(keys, dag, i)))
+        }
+    };
+    keys[id] = Some(key.clone());
+    key
+}
+
 /// The context as a walk's synopsis store: the cache answers probes and
-/// admits results; statistics, histograms, and spans see every step.
+/// admits results, the recorder gets the walk's spans, and statistics and
+/// histograms see every step.
 struct Cached<'c> {
     ctx: &'c mut EstimationContext,
     /// The estimator half of every cache key, formatted once per walk.
     ekey: Arc<str>,
-    /// The estimator's name, for build spans.
-    est_name: &'static str,
-    /// The span `begin` opened and `done` closes.
-    span: Option<SpanGuard>,
     /// Each node's content key, built at most once per walk.
     keys: Vec<Option<SynopsisKey>>,
 }
 
 impl Cached<'_> {
     fn cache_key(&mut self, dag: &ExprDag, id: NodeId) -> CacheKey {
-        (Arc::clone(&self.ekey), self.node_key(dag, id))
-    }
-
-    /// The key of node `id`: a leaf's matrix, or an op over its inputs'
-    /// keys (built first, each once).
-    fn node_key(&mut self, dag: &ExprDag, id: NodeId) -> SynopsisKey {
-        if let Some(key) = &self.keys[id] {
-            return key.clone();
-        }
-        let key = match dag.node(id) {
-            ExprNode::Leaf { matrix, .. } => SynopsisKey::leaf(matrix),
-            ExprNode::Op { op, inputs } => {
-                SynopsisKey::derived(op, inputs.iter().map(|&i| self.node_key(dag, i)))
-            }
-        };
-        self.keys[id] = Some(key.clone());
-        key
+        (Arc::clone(&self.ekey), node_key(&mut self.keys, dag, id))
     }
 }
 
@@ -601,7 +562,7 @@ impl SynopsisStore<ExprDag> for Cached<'_> {
     type Key = SynopsisKey;
 
     fn key(&mut self, dag: &ExprDag, id: NodeId) -> Option<SynopsisKey> {
-        Some(self.node_key(dag, id))
+        Some(node_key(&mut self.keys, dag, id))
     }
 
     fn probe(&mut self, dag: &ExprDag, id: NodeId) -> Option<Arc<Synopsis>> {
@@ -609,29 +570,19 @@ impl SynopsisStore<ExprDag> for Cached<'_> {
         self.ctx.lookup(&key)
     }
 
-    fn begin(&mut self, dag: &ExprDag, id: NodeId, ins: &[&Synopsis], estimate: bool) {
-        let span = match dag.node(id) {
-            ExprNode::Leaf { matrix, .. } => self
-                .ctx
-                .rec
-                .span("build")
-                .op(self.est_name)
-                .nnz_in(matrix.nnz() as u64),
-            ExprNode::Op { op, .. } => self.ctx.op_span(op, ins, estimate),
-        };
-        self.span = Some(span);
+    fn recorder(&self) -> Option<&Recorder> {
+        Some(&self.ctx.rec)
     }
 
     fn done(&mut self, dag: &ExprDag, id: NodeId, ns: u64, syn: Option<&Arc<Synopsis>>) {
-        let span = self.span.take().expect("begin opens a span");
         match (dag.node(id), syn) {
             (ExprNode::Leaf { .. }, Some(syn)) => {
                 let key = self.cache_key(dag, id);
-                self.ctx.built(key, span, ns, syn);
+                self.ctx.built(key, ns, syn);
             }
             (ExprNode::Op { op, .. }, Some(syn)) => {
                 let key = self.cache_key(dag, id);
-                self.ctx.propagated(op, key, span, ns, syn);
+                self.ctx.propagated(op, key, ns, syn);
             }
             (ExprNode::Op { op, .. }, None) => {
                 self.ctx.stats.record_estimate(op.name(), ns);
@@ -1043,7 +994,7 @@ mod tests {
     #[test]
     fn parallel_wavefront_is_bit_identical_and_stats_match() {
         let (dag, root) = wide_dag(20);
-        // Baseline: sequential walk per estimator.
+        // Baseline: one worker per estimator.
         let run = |threads: usize, est: &dyn SparsityEstimator| {
             let mut ctx = EstimationContext::new().with_threads(threads);
             let cold = ctx.estimate_root(est, &dag, root).unwrap();
@@ -1112,7 +1063,7 @@ mod tests {
     fn default_mnc_takes_the_wavefront_bit_identically() {
         // Probabilistic rounding seeds from each propagation's inputs, so
         // default MNC runs the parallel wavefront and still answers the
-        // sequential walk's bits.
+        // one-worker walk's bits.
         let (dag, root) = wide_dag(21);
         let spy = ThreadSpy {
             inner: MncEstimator::new(),
@@ -1207,15 +1158,18 @@ mod tests {
     }
 
     #[test]
-    fn leaf_root_is_exact_and_free() {
+    fn leaf_root_answers_its_cached_synopsis() {
         let mut r = rng(9);
         let m = gen::rand_uniform(&mut r, 10, 10, 0.23);
         let s = m.sparsity();
         let mut dag = ExprDag::new();
         let leaf = dag.leaf("A", Arc::new(m));
         let mut ctx = EstimationContext::new();
-        let est = ctx.estimate_root(&MncEstimator::new(), &dag, leaf).unwrap();
-        assert_eq!(est, s);
-        assert_eq!(ctx.stats().builds, 0, "leaf roots need no synopsis");
+        let est = MncEstimator::new();
+        // MNC's leaf synopsis counts the matrix's non-zeros exactly.
+        assert_eq!(ctx.estimate_root(&est, &dag, leaf).unwrap(), s);
+        assert_eq!((ctx.stats().builds, ctx.stats().cache_misses), (1, 1));
+        assert_eq!(ctx.estimate_root(&est, &dag, leaf).unwrap(), s);
+        assert_eq!((ctx.stats().builds, ctx.stats().cache_hits), (1, 1));
     }
 }

@@ -2,28 +2,25 @@
 //!
 //! The paper's implementation notes (Section 3.3) describe one algorithm
 //! for estimating an expression DAG: memoize intermediate synopses (nodes
-//! may be reachable over several paths), propagate them depth-first, and
-//! estimate the *root* directly from its input synopses, never propagating
-//! it. [`Walk`] is the only implementation of it in the workspace, generic
-//! over a [`DagView`] (the nodes, and how a leaf's synopsis is built) and a
-//! [`SynopsisStore`] (a cache, and what happens around each piece of work).
-//! [`EstimationContext`] walks an [`ExprDag`] against its cache,
-//! statistics, and spans; `mnc-served` walks a request DAG whose leaf
-//! synopses it resolved beforehand, with no store at all.
+//! may be reachable over several paths), propagate them, and estimate the
+//! *root* directly from its input synopses, never propagating it. [`Walk`]
+//! is the only implementation of it in the workspace, generic over a
+//! [`DagView`] (the nodes, and the matrices behind the leaves) and a
+//! [`SynopsisStore`] (a cache, statistics, and a recorder for spans).
+//! [`EstimationContext`] walks an [`ExprDag`] against its cache;
+//! `mnc-served` walks a request DAG whose leaf synopses it resolved
+//! beforehand, with no store at all.
 //!
-//! Estimator calls are pure (MNC seeds each rounding from the
-//! propagation's own inputs), so the order of the work never changes a
-//! result. What the walk fixes is the order its store sees:
-//!
-//! * store probes run in pre-order: an op is probed before its inputs,
-//!   inputs left to right; shared nodes are probed and computed once;
-//! * the root is estimated, never propagated;
-//! * the wavefront computes missed nodes level by level on a parallel
-//!   [`WorkerPool`], for every estimator with a [`Sync`] view. Workers
-//!   compute `(synopsis, ns)` pairs; store hooks run afterwards in
-//!   ascending node order. A node whose store key equals an earlier miss's
-//!   is computed once and probed after it, as the sequential walk would,
-//!   so hit/miss and span counts equal the sequential walk's.
+//! The walk has one compute path, a wavefront, at every thread count.
+//! Store probes run in pre-order (an op before its inputs, inputs left to
+//! right, shared nodes once). The missed nodes then run level by level on
+//! the [`WorkerPool`] (inline at one worker); the thread that builds or
+//! propagates a node opens its span, so the span times that work. A merge
+//! in ascending node id hands each result to [`SynopsisStore::done`], and
+//! its first error ends the walk. Estimator calls are pure (MNC seeds each
+//! rounding from the propagation's own inputs), so neither results, store
+//! statistics, nor the error depend on the thread count. The root is
+//! estimated, never propagated.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -32,6 +29,8 @@ use std::sync::Arc;
 use mnc_core::OpTimer;
 use mnc_estimators::{OpKind, Result, SparsityEstimator, Synopsis};
 use mnc_kernels::WorkerPool;
+use mnc_matrix::CsrMatrix;
+use mnc_obs::{Recorder, SpanGuard};
 
 use crate::dag::{ExprDag, ExprNode, NodeId};
 use crate::session::EstimationContext;
@@ -72,10 +71,10 @@ pub trait DagView: Sync {
     /// The node with the given id.
     fn node(&self, id: NodeId) -> Node<'_>;
 
-    /// Builds the synopsis of leaf `id`, which the walk has neither
-    /// memoized nor found in its store. Pure: the wavefront calls it on
-    /// pool workers.
-    fn build<E: SparsityEstimator + ?Sized>(&self, est: &E, id: NodeId) -> Result<Synopsis>;
+    /// The matrix behind leaf `id`, which the walk builds a synopsis from
+    /// when neither its memo nor its store has one; `None` for a view
+    /// whose leaf synopses are all known before the walk.
+    fn matrix(&self, id: NodeId) -> Option<&Arc<CsrMatrix>>;
 }
 
 impl DagView for ExprDag {
@@ -90,11 +89,11 @@ impl DagView for ExprDag {
         }
     }
 
-    fn build<E: SparsityEstimator + ?Sized>(&self, est: &E, id: NodeId) -> Result<Synopsis> {
-        let ExprNode::Leaf { matrix, .. } = ExprDag::node(self, id) else {
-            unreachable!("node {id} is an operation");
-        };
-        est.build(matrix)
+    fn matrix(&self, id: NodeId) -> Option<&Arc<CsrMatrix>> {
+        match ExprDag::node(self, id) {
+            ExprNode::Leaf { matrix, .. } => Some(matrix),
+            ExprNode::Op { .. } => None,
+        }
     }
 }
 
@@ -107,7 +106,7 @@ pub trait SynopsisStore<D: DagView> {
     type Key: Eq + Hash;
 
     /// The key of node `id`, or `None` (the default) for a store that tells
-    /// nodes apart by id only. The wavefront computes one synopsis per key.
+    /// nodes apart by id only. The walk computes one synopsis per key.
     fn key(&mut self, _dag: &D, _id: NodeId) -> Option<Self::Key> {
         None
     }
@@ -118,18 +117,24 @@ pub trait SynopsisStore<D: DagView> {
         None
     }
 
-    /// Runs just before node `id`'s build, propagation, or (`estimate`)
-    /// root estimate over `ins` — on the wavefront path, at the merge.
-    fn begin(&mut self, _dag: &D, _id: NodeId, _ins: &[&Synopsis], _estimate: bool) {}
+    /// The recorder that gets a `build`, `propagate` or `estimate` span
+    /// around each piece of the walk's work, or `None` (the default).
+    fn recorder(&self) -> Option<&Recorder> {
+        None
+    }
 
-    /// Runs just after that work, which took `ns` and produced `syn`
-    /// (`None` for the root estimate).
+    /// Runs at the merge, after node `id`'s build, propagation, or root
+    /// estimate took `ns` and produced `syn` (`None` for the root
+    /// estimate).
     fn done(&mut self, _dag: &D, _id: NodeId, _ns: u64, _syn: Option<&Arc<Synopsis>>) {}
 }
 
 impl<D: DagView> SynopsisStore<D> for () {
     type Key = ();
 }
+
+/// Why a node's memo slot is set after `fill` reached it.
+const FILLED: &str = "fill memoizes every node it reaches";
 
 /// One walk over one DAG: the estimator, the store, and the per-walk memo.
 pub struct Walk<'a, E: ?Sized, D, S> {
@@ -180,84 +185,53 @@ where
     /// Estimates the sparsity of `root`: an op root directly from its
     /// inputs, a leaf root as its synopsis' sparsity.
     pub fn estimate_root(&mut self, root: NodeId) -> Result<f64> {
-        let dag = self.dag;
+        let (est, dag) = (self.est, self.dag);
         let Node::Op { op, inputs } = dag.node(root) else {
-            return Ok(self.materialize(root)?.sparsity());
+            return Ok(self.synopsis(root)?.sparsity());
         };
-        self.prefill(inputs.iter().copied())?;
-        for &i in inputs {
-            self.materialize(i)?;
-        }
+        self.fill(inputs.iter().copied())?;
         let ins = GatheredIns::gather(inputs, &self.memo);
-        self.store.begin(dag, root, ins.as_slice(), true);
-        let t = OpTimer::start();
-        let s = self.est.estimate(op, ins.as_slice())?;
-        self.store.done(dag, root, t.elapsed_ns(), None);
+        let ins = ins.as_slice();
+        let (s, ns) = timed(
+            self.store.recorder(),
+            |rec| span_over(rec, "estimate", op, ins),
+            || est.estimate(op, ins),
+        )?;
+        self.store.done(dag, root, ns, None);
         Ok(s)
     }
 
     /// The synopsis of node `id`.
     pub fn synopsis(&mut self, id: NodeId) -> Result<Arc<Synopsis>> {
-        self.prefill([id])?;
-        self.materialize(id)
+        self.fill([id])?;
+        Ok(self.memo[id].clone().expect(FILLED))
     }
 
     /// The synopsis of every node, in topological order.
     pub fn materialize_all(&mut self) -> Result<Vec<Arc<Synopsis>>> {
-        self.prefill(0..self.dag.len())?;
-        (0..self.dag.len()).map(|id| self.materialize(id)).collect()
+        self.fill(0..self.dag.len())?;
+        Ok(self
+            .memo
+            .iter()
+            .map(|syn| syn.clone().expect(FILLED))
+            .collect())
     }
 
-    /// Depth-first materialization: from the memo, else from the store,
-    /// else computed (inputs first, in order) between the store's hooks.
-    /// The memo keeps the walk's synopses alive even if the store drops
-    /// them.
-    fn materialize(&mut self, id: NodeId) -> Result<Arc<Synopsis>> {
-        if let Some(syn) = &self.memo[id] {
-            return Ok(Arc::clone(syn));
-        }
-        let dag = self.dag;
-        let syn = match self.store.probe(dag, id) {
-            Some(syn) => syn,
-            None => {
-                let node = dag.node(id);
-                for &i in node.inputs() {
-                    self.materialize(i)?;
-                }
-                let ins = GatheredIns::gather(node.inputs(), &self.memo);
-                self.store.begin(dag, id, ins.as_slice(), false);
-                let t = OpTimer::start();
-                let syn = Arc::new(match node {
-                    Node::Leaf => dag.build(self.est, id)?,
-                    Node::Op { op, .. } => self.est.propagate(op, ins.as_slice())?,
-                });
-                self.store.done(dag, id, t.elapsed_ns(), Some(&syn));
-                syn
-            }
-        };
-        self.memo[id] = Some(Arc::clone(&syn));
-        Ok(syn)
-    }
-
-    /// Computes every node reachable from `roots` that neither the memo
-    /// nor the store has, in wavefronts of the nodes whose inputs are all
-    /// memoized. A no-op unless the pool is parallel.
-    fn prefill<I>(&mut self, roots: I) -> Result<()>
+    /// Memoizes every node reachable from `roots`: from the memo, else
+    /// from the store, else computed in levels of the nodes whose inputs
+    /// are all memoized. The memo keeps the walk's synopses alive even if
+    /// the store drops them.
+    fn fill<I>(&mut self, roots: I) -> Result<()>
     where
         I: IntoIterator<Item = NodeId>,
         I::IntoIter: DoubleEndedIterator,
     {
-        if !self.pool.is_parallel() {
-            return Ok(());
-        }
         let (est, dag) = (self.est, self.dag);
 
-        // Discovery replays the sequential walk's pre-order probes, so
-        // hit/miss counts match it exactly. A node whose key an earlier
-        // miss shares is that miss's twin: the sequential walk would probe
-        // it after computing the miss, and hit.
+        // Pre-order probes. A node whose key an earlier miss shares is that
+        // miss's twin: it is probed once the miss is computed, and hits.
         let mut seen = vec![false; dag.len()];
-        let mut missed = vec![false; dag.len()];
+        let mut pending: Vec<NodeId> = Vec::new();
         let mut first_miss: HashMap<S::Key, NodeId> = HashMap::new();
         let mut twins: Vec<(NodeId, NodeId)> = Vec::new();
         let mut stack: Vec<NodeId> = roots.into_iter().rev().collect();
@@ -274,7 +248,7 @@ where
             match self.store.probe(dag, id) {
                 Some(syn) => self.memo[id] = Some(syn),
                 None => {
-                    missed[id] = true;
+                    pending.push(id);
                     first_miss.extend(key.map(|k| (k, id)));
                     stack.extend(dag.node(id).inputs().iter().rev());
                 }
@@ -282,50 +256,119 @@ where
         }
 
         // Ascending id is topological, and every input of a missed node is
-        // memoized or missed itself, so each wavefront is non-empty.
-        let mut pending: Vec<NodeId> = (0..dag.len()).filter(|&id| missed[id]).collect();
+        // memoized or missed itself, so each level is non-empty.
+        pending.sort_unstable();
+        let mut level = Vec::new();
         while !pending.is_empty() {
             let memo = &self.memo[..];
-            let (batch, rest): (Vec<NodeId>, Vec<NodeId>) = pending
-                .iter()
-                .partition(|&&id| dag.node(id).inputs().iter().all(|&i| memo[i].is_some()));
-            debug_assert!(!batch.is_empty(), "a wavefront made no progress");
-            pending = rest;
-            let results = self.pool.run(batch.len(), |k| -> Result<(Synopsis, u64)> {
-                let t = OpTimer::start();
-                let syn = match dag.node(batch[k]) {
-                    Node::Leaf => dag.build(est, batch[k])?,
-                    Node::Op { op, inputs } => {
-                        est.propagate(op, GatheredIns::gather(inputs, memo).as_slice())?
-                    }
-                };
-                Ok((syn, t.elapsed_ns()))
+            level.clear();
+            pending.retain(|&id| {
+                let ready = dag.node(id).inputs().iter().all(|&i| memo[i].is_some());
+                if ready {
+                    level.push(id);
+                }
+                !ready
             });
-            for (&id, res) in batch.iter().zip(results) {
+            debug_assert!(!level.is_empty(), "a wavefront made no progress");
+            let rec = self.store.recorder();
+            let results = self.pool.run(level.len(), |k| {
+                let id = level[k];
+                match dag.node(id) {
+                    Node::Leaf => {
+                        let m = dag.matrix(id).expect("an unresolved leaf has a matrix");
+                        build(est, rec, m)
+                    }
+                    Node::Op { op, inputs } => {
+                        propagate(est, rec, op, GatheredIns::gather(inputs, memo).as_slice())
+                    }
+                }
+            });
+            for (&id, res) in level.iter().zip(results) {
                 let (syn, ns) = res?;
-                let syn = Arc::new(syn);
-                let ins = GatheredIns::gather(dag.node(id).inputs(), &self.memo);
-                self.store.begin(dag, id, ins.as_slice(), false);
                 self.store.done(dag, id, ns, Some(&syn));
                 self.memo[id] = Some(syn);
             }
-            self.resolve_twins(&mut twins);
+            // Probe each twin whose miss is now computed; take the miss's
+            // synopsis should the store no longer hold it.
+            twins.retain(|&(id, miss)| {
+                let Some(computed) = self.memo[miss].clone() else {
+                    return true;
+                };
+                self.memo[id] = Some(self.store.probe(dag, id).unwrap_or(computed));
+                false
+            });
         }
         debug_assert!(twins.is_empty(), "every twin's miss is computed");
         Ok(())
     }
+}
 
-    /// Probes each twin whose miss is now computed, and takes the miss's
-    /// synopsis should the store no longer hold it.
-    fn resolve_twins(&mut self, twins: &mut Vec<(NodeId, NodeId)>) {
-        twins.retain(|&(id, miss)| {
-            let Some(computed) = self.memo[miss].clone() else {
-                return true;
-            };
-            self.memo[id] = Some(self.store.probe(self.dag, id).unwrap_or(computed));
-            false
-        });
+/// Runs one piece of estimation work — a build, a propagation, or a root
+/// estimate — on the calling thread, and times it. With an enabled `rec`
+/// the work runs inside the span `open` opens, and a synopsis result
+/// stamps its non-zeros and bytes on it.
+pub(crate) fn timed<T: Traced>(
+    rec: Option<&Recorder>,
+    open: impl FnOnce(&Recorder) -> SpanGuard,
+    work: impl FnOnce() -> Result<T>,
+) -> Result<(T, u64)> {
+    let mut span = rec.filter(|rec| rec.is_enabled()).map(open);
+    let t = OpTimer::start();
+    let out = work()?;
+    let ns = t.elapsed_ns();
+    if let Some(span) = &mut span {
+        out.stamp(span);
     }
+    Ok((out, ns))
+}
+
+/// What a [`timed`] result stamps on its span.
+pub(crate) trait Traced {
+    fn stamp(&self, _span: &mut SpanGuard) {}
+}
+
+impl Traced for f64 {}
+
+impl Traced for Arc<Synopsis> {
+    fn stamp(&self, span: &mut SpanGuard) {
+        span.set_nnz_out(self.nnz());
+        span.set_bytes(self.size_bytes());
+    }
+}
+
+/// Builds the synopsis of `m` inside a `build` span.
+pub(crate) fn build<E: SparsityEstimator + ?Sized>(
+    est: &E,
+    rec: Option<&Recorder>,
+    m: &Arc<CsrMatrix>,
+) -> Result<(Arc<Synopsis>, u64)> {
+    timed(
+        rec,
+        |rec| rec.span("build").op(est.name()).nnz_in(m.nnz() as u64),
+        || est.build(m).map(Arc::new),
+    )
+}
+
+/// Propagates `op` over `ins` inside a `propagate` span.
+pub(crate) fn propagate<E: SparsityEstimator + ?Sized>(
+    est: &E,
+    rec: Option<&Recorder>,
+    op: &OpKind,
+    ins: &[&Synopsis],
+) -> Result<(Arc<Synopsis>, u64)> {
+    timed(
+        rec,
+        |rec| span_over(rec, "propagate", op, ins),
+        || est.propagate(op, ins).map(Arc::new),
+    )
+}
+
+/// The span of `op` over `ins`. `Synopsis::nnz` is not free for every
+/// synopsis (bitsets count bits), so only a tracing walk asks for it.
+fn span_over(rec: &Recorder, name: &'static str, op: &OpKind, ins: &[&Synopsis]) -> SpanGuard {
+    rec.span(name)
+        .op(op.name())
+        .nnz_in(ins.iter().map(|s| s.nnz()).sum())
 }
 
 /// Input synopses of an op node, gathered without a heap allocation for the

@@ -1,6 +1,10 @@
 //! Property-based guarantee that observability is purely passive: attaching
 //! a recorder to an estimation session (or wrapping an estimator in
 //! `InstrumentedEstimator`) never changes any estimate, bit for bit.
+//!
+//! Every context runs at `MNC_THREADS` workers (one when unset); CI runs
+//! the suite at 1, 2 and 8, and with allocation tracking at 2, so spans
+//! opened on pool workers are checked too.
 
 use std::sync::Arc;
 
@@ -10,6 +14,15 @@ use rand::SeedableRng;
 use mnc_estimators::{BitsetEstimator, InstrumentedEstimator, MncEstimator, OpKind};
 use mnc_expr::{EstimationContext, ExprDag, NodeId, Recorder};
 use mnc_matrix::{gen, CsrMatrix};
+
+/// A context at `MNC_THREADS` workers, one when the variable is unset.
+fn context() -> EstimationContext {
+    let threads = std::env::var("MNC_THREADS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(1);
+    EstimationContext::new().with_threads(threads)
+}
 
 fn make(rows: usize, cols: usize, s: f64, seed: u64) -> Arc<CsrMatrix> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -75,7 +88,7 @@ fn sparsity_vec(k: usize, s: (f64, f64, f64, f64, f64)) -> Vec<f64> {
 #[test]
 fn estimates_are_bit_stable_across_build_configurations() {
     let (dag, root) = random_dag(24, &[0.1, 0.3, 0.05], 0b0110, 7);
-    let mut ctx = EstimationContext::new().with_recorder(Recorder::enabled());
+    let mut ctx = context().with_recorder(Recorder::enabled());
     let traced = ctx
         .estimate_root(&MncEstimator::new(), &dag, root)
         .expect("estimate");
@@ -102,18 +115,18 @@ proptest! {
         let (dag, root) = random_dag(d, &sparsities, op_bits, seed);
         let est = MncEstimator::new();
 
-        let mut plain_ctx = EstimationContext::new();
+        let mut plain_ctx = context();
         let plain = plain_ctx
             .estimate_root(&est, &dag, root)
             .expect("plain estimate");
 
         let rec = Recorder::enabled();
-        let mut traced_ctx = EstimationContext::new().with_recorder(rec.clone());
+        let mut traced_ctx = context().with_recorder(rec.clone());
         let traced = traced_ctx
             .estimate_root(&est, &dag, root)
             .expect("traced estimate");
 
-        let mut off_ctx = EstimationContext::new().with_recorder(Recorder::disabled());
+        let mut off_ctx = context().with_recorder(Recorder::disabled());
         let off = off_ctx
             .estimate_root(&est, &dag, root)
             .expect("disabled-recorder estimate");
@@ -143,11 +156,11 @@ proptest! {
     fn alloc_tracking_never_changes_estimates((d, k, raw, op_bits, seed) in params()) {
         let sparsities = sparsity_vec(k, raw);
         let (dag, root) = random_dag(d, &sparsities, op_bits, seed);
-        let mut plain_ctx = EstimationContext::new();
+        let mut plain_ctx = context();
         let plain = plain_ctx
             .estimate_root(&BitsetEstimator::default(), &dag, root)
             .expect("plain estimate");
-        let mut traced_ctx = EstimationContext::new().with_recorder(Recorder::enabled());
+        let mut traced_ctx = context().with_recorder(Recorder::enabled());
         let traced = traced_ctx
             .estimate_root(&BitsetEstimator::default(), &dag, root)
             .expect("traced estimate");
@@ -161,14 +174,14 @@ proptest! {
         let sparsities = sparsity_vec(k, raw);
         let (dag, root) = random_dag(d, &sparsities, op_bits, seed);
 
-        let mut bare_ctx = EstimationContext::new();
+        let mut bare_ctx = context();
         let bare = bare_ctx
             .estimate_root(&BitsetEstimator::default(), &dag, root)
             .expect("bare estimate");
 
         for rec in [Recorder::enabled(), Recorder::disabled()] {
             let est = InstrumentedEstimator::new(BitsetEstimator::default(), rec);
-            let mut ctx = EstimationContext::new();
+            let mut ctx = context();
             let wrapped = ctx.estimate_root(&est, &dag, root).expect("wrapped estimate");
             prop_assert_eq!(bare.to_bits(), wrapped.to_bits(),
                 "InstrumentedEstimator changed the estimate");

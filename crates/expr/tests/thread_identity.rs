@@ -1,11 +1,13 @@
 //! Thread-count invariance: every parallel path in the estimation stack is
-//! a rearrangement of the same arithmetic, never an approximation. Estimates
-//! and session statistics must be bit-identical at any worker count.
+//! a rearrangement of the same arithmetic, never an approximation. Estimates,
+//! session statistics, span counts and the first error must be identical at
+//! any worker count, and spans must time the work at every worker count.
 //!
 //! CI runs this suite in debug **and** `--release` at `MNC_THREADS` 1, 2,
 //! and 8 — when the variable is set, its value is compared against the
 //! sequential run; when unset, the suite sweeps {2, 4, 8} itself.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -13,10 +15,10 @@ use rand::SeedableRng;
 
 use mnc_estimators::{
     BiasedSamplingEstimator, BitsetEstimator, DensityMapEstimator, DynamicDensityMapEstimator,
-    HashEstimator, InstrumentedEstimator, LayeredGraphEstimator, MetaAcEstimator, MncEstimator,
-    OpKind, SparsityEstimator,
+    EstimatorError, HashEstimator, InstrumentedEstimator, LayeredGraphEstimator, MetaAcEstimator,
+    MncEstimator, OpKind, SparsityEstimator,
 };
-use mnc_expr::{EstimationContext, ExprDag, NodeId};
+use mnc_expr::{EstimationContext, ExprDag, NodeId, Recorder};
 use mnc_matrix::{gen, CsrMatrix};
 
 /// Worker counts under test: `MNC_THREADS` when set (the CI matrix pins it
@@ -212,8 +214,8 @@ fn twin_dag(seed: u64, d: usize, transposed: bool) -> Dag {
     (dag, root)
 }
 
-/// A repeated subexpression is computed once, and the wavefront's cache
-/// statistics equal the sequential walk's: the second `A·B` hits in both.
+/// A repeated subexpression is computed once, and the cache statistics at
+/// every worker count equal the one-worker walk's: the second `A·B` hits.
 #[test]
 fn repeated_subexpressions_are_computed_once_at_every_thread_count() {
     let stats = |ctx: &EstimationContext| {
@@ -277,5 +279,92 @@ fn repeated_subexpressions_are_computed_once_at_every_thread_count() {
                 }
             }
         }
+    }
+}
+
+/// Five ops over four 600×600 leaves: two products, their sum, its
+/// transpose, and a root product with a leaf.
+fn five_op_dag() -> Dag {
+    let d = 600;
+    let mut dag = ExprDag::new();
+    let a = dag.leaf("A", make(d, d, 0.01, 51));
+    let b = dag.leaf("B", make(d, d, 0.01, 52));
+    let c = dag.leaf("C", make(d, d, 0.01, 53));
+    let e = dag.leaf("E", make(d, d, 0.01, 54));
+    let ab = dag.matmul(a, b).expect("square");
+    let ce = dag.matmul(c, e).expect("square");
+    let sum = dag.ew_add(ab, ce).expect("same shape");
+    let t = dag.transpose(sum).expect("unary");
+    let root = dag.matmul(t, a).expect("square");
+    (dag, root)
+}
+
+/// Each worker opens the span of the build or propagation it runs, so the
+/// spans time the work the statistics time, and a traced walk records the
+/// same spans at any worker count.
+#[test]
+fn spans_time_the_work_at_every_thread_count() {
+    let (dag, root) = five_op_dag();
+    let ests: Vec<Box<dyn SparsityEstimator>> = vec![
+        Box::new(MncEstimator::new()),
+        Box::new(BitsetEstimator::default()),
+    ];
+    for est in &ests {
+        let traced = |threads: usize| {
+            let rec = Recorder::enabled();
+            let mut ctx = EstimationContext::new()
+                .with_threads(threads)
+                .with_recorder(rec.clone());
+            ctx.estimate_root(est.as_ref(), &dag, root)
+                .expect("estimate");
+            let mut counts: BTreeMap<(&'static str, Option<String>), usize> = BTreeMap::new();
+            let mut span_ns: BTreeMap<&'static str, u64> = BTreeMap::new();
+            for span in rec.spans() {
+                *counts.entry((span.name, span.op.clone())).or_default() += 1;
+                *span_ns.entry(span.name).or_default() += span.dur_ns;
+            }
+            let stats = ctx.stats();
+            let propagate_ns: u64 = stats.per_op().map(|(_, s)| s.propagate_ns).sum();
+            (counts, span_ns, stats.build_ns, propagate_ns)
+        };
+        let (want, ..) = traced(1);
+        assert_eq!(want.values().sum::<usize>(), 4 + 4 + 1, "{}", est.name());
+        for t in thread_counts() {
+            let (counts, span_ns, build_ns, propagate_ns) = traced(t);
+            let name = est.name();
+            assert_eq!(counts, want, "{name}: spans per (name, op) at {t} threads");
+            assert!(
+                2 * span_ns["build"] >= build_ns,
+                "{name} at {t} threads: build spans {} ns, builds {build_ns} ns",
+                span_ns["build"]
+            );
+            assert!(
+                2 * span_ns["propagate"] >= propagate_ns,
+                "{name} at {t} threads: propagate spans {} ns, propagations {propagate_ns} ns",
+                span_ns["propagate"]
+            );
+        }
+    }
+}
+
+/// `matmul(ew_add(A, B), transpose(A))` under LGraph, which propagates
+/// neither op: node 2 (the transpose) and node 3 (the add) fail in the same
+/// level, and the walk reports the lower id's error at every worker count.
+#[test]
+fn the_first_error_does_not_depend_on_the_thread_count() {
+    let mut dag = ExprDag::new();
+    let a = dag.leaf("A", make(32, 32, 0.1, 61));
+    let b = dag.leaf("B", make(32, 32, 0.1, 62));
+    let t = dag.transpose(a).expect("unary");
+    let sum = dag.ew_add(a, b).expect("same shape");
+    let root = dag.matmul(sum, t).expect("square");
+    assert_eq!((t, sum), (2, 3));
+    let want = EstimatorError::unsupported("LGraph", &OpKind::Transpose);
+    for threads in std::iter::once(1).chain(thread_counts()) {
+        let mut ctx = EstimationContext::new().with_threads(threads);
+        let err = ctx
+            .estimate_root(&LayeredGraphEstimator::default(), &dag, root)
+            .expect_err("LGraph propagates neither op");
+        assert_eq!(err, want, "at {threads} threads");
     }
 }

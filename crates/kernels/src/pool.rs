@@ -6,9 +6,10 @@
 //! merge, not the schedule — workers race over indices, but results are
 //! always returned **in index order**, so callers that fold partial
 //! results in that fixed order (sketch chunk merges, bitset row chunks,
-//! wavefront DAG levels) produce answers bit-identical to a sequential
-//! run. A pool with `threads == 1` never spawns: every `run` degenerates
-//! to an inline loop with zero overhead beyond the call.
+//! the DAG walk's wavefront levels) produce answers bit-identical to a
+//! sequential run. A pool with `threads == 1` never spawns: every `run`
+//! degenerates to an inline loop with zero overhead beyond the call, so
+//! callers keep one code path for every thread count.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -40,11 +41,6 @@ impl WorkerPool {
     /// The thread budget.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Whether `run`/`run_tasks` may actually spawn workers.
-    pub fn is_parallel(&self) -> bool {
-        self.threads > 1
     }
 
     /// Evaluates `f(0..n)` and returns the results in index order.

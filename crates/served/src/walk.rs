@@ -19,6 +19,7 @@ use mnc_core::OpKind;
 use mnc_estimators::{SparsityEstimator, Synopsis};
 use mnc_expr::walk::{DagView, Node, Walk};
 use mnc_kernels::WorkerPool;
+use mnc_matrix::CsrMatrix;
 
 use crate::error::ServiceError;
 
@@ -104,7 +105,7 @@ impl DagSpec {
 
 /// Request DAGs only reference earlier indices, so ascending index *is*
 /// topological order. Leaf synopses come from the catalog, never from a
-/// build.
+/// build, so the view has no matrices.
 impl DagView for DagSpec {
     fn len(&self) -> usize {
         self.nodes.len()
@@ -117,12 +118,8 @@ impl DagView for DagSpec {
         }
     }
 
-    fn build<E: SparsityEstimator + ?Sized>(
-        &self,
-        _est: &E,
-        id: usize,
-    ) -> mnc_estimators::Result<Synopsis> {
-        unreachable!("leaf {id} is resolved before the walk")
+    fn matrix(&self, _id: usize) -> Option<&Arc<CsrMatrix>> {
+        None
     }
 }
 
@@ -139,9 +136,10 @@ pub struct EstimateOutcome {
     pub sketch_bytes: Option<Vec<u8>>,
 }
 
-/// Runs the walk, sequentially. `leaves[i]` must hold the synopsis for
-/// every [`NodeSpec::Leaf`] at index `i` (the service resolves them from
-/// the catalog before calling, so propagation runs lock-free).
+/// Runs the walk on a one-worker pool (its wavefront levels run inline on
+/// the calling thread). `leaves[i]` must hold the synopsis for every
+/// [`NodeSpec::Leaf`] at index `i` (the service resolves them from the
+/// catalog before calling, so propagation runs lock-free).
 pub fn estimate_dag<E: SparsityEstimator + ?Sized>(
     est: &E,
     dag: &DagSpec,

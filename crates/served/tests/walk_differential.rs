@@ -11,8 +11,8 @@
 //!
 //! CI runs this suite in debug **and** `--release` at `MNC_THREADS` 1, 2,
 //! and 8. Every case runs the context at one thread and at `MNC_THREADS`
-//! (a {2, 8} sweep when the variable is unset); the served walk is
-//! sequential.
+//! (a {2, 8} sweep when the variable is unset); the served walk runs on
+//! one worker.
 
 use std::sync::Arc;
 
@@ -21,13 +21,13 @@ use rand::{Rng, SeedableRng};
 
 use mnc_core::serialize::to_bytes;
 use mnc_estimators::{
-    BitsetEstimator, DensityMapEstimator, MetaAcEstimator, MncEstimator, OpKind, SparsityEstimator,
-    Synopsis,
+    BitsetEstimator, DensityMapEstimator, EstimatorError, LayeredGraphEstimator, MetaAcEstimator,
+    MncEstimator, OpKind, SparsityEstimator, Synopsis,
 };
 use mnc_expr::{EstimationContext, Evaluator, ExprDag};
 use mnc_matrix::{gen, CsrMatrix};
 use mnc_served::walk::estimate_dag;
-use mnc_served::{DagSpec, NodeSpec};
+use mnc_served::{DagSpec, NodeSpec, ServiceError};
 
 const UNARY: [OpKind; 3] = [OpKind::Transpose, OpKind::Neq0, OpKind::Eq0];
 const BINARY: [OpKind; 5] = [
@@ -160,14 +160,7 @@ fn check_case(case: &Case) {
                 "bitset {exact} truth {truth}"
             );
         }
-        // The service holds synopses, not matrices, so a leaf root answers
-        // its synopsis' sparsity where the context reads the matrix. The
-        // two agree for every synopsis that counts non-zeros exactly; the
-        // density map's per-block densities may round in the last bit.
-        let expected = match case.spec.nodes[root] {
-            NodeSpec::Leaf(_) if name == "DMap" => root_syn.sparsity(),
-            _ => exact,
-        };
+        let expected = exact;
 
         // Catalog leaves, built as the service's ingest builds them.
         let leaves: Vec<Option<Arc<Synopsis>>> = case
@@ -234,4 +227,54 @@ fn generator_covers_the_contract_shapes() {
         shared |= uses.iter().any(|&u| u > 1);
     }
     assert!(leaf_root && shared && unary && binary);
+}
+
+/// `matmul(ew_add(A, B), transpose(A))` under LGraph, which propagates
+/// neither op: the served walk reports the context's first error, that of
+/// the transpose (node 2, the lower id of the failing level).
+#[test]
+fn served_walk_reports_the_contexts_first_error() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+    let (a, b) = (
+        Arc::new(gen::rand_uniform(&mut rng, 16, 16, 0.2)),
+        Arc::new(gen::rand_uniform(&mut rng, 16, 16, 0.2)),
+    );
+    let mut dag = ExprDag::new();
+    let (na, nb) = (dag.leaf("A", Arc::clone(&a)), dag.leaf("B", Arc::clone(&b)));
+    let t = dag.transpose(na).unwrap();
+    let sum = dag.ew_add(na, nb).unwrap();
+    let root = dag.matmul(sum, t).unwrap();
+    let spec = DagSpec {
+        nodes: vec![
+            NodeSpec::Leaf("A".into()),
+            NodeSpec::Leaf("B".into()),
+            NodeSpec::Op {
+                op: OpKind::Transpose,
+                inputs: vec![0],
+            },
+            NodeSpec::Op {
+                op: OpKind::EwAdd,
+                inputs: vec![0, 1],
+            },
+            NodeSpec::Op {
+                op: OpKind::MatMul,
+                inputs: vec![3, 2],
+            },
+        ],
+        root,
+    };
+    spec.validate().unwrap();
+    let est = LayeredGraphEstimator::default();
+    let want = EstimatorError::unsupported("LGraph", &OpKind::Transpose);
+    for threads in thread_counts() {
+        let mut ctx = EstimationContext::new().with_threads(threads);
+        let err = ctx.estimate_root(&est, &dag, root).unwrap_err();
+        assert_eq!(err, want, "context at {threads} threads");
+    }
+    let leaves =
+        [Some(a), Some(b), None, None, None].map(|m| m.map(|m| Arc::new(est.build(&m).unwrap())));
+    match estimate_dag(&est, &spec, &leaves, false) {
+        Err(ServiceError::Estimator(err)) => assert_eq!(err, want),
+        other => panic!("served walk answered {other:?}"),
+    }
 }
